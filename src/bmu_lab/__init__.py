@@ -1,36 +1,12 @@
 """Reinforcement-learning lab: synaptic Q-learning and Bellman memory units
 on an evolving network topology, balancing a cartpole."""
 
-from .cartpole import CartPoleEnv, CartState, EnvParams, StepOutcome, is_terminal, reset, step
+from .cartpole import CartPoleEnv, CartState, EnvParams, StepOutcome, is_terminal, step
 from .discretize import BinSpec, DiscreteState, discretize, key_of, parse_key
-from .synaptic import (
-    SynapticAgent,
-    SynapticGraph,
-    bellman_update,
-    connect,
-    forward_select,
-    gamma_to_tau,
-    network_stats,
-    spawn_neuron,
-    synaptic_filter,
-    tau_to_gamma,
-)
-from .bmu import (
-    BmuAgent,
-    Ensemble,
-    EnsemblePopulation,
-    NeuronPool,
-    PoolAgent,
-    PoolCapacityError,
-    activity,
-    bmu_update,
-    pool_assign,
-    pool_select,
-    pool_update,
-    select_action,
-    spawn_ensemble,
-)
-from .qtable import QTable, QTableAgent, qtable_select, qtable_update
+from .core import BellmanCore, argmax
+from .synaptic import SynapticAgent, gamma_to_tau, optimistic_q, synaptic_filter, tau_to_gamma
+from .bmu import BmuAgent, PoolAgent, PoolCapacityError
+from .qtable import QTableAgent
 from .graphio import GraphSnapshot, read_dot, read_gexf, to_dot, to_gexf
 from .metrics import DegreeHistogram, NetworkStats, degree_distribution, summary_table
 from .trainer import (

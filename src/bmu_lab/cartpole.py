@@ -16,10 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Failure threshold quoted in some write-ups of the same benchmark
-# (12 degrees); kept available for experiments, not the default.
-THETA_LIMIT_STRICT = 0.2095
-
 RESET_SPREAD = 0.05
 
 
@@ -66,12 +62,6 @@ class StepOutcome:
     reward: float
     terminated: bool
     truncated: bool
-
-
-def reset(seed: int) -> CartState:
-    """Sample an initial state with all components uniform in [-0.05, 0.05]."""
-    vals = np.random.default_rng(seed).uniform(-RESET_SPREAD, RESET_SPREAD, size=4)
-    return CartState(float(vals[0]), float(vals[1]), float(vals[2]), float(vals[3]), t=0)
 
 
 def is_terminal(state: CartState, params: EnvParams | None = None) -> bool:
@@ -134,6 +124,7 @@ class CartPoleEnv:
         self._rng: np.random.Generator | None = None
 
     def reset(self, seed: int | None = None) -> CartState:
+        """Sample an initial state with all components uniform in [-0.05, 0.05]."""
         if seed is not None:
             self._rng = np.random.default_rng(seed)
         if self._rng is None:

@@ -19,6 +19,7 @@ from .runio import (
     write_degree_stats,
     write_eval_run,
     write_snapshot,
+    write_text,
 )
 from .trainer import ConfigError, evaluate, train
 
@@ -218,10 +219,8 @@ def _handle_table2(args) -> int:
         })
     csv_text, aligned = summary_table(rows)
     out = Path(args.out)
-    if out.exists():
-        raise FileExistsError(f"refusing to overwrite existing artifact {out}")
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(csv_text)
+    write_text(out, csv_text)
     print(aligned, end="")
     print(f"table written to {out}")
     return 0

@@ -4,84 +4,22 @@ Serves two purposes: the comparison row in the summary table, and the
 reference semantics for the graph agents (all of them must produce the
 same Q values on the same transition stream). Sparse-on-demand storage is
 the default; dense mode preallocates every n_bins^4 state row to reproduce
-the full-table parameter bookkeeping.
+the full-table parameter bookkeeping. Unseen states read as a zero row
+without being inserted, and the table records no transition edges.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import product
 
+from .core import BellmanCore
 from .discretize import key_of
 from .graphio import GraphSnapshot
 from .metrics import NetworkStats, parameter_count
+from .synaptic import optimistic_q
 
 
-class QTable:
-    def __init__(self, kappa: int = 2, dense: bool = False, n_bins: int = 10,
-                 init_value: float = 0.0):
-        self.kappa = kappa
-        self.dense = dense
-        self.n_bins = n_bins
-        self.init_value = init_value
-        self.rows: dict[str, list[float]] = {}
-        self.visits: dict[str, int] = {}
-        if dense:
-            for bins in product(range(n_bins), repeat=4):
-                self.rows[key_of(bins)] = [init_value] * kappa
-
-    def row(self, state_key: str) -> list[float]:
-        """Stored row, or a zero view for unseen states (no insertion)."""
-        return self.rows.get(state_key, [0.0] * self.kappa)
-
-    def ensure(self, state_key: str) -> bool:
-        if state_key in self.rows:
-            return False
-        self.rows[state_key] = [self.init_value] * self.kappa
-        return True
-
-
-def qtable_select(table: QTable, state_key: str) -> int:
-    qs = table.row(state_key)
-    j_max = 0
-    for j in range(1, len(qs)):
-        if qs[j] > qs[j_max]:
-            j_max = j
-    return j_max
-
-
-def qtable_update(table: QTable, state_key: str, action: int, reward: float,
-                  next_key: str, alpha: float, gamma: float,
-                  terminal: bool = False) -> None:
-    if not math.isfinite(reward):
-        raise ValueError(f"reward must be finite, got {reward}")
-    table.ensure(state_key)
-    row = table.rows[state_key]
-    v_next = 0.0 if terminal else max(table.row(next_key))
-    row[action] += alpha * (-row[action] + reward + gamma * v_next)
-    table.visits[state_key] = table.visits.get(state_key, 0) + 1
-
-
-def qtable_stats(table: QTable) -> NetworkStats:
-    # fan-in has no natural meaning for a lookup table; reported as n/a
-    n = len(table.rows)
-    return NetworkStats(
-        neurons=n,
-        edges=None,
-        avg_fan_in=None,
-        parameter_count=parameter_count(n, table.kappa),
-    )
-
-
-def qtable_csv(table: QTable) -> str:
-    lines = ["state_key,action,q"]
-    for key in sorted(table.rows):
-        for action, q in enumerate(table.rows[key]):
-            lines.append(f"{key},{action},{q!r}")
-    return "\n".join(lines) + "\n"
-
-
-class QTableAgent:
+class QTableAgent(BellmanCore):
     kind = "qtable"
 
     def __init__(self, kappa: int = 2, alpha: float = 0.9, gamma: float = 0.99,
@@ -89,51 +27,61 @@ class QTableAgent:
                  step_reward: float = 1.0):
         if q_init not in ("zeros", "optimistic"):
             raise ValueError(f"q_init must be 'zeros' or 'optimistic', got {q_init!r}")
-        self.alpha = alpha
-        self.gamma = gamma
+        super().__init__(kappa, alpha, gamma)
+        self.dense = dense
+        self.n_bins = n_bins
         self.q_init = q_init
-        init_value = step_reward / (1.0 - gamma) if q_init == "optimistic" else 0.0
-        self.table = QTable(kappa=kappa, dense=dense, n_bins=n_bins,
-                            init_value=init_value)
+        self.init_value = optimistic_q(step_reward, gamma) if q_init == "optimistic" else 0.0
+        self.visits: dict[str, int] = {}
+        if dense:
+            for bins in product(range(n_bins), repeat=4):
+                self.add(key_of(bins), self.new_row())
 
-    def ensure(self, state_key: str) -> bool:
-        return self.table.ensure(state_key)
+    def new_row(self) -> list[float]:
+        return [self.init_value] * self.kappa
 
-    def select(self, state_key: str, forced: int | None = None) -> int:
-        if forced is not None:
-            return forced
-        return qtable_select(self.table, state_key)
+    def row(self, state_key: str) -> list[float]:
+        """Stored row, or a zero view for unseen states (no insertion)."""
+        index = self.ids.get(state_key)
+        return [0.0] * self.kappa if index is None else self.rows[index]
 
     def update(self, state_key: str, action: int, reward: float,
                next_key: str, terminal: bool) -> None:
-        qtable_update(self.table, state_key, action, reward, next_key,
-                      self.alpha, self.gamma, terminal=terminal)
-
-    def q_values(self, state_key: str) -> list[float]:
-        return list(self.table.row(state_key))
+        # a row inserted by an update is not an agent-level ensure (no spawn)
+        BellmanCore.ensure(self, state_key)
+        self.learn(self.ids[state_key], action, reward, self.ids.get(next_key), terminal)
+        self.visits[state_key] = self.visits.get(state_key, 0) + 1
 
     def stats(self) -> NetworkStats:
-        return qtable_stats(self.table)
+        # fan-in has no natural meaning for a lookup table; reported as n/a
+        n = len(self.keys)
+        return NetworkStats(neurons=n, edges=None, avg_fan_in=None,
+                            parameter_count=parameter_count(n, self.kappa))
+
+    def sorted_rows(self) -> list[tuple[str, list[float]]]:
+        return sorted(zip(self.keys, self.rows))
 
     def snapshot(self) -> GraphSnapshot:
         # a table has rows, not topology: nodes only, no edges
-        snapshot = GraphSnapshot(name="qtable")
-        for key in sorted(self.table.rows):
-            row = self.table.rows[key]
+        snapshot = GraphSnapshot(name=self.kind)
+        for key, row in self.sorted_rows():
             snapshot.nodes.append((key, {"value": max(row), "fan_in": 0}))
         return snapshot
+
+    def value_table(self) -> tuple[str, str]:
+        return "qtable.csv", self.rows_csv("state_key,action,q", self.sorted_rows())
 
     def serialize(self) -> dict:
         return {
             "kind": self.kind,
-            "kappa": self.table.kappa,
+            "kappa": self.kappa,
             "alpha": self.alpha,
             "gamma": self.gamma,
-            "dense": self.table.dense,
-            "n_bins": self.table.n_bins,
+            "dense": self.dense,
+            "n_bins": self.n_bins,
             "q_init": self.q_init,
-            "rows": {key: row for key, row in sorted(self.table.rows.items())},
-            "visits": {key: n for key, n in sorted(self.table.visits.items())},
+            "rows": dict(self.sorted_rows()),
+            "visits": dict(sorted(self.visits.items())),
         }
 
     @classmethod
@@ -142,6 +90,10 @@ class QTableAgent:
                     gamma=payload["gamma"], dense=payload["dense"],
                     n_bins=payload["n_bins"], q_init=payload.get("q_init", "zeros"))
         for key, row in payload["rows"].items():
-            agent.table.rows[key] = [float(v) for v in row]
-        agent.table.visits = {key: int(n) for key, n in payload["visits"].items()}
+            row = [float(v) for v in row]
+            if key in agent.ids:
+                agent.rows[agent.ids[key]] = row
+            else:
+                agent.add(key, row)
+        agent.visits = {key: int(n) for key, n in payload["visits"].items()}
         return agent

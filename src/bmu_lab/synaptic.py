@@ -9,20 +9,19 @@ that open gate, and the gate closes again. New neurons are spawned the
 first time a discretized state is seen, so the network topology grows with
 the explored region of state space and saturates as the policy converges.
 
-Selection is driven by spike frequencies f_j = c * Q_j, but since a
-physical rate cannot be negative the reported frequencies are clamped at
-zero while the argmax always sees the raw Q values.
+Selection fires the synapse with the highest spike frequency c * Q_j,
+which for any gain c > 0 is the synapse with the highest Q; the gain c is
+kept only as a stored parameter. The neurons and synapses are rows of the
+shared `BellmanCore`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphio import GraphSnapshot
-from .metrics import NetworkStats, parameter_count
+from .core import BellmanCore, argmax
 
 
 def gamma_to_tau(gamma: float) -> float:
@@ -48,34 +47,6 @@ def synaptic_filter(spike_train, tau: float, t: int) -> float:
     return sum(spike_train[x] * math.exp(-(t - x) / tau) for x in range(t + 1))
 
 
-@dataclass
-class Gate:
-    is_open: bool = False
-
-
-@dataclass
-class Synapse:
-    tau: float
-    q: float = 0.0
-    target: str | None = None
-    gate: Gate = field(default_factory=Gate)
-
-
-@dataclass
-class Neuron:
-    uid: int
-    state_key: str
-    synapses: list[Synapse]
-    value: float = 0.0
-    fan_in: int = 0
-
-    def q_values(self) -> list[float]:
-        return [syn.q for syn in self.synapses]
-
-    def open_gates(self) -> list[int]:
-        return [j for j, syn in enumerate(self.synapses) if syn.gate.is_open]
-
-
 Q_INIT_MODES = ("optimistic", "zeros", "uniform")
 
 
@@ -91,221 +62,85 @@ def optimistic_q(step_reward: float, gamma: float) -> float:
     return step_reward / (1.0 - gamma)
 
 
-class SynapticGraph:
-    """Evolving directed graph keyed by state; neuron and edge counts only grow."""
+class SynapticAgent(BellmanCore):
+    """One neuron per state; its kappa synapses carry the Q values.
 
-    def __init__(self, kappa: int = 2, gamma: float = 0.99,
-                 q_init: str = "optimistic", rng: np.random.Generator | None = None,
-                 step_reward: float = 1.0):
-        if kappa < 1:
-            raise ValueError(f"kappa must be >= 1, got {kappa}")
-        if q_init not in Q_INIT_MODES:
-            raise ValueError(f"q_init must be one of {Q_INIT_MODES}, got {q_init!r}")
-        if q_init == "uniform" and rng is None:
-            raise ValueError("uniform q_init needs an rng")
-        self.kappa = kappa
-        self.gamma = gamma
-        self.tau = gamma_to_tau(gamma)
-        self.q_init = q_init
-        self.rng = rng
-        self.step_reward = step_reward
-        self.neurons: dict[str, Neuron] = {}
-        self.population: list[str] = []
-
-    def _initial_q(self) -> float:
-        if self.q_init == "uniform":
-            return float(self.rng.uniform(0.0, 1e-3))
-        if self.q_init == "optimistic":
-            return optimistic_q(self.step_reward, self.gamma)
-        return 0.0
-
-    def edge_list(self) -> list[tuple[str, int, str]]:
-        edges = []
-        for key in self.population:
-            neuron = self.neurons[key]
-            for j, syn in enumerate(neuron.synapses):
-                if syn.target is not None:
-                    edges.append((key, j, syn.target))
-        return edges
-
-
-def spawn_neuron(graph: SynapticGraph, state_key: str) -> Neuron:
-    """Create the neuron for a new state with kappa closed-gate synapses."""
-    if state_key in graph.neurons:
-        raise ValueError(f"neuron for state {state_key!r} already exists")
-    synapses = [Synapse(tau=graph.tau, q=graph._initial_q()) for _ in range(graph.kappa)]
-    neuron = Neuron(
-        uid=len(graph.population),
-        state_key=state_key,
-        synapses=synapses,
-        value=max(syn.q for syn in synapses),
-    )
-    graph.neurons[state_key] = neuron
-    graph.population.append(state_key)
-    return neuron
-
-
-def open_gate(neuron: Neuron, action: int) -> None:
-    if neuron.open_gates():
-        raise ValueError(f"neuron {neuron.state_key} already has an open gate")
-    neuron.synapses[action].gate.is_open = True
-
-
-def forward_select(neuron: Neuron, c: float = 1.0) -> tuple[int, list[float]]:
-    """Greedy action choice: open the gate of the highest-Q synapse.
-
-    Returns the selected index and the emitted spike frequencies
-    max(0, c*Q_j). Ties break toward the lowest action index, and the
-    clamp never affects which action wins.
+    Selection opens the gate of one synapse and the update goes through
+    that open gate, which then closes. Between steps every gate is closed,
+    so the open gate is one (state id, action) slot per agent.
     """
-    qs = neuron.q_values()
-    j_max = 0
-    for j in range(1, len(qs)):
-        if qs[j] > qs[j_max]:
-            j_max = j
-    freqs = [max(0.0, c * q) for q in qs]
-    open_gate(neuron, j_max)
-    return j_max, freqs
-
-
-def connect(graph: SynapticGraph, source: Neuron, action: int, target: Neuron) -> None:
-    """Point the open synapse at the successor neuron, keeping fan-in exact.
-
-    Re-pointing an existing edge moves one unit of fan-in from the old
-    target to the new one; repeating the same edge is a no-op.
-    """
-    syn = source.synapses[action]
-    if not syn.gate.is_open:
-        raise ValueError(
-            f"gate {action} of neuron {source.state_key} is closed; select before connecting"
-        )
-    if syn.target == target.state_key:
-        return
-    if syn.target is not None:
-        graph.neurons[syn.target].fan_in -= 1
-    syn.target = target.state_key
-    target.fan_in += 1
-
-
-def bellman_update(neuron: Neuron, action: int, reward: float, v_next: float,
-                   alpha: float, gamma: float) -> tuple[float, float]:
-    """Apply Q += alpha * (-Q + r + gamma * V') through the open gate,
-    refresh the neuron's value function and close the gate."""
-    syn = neuron.synapses[action]
-    if not syn.gate.is_open:
-        raise ValueError(
-            f"gate {action} of neuron {neuron.state_key} is closed; select before updating"
-        )
-    for name, value in (("reward", reward), ("v_next", v_next),
-                        ("alpha", alpha), ("gamma", gamma)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    syn.q += alpha * (-syn.q + reward + gamma * v_next)
-    neuron.value = max(s.q for s in neuron.synapses)
-    syn.gate.is_open = False
-    return syn.q, neuron.value
-
-
-def network_stats(graph: SynapticGraph) -> NetworkStats:
-    n = len(graph.neurons)
-    if n == 0:
-        return NetworkStats(neurons=0, edges=0, avg_fan_in=0.0, parameter_count=0)
-    edges = sum(1 for key in graph.population
-                for syn in graph.neurons[key].synapses if syn.target is not None)
-    total_fan_in = sum(graph.neurons[key].fan_in for key in graph.population)
-    return NetworkStats(
-        neurons=n,
-        edges=edges,
-        avg_fan_in=total_fan_in / n,
-        parameter_count=parameter_count(n, graph.kappa),
-    )
-
-
-def graph_snapshot(graph: SynapticGraph) -> GraphSnapshot:
-    snapshot = GraphSnapshot(name="synaptic")
-    for key in graph.population:
-        neuron = graph.neurons[key]
-        snapshot.nodes.append((key, {"value": neuron.value, "fan_in": neuron.fan_in}))
-    for key in graph.population:
-        neuron = graph.neurons[key]
-        for j, syn in enumerate(neuron.synapses):
-            if syn.target is None:
-                continue
-            snapshot.edges.append((key, syn.target, {
-                "action": j,
-                "q": syn.q,
-                "gate": "open" if syn.gate.is_open else "closed",
-            }))
-    return snapshot
-
-
-class SynapticAgent:
-    """Trainer-facing wrapper: lookup-or-spawn, select, connect-and-update."""
 
     kind = "synaptic"
 
     def __init__(self, kappa: int = 2, alpha: float = 0.9, gamma: float = 0.99,
                  c: float = 1.0, q_init: str = "optimistic",
                  rng: np.random.Generator | None = None, step_reward: float = 1.0):
-        self.alpha = alpha
+        if q_init not in Q_INIT_MODES:
+            raise ValueError(f"q_init must be one of {Q_INIT_MODES}, got {q_init!r}")
+        if q_init == "uniform" and rng is None:
+            raise ValueError("uniform q_init needs an rng")
+        super().__init__(kappa, alpha, gamma)
+        self.tau = gamma_to_tau(gamma)
         self.c = c
-        self.graph = SynapticGraph(kappa=kappa, gamma=gamma, q_init=q_init, rng=rng,
-                                   step_reward=step_reward)
+        self.q_init = q_init
+        self.rng = rng
+        self.step_reward = step_reward
+        self.open_gate: tuple[int, int] | None = None
 
-    @property
-    def gamma(self) -> float:
-        return self.graph.gamma
-
-    def ensure(self, state_key: str) -> bool:
-        if state_key in self.graph.neurons:
-            return False
-        spawn_neuron(self.graph, state_key)
-        return True
+    def new_row(self) -> list[float]:
+        if self.q_init == "uniform":
+            return [float(self.rng.uniform(0.0, 1e-3)) for _ in range(self.kappa)]
+        q = optimistic_q(self.step_reward, self.gamma) if self.q_init == "optimistic" else 0.0
+        return [q] * self.kappa
 
     def select(self, state_key: str, forced: int | None = None) -> int:
-        neuron = self.graph.neurons[state_key]
-        if forced is None:
-            action, _ = forward_select(neuron, self.c)
-            return action
-        open_gate(neuron, forced)
-        return forced
+        source = self.ids[state_key]
+        if self.open_gate is not None:
+            raise ValueError(f"neuron {self.keys[self.open_gate[0]]} already has an open gate")
+        action = argmax(self.rows[source]) if forced is None else forced
+        self.open_gate = (source, action)
+        return action
 
     def update(self, state_key: str, action: int, reward: float,
                next_key: str, terminal: bool) -> None:
-        neuron = self.graph.neurons[state_key]
-        next_neuron = self.graph.neurons[next_key]
-        connect(self.graph, neuron, action, next_neuron)
-        v_next = 0.0 if terminal else next_neuron.value
-        bellman_update(neuron, action, reward, v_next, self.alpha, self.gamma)
+        if self.open_gate != (self.ids[state_key], action):
+            raise ValueError(
+                f"gate {action} of neuron {state_key} is closed; select before updating"
+            )
+        super().update(state_key, action, reward, next_key, terminal)
+        self.open_gate = None
 
-    def q_values(self, state_key: str) -> list[float]:
-        return self.graph.neurons[state_key].q_values()
+    def gate(self, source: int, action: int) -> str:
+        return "open" if self.open_gate == (source, action) else "closed"
 
-    def stats(self) -> NetworkStats:
-        return network_stats(self.graph)
+    def edge_list(self) -> list[tuple[int, int, int]]:
+        # a neuron lists its synapses in action order, neurons in spawn order
+        return sorted(super().edge_list())
 
-    def snapshot(self) -> GraphSnapshot:
-        return graph_snapshot(self.graph)
+    def edge_attrs(self, source: int, action: int) -> dict:
+        return {**super().edge_attrs(source, action), "gate": self.gate(source, action)}
 
     def serialize(self) -> dict:
+        keys = self.keys
         return {
             "kind": self.kind,
-            "kappa": self.graph.kappa,
+            "kappa": self.kappa,
             "alpha": self.alpha,
-            "gamma": self.graph.gamma,
+            "gamma": self.gamma,
             "c": self.c,
             "neurons": [
                 {
                     "key": key,
-                    "value": self.graph.neurons[key].value,
-                    "fan_in": self.graph.neurons[key].fan_in,
+                    "value": max(row),
+                    "fan_in": self.fan_in[i],
                     "synapses": [
-                        {"q": syn.q, "target": syn.target,
-                         "gate": "open" if syn.gate.is_open else "closed"}
-                        for syn in self.graph.neurons[key].synapses
+                        {"q": q,
+                         "target": keys[self.targets[i, j]] if (i, j) in self.targets else None,
+                         "gate": self.gate(i, j)}
+                        for j, q in enumerate(row)
                     ],
                 }
-                for key in self.graph.population
+                for i, (key, row) in enumerate(zip(keys, self.rows))
             ],
         }
 
@@ -315,11 +150,11 @@ class SynapticAgent:
         agent = cls(kappa=payload["kappa"], alpha=payload["alpha"],
                     gamma=payload["gamma"], c=payload["c"], q_init="zeros")
         for entry in payload["neurons"]:
-            neuron = spawn_neuron(agent.graph, entry["key"])
-            neuron.value = entry["value"]
-            neuron.fan_in = entry["fan_in"]
-            for syn, stored in zip(neuron.synapses, entry["synapses"]):
-                syn.q = stored["q"]
-                syn.target = stored["target"]
-                syn.gate.is_open = stored["gate"] == "open"
+            agent.add(entry["key"], [float(syn["q"]) for syn in entry["synapses"]])
+        for i, entry in enumerate(payload["neurons"]):
+            for j, syn in enumerate(entry["synapses"]):
+                if syn["target"] is not None:
+                    agent.point(i, j, agent.ids[syn["target"]])
+                if syn["gate"] == "open":
+                    agent.open_gate = (i, j)
         return agent

@@ -15,12 +15,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bmu import BmuAgent, PoolAgent
+from .bmu import ENCODER_INIT_MODES, BmuAgent, PoolAgent
 from .cartpole import CartPoleEnv, CartState, EnvParams
+from .core import argmax
 from .discretize import BinSpec, discretize
 from .graphio import GraphSnapshot
 from .qtable import QTableAgent
-from .synaptic import SynapticAgent
+from .synaptic import Q_INIT_MODES, SynapticAgent
 
 AGENT_KINDS = ("synaptic", "bmu", "bmu-pool", "qtable")
 
@@ -82,8 +83,8 @@ class TrainConfig:
             )
         if self.n_bins < 2:
             raise ConfigError(f"n_bins must be >= 2, got {self.n_bins}")
-        if self.kappa < 1:
-            raise ConfigError(f"kappa must be >= 1, got {self.kappa}")
+        if self.kappa != 2:
+            raise ConfigError(f"kappa must be 2, the cartpole's two actions, got {self.kappa}")
         if self.max_episodes < 1:
             raise ConfigError(f"max_episodes must be >= 1, got {self.max_episodes}")
         if not self.seeds:
@@ -96,14 +97,11 @@ class TrainConfig:
             raise ConfigError(f"snapshot_every must be >= 0, got {self.snapshot_every}")
         if self.pool_capacity < 1:
             raise ConfigError(f"pool_capacity must be >= 1, got {self.pool_capacity}")
-        if self.q_init not in ("optimistic", "zeros", "uniform"):
+        if self.q_init not in Q_INIT_MODES:
+            raise ConfigError(f"q_init must be one of {Q_INIT_MODES}, got {self.q_init!r}")
+        if self.encoder_init not in ENCODER_INIT_MODES:
             raise ConfigError(
-                f"q_init must be 'optimistic', 'zeros' or 'uniform', got {self.q_init!r}"
-            )
-        if self.encoder_init not in ("uniform", "zeros", "optimistic"):
-            raise ConfigError(
-                f"encoder_init must be 'uniform', 'zeros' or 'optimistic', "
-                f"got {self.encoder_init!r}"
+                f"encoder_init must be one of {ENCODER_INIT_MODES}, got {self.encoder_init!r}"
             )
         # env invariants surface here as config errors with the offending key
         try:
@@ -358,15 +356,13 @@ def greedy_action(agent, state_key: str) -> int:
         qs = agent.q_values(state_key)
     except KeyError:
         return 0
-    j_max = 0
-    for j in range(1, len(qs)):
-        if qs[j] > qs[j_max]:
-            j_max = j
-    return j_max
+    return argmax(qs)
 
 
 def evaluate(agent, config: TrainConfig, seed: int, n_episodes: int) -> EvalReport:
     """Greedy rollouts with learning disabled; the agent is never mutated."""
+    if n_episodes < 1:
+        raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
     bins = config.bin_spec()
     env = CartPoleEnv(config.env_params())
     seeder = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])

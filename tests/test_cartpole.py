@@ -10,7 +10,6 @@ from bmu_lab.cartpole import (
     EnvParams,
     euler_step,
     is_terminal,
-    reset,
     step,
     trajectory_csv,
 )
@@ -51,17 +50,17 @@ def reference_step(state, force):
 
 class TestReset:
     def test_deterministic_under_fixed_seed(self):
-        a, b = reset(42), reset(42)
+        a, b = CartPoleEnv().reset(42), CartPoleEnv().reset(42)
         assert a == b
 
     def test_components_within_spread(self):
         for seed in range(200):
-            state = reset(seed)
+            state = CartPoleEnv().reset(seed)
             assert all(abs(v) <= 0.05 for v in state.components())
             assert state.t == 0
 
     def test_golden_seed_zero(self):
-        state = reset(0)
+        state = CartPoleEnv().reset(0)
         assert state.components() == GOLDEN_RESET_0
 
 

@@ -110,6 +110,11 @@ class TestEval:
         for name, blob in before.items():
             assert after[name] == blob
 
+    def test_zero_episodes_is_an_error(self, trained_run, capsys):
+        assert run_cli(["eval", "--run", trained_run, "--episodes", "0"]) == 1
+        assert capsys.readouterr().err.startswith("error: n_episodes")
+        assert not (trained_run / "eval_seed0").exists()
+
     def test_missing_run_dir(self, tmp_path, capsys):
         assert run_cli(["eval", "--run", tmp_path / "nope"]) == 1
         assert "config.txt" in capsys.readouterr().err
@@ -151,3 +156,12 @@ class TestTable2:
         assert lines[1].startswith("synaptic,")
         assert lines[2].startswith("qtable,")
         assert "n/a" in lines[2]  # fan-in has no meaning for a table
+
+    def test_existing_table_left_intact(self, tmp_path, capsys):
+        run = tmp_path / "a"
+        assert run_cli(["train", "--agent", "qtable", "--seeds", "1", "--out", run] + TINY) == 0
+        table = tmp_path / "table2.csv"
+        table.write_text("earlier table\n")
+        assert run_cli(["table2", "--runs", run, "--out", table]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert read(table) == "earlier table\n"

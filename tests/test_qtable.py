@@ -3,64 +3,69 @@
 import numpy as np
 import pytest
 
-from bmu_lab.qtable import QTable, QTableAgent, qtable_csv, qtable_select, qtable_stats, qtable_update
+from bmu_lab.qtable import QTableAgent
 from bmu_lab.synaptic import SynapticAgent
+
+
+def table_with_rows(rows, alpha=0.9, gamma=0.99):
+    """A Q-table holding the given rows, loaded through agent.json."""
+    return QTableAgent.deserialize({
+        "kind": "qtable", "kappa": 2, "alpha": alpha, "gamma": gamma,
+        "dense": False, "n_bins": 10, "q_init": "zeros",
+        "rows": rows, "visits": {},
+    })
 
 
 class TestSelect:
     def test_unseen_state_reads_zero_and_ties_low(self):
-        table = QTable()
-        assert qtable_select(table, "9_9_9_9_") == 0
-        assert "9_9_9_9_" not in table.rows  # reading never inserts
+        agent = QTableAgent()
+        assert agent.select("9_9_9_9_") == 0
+        assert agent.q_values("9_9_9_9_") == [0.0, 0.0]
+        assert agent.stats().neurons == 0  # reading never inserts
 
     def test_argmax(self):
-        table = QTable()
-        table.rows["s_"] = [-1.0, 2.0]
-        assert qtable_select(table, "s_") == 1
+        assert table_with_rows({"s_": [-1.0, 2.0]}).select("s_") == 1
 
     def test_matches_graph_agent_on_identical_q(self):
         rng = np.random.default_rng(101)
         for _ in range(300):
-            qs = list(rng.normal(0, 3, size=2))
-            table = QTable()
-            table.rows["s_"] = list(qs)
-            graph = SynapticAgent(q_init="zeros")
-            graph.ensure("s_")
-            for syn, q in zip(graph.graph.neurons["s_"].synapses, qs):
-                syn.q = q
-            assert qtable_select(table, "s_") == graph.select("s_")
-            graph.graph.neurons["s_"].synapses[qtable_select(table, "s_")].gate.is_open = False
+            qs = [float(q) for q in rng.normal(0, 3, size=2)]
+            graph = SynapticAgent.deserialize({
+                "kind": "synaptic", "kappa": 2, "alpha": 0.9, "gamma": 0.99, "c": 1.0,
+                "neurons": [{"key": "s_", "value": max(qs), "fan_in": 0,
+                             "synapses": [{"q": q, "target": None, "gate": "closed"}
+                                          for q in qs]}],
+            })
+            assert table_with_rows({"s_": qs}).select("s_") == graph.select("s_")
 
 
 class TestUpdate:
     def test_hand_value(self):
-        table = QTable()
-        qtable_update(table, "s_", 0, 1.0, "t_", alpha=0.9, gamma=0.99)
-        assert table.rows["s_"][0] == pytest.approx(0.9, abs=1e-15)
+        agent = QTableAgent()
+        agent.update("s_", 0, 1.0, "t_", False)
+        assert agent.q_values("s_")[0] == pytest.approx(0.9, abs=1e-15)
 
     def test_terminal_penalty(self):
-        table = QTable()
-        table.rows["t_"] = [5.0, 5.0]  # must be ignored when terminal
-        qtable_update(table, "s_", 0, -10.0, "t_", alpha=0.9, gamma=0.99, terminal=True)
-        assert table.rows["s_"][0] == pytest.approx(-9.0, abs=1e-15)
+        agent = table_with_rows({"t_": [5.0, 5.0]})  # must be ignored when terminal
+        agent.update("s_", 0, -10.0, "t_", True)
+        assert agent.q_values("s_")[0] == pytest.approx(-9.0, abs=1e-15)
 
     def test_alpha_one_reaches_fixed_point_in_one_step(self):
-        table = QTable()
-        table.rows["t_"] = [2.0, 7.0]
-        qtable_update(table, "s_", 1, 1.0, "t_", alpha=1.0, gamma=0.5)
-        assert table.rows["s_"][1] == pytest.approx(1.0 + 0.5 * 7.0)
-        qtable_update(table, "s_", 1, 1.0, "t_", alpha=1.0, gamma=0.5)
-        assert table.rows["s_"][1] == pytest.approx(4.5)
+        agent = table_with_rows({"t_": [2.0, 7.0]}, alpha=1.0, gamma=0.5)
+        agent.update("s_", 1, 1.0, "t_", False)
+        assert agent.q_values("s_")[1] == pytest.approx(1.0 + 0.5 * 7.0)
+        agent.update("s_", 1, 1.0, "t_", False)
+        assert agent.q_values("s_")[1] == pytest.approx(4.5)
 
     def test_visit_counts(self):
-        table = QTable()
+        agent = QTableAgent()
         for _ in range(3):
-            qtable_update(table, "s_", 0, 1.0, "t_", 0.9, 0.99)
-        assert table.visits == {"s_": 3}
+            agent.update("s_", 0, 1.0, "t_", False)
+        assert agent.serialize()["visits"] == {"s_": 3}
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            qtable_update(QTable(), "s_", 0, float("-inf"), "t_", 0.9, 0.99)
+            QTableAgent().update("s_", 0, float("-inf"), "t_", False)
 
 
 class TestModes:
@@ -92,21 +97,14 @@ class TestModes:
 def test_qtable_csv_layout():
     agent = QTableAgent()
     agent.ensure("1_1_1_1_")
-    text = qtable_csv(agent.table)
+    name, text = agent.value_table()
     lines = text.strip().split("\n")
+    assert name == "qtable.csv"
     assert lines[0] == "state_key,action,q"
     assert lines[1] == "1_1_1_1_,0,0.0"
 
 
 def test_stats_of_empty_table():
-    stats = qtable_stats(QTable())
+    stats = QTableAgent().stats()
     assert stats.neurons == 0
     assert stats.parameter_count == 0
-
-
-def test_serialize_round_trip():
-    agent = QTableAgent()
-    agent.update("a_", 0, 1.0, "b_", False)
-    agent.update("b_", 1, -10.0, "a_", True)
-    clone = QTableAgent.deserialize(agent.serialize())
-    assert clone.serialize() == agent.serialize()

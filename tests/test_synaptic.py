@@ -8,209 +8,207 @@ import pytest
 
 from bmu_lab.synaptic import (
     SynapticAgent,
-    SynapticGraph,
-    bellman_update,
-    connect,
-    forward_select,
     gamma_to_tau,
-    network_stats,
-    open_gate,
     optimistic_q,
-    spawn_neuron,
     synaptic_filter,
     tau_to_gamma,
 )
 
 
-def zero_graph(kappa=2, gamma=0.99):
-    return SynapticGraph(kappa=kappa, gamma=gamma, q_init="zeros")
+def zero_agent(kappa=2, gamma=0.99, alpha=0.9):
+    return SynapticAgent(kappa=kappa, alpha=alpha, gamma=gamma, q_init="zeros")
+
+
+def agent_with_q(rows, alpha=0.9):
+    """An agent whose neurons hold the given Q rows, loaded through agent.json."""
+    return SynapticAgent.deserialize({
+        "kind": "synaptic", "kappa": len(next(iter(rows.values()))),
+        "alpha": alpha, "gamma": 0.99, "c": 1.0,
+        "neurons": [
+            {"key": key, "value": max(qs), "fan_in": 0,
+             "synapses": [{"q": q, "target": None, "gate": "closed"} for q in qs]}
+            for key, qs in rows.items()
+        ],
+    })
+
+
+def gates(agent, key):
+    neuron = next(n for n in agent.serialize()["neurons"] if n["key"] == key)
+    return [syn["gate"] for syn in neuron["synapses"]]
+
+
+def node_attrs(agent, key):
+    return dict(agent.snapshot().nodes)[key]
 
 
 class TestSpawn:
     def test_fresh_neuron_zero_init(self):
-        graph = zero_graph()
-        neuron = spawn_neuron(graph, "5_5_5_5_")
-        assert len(neuron.synapses) == 2
-        assert neuron.value == 0.0
-        assert neuron.fan_in == 0
-        assert all(not s.gate.is_open for s in neuron.synapses)
+        agent = zero_agent()
+        assert agent.ensure("5_5_5_5_") is True
+        assert agent.q_values("5_5_5_5_") == [0.0, 0.0]
+        assert node_attrs(agent, "5_5_5_5_") == {"value": 0.0, "fan_in": 0}
+        assert gates(agent, "5_5_5_5_") == ["closed", "closed"]
 
     def test_duplicate_key_rejected(self):
-        graph = zero_graph()
-        spawn_neuron(graph, "5_5_5_5_")
-        with pytest.raises(ValueError, match="already exists"):
-            spawn_neuron(graph, "5_5_5_5_")
+        agent = zero_agent()
+        agent.ensure("5_5_5_5_")
+        assert agent.ensure("5_5_5_5_") is False
+        assert agent.stats().neurons == 1
 
     def test_three_spawns_no_edges(self):
-        graph = zero_graph()
+        agent = zero_agent()
         for key in ("1_1_1_1_", "2_2_2_2_", "3_3_3_3_"):
-            spawn_neuron(graph, key)
-        stats = network_stats(graph)
+            agent.ensure(key)
+        stats = agent.stats()
         assert stats.neurons == 3
         assert stats.edges == 0
 
     def test_optimistic_init_is_reward_fixed_point(self):
-        graph = SynapticGraph(gamma=0.99, q_init="optimistic")
-        neuron = spawn_neuron(graph, "5_5_5_5_")
-        assert neuron.value == optimistic_q(1.0, 0.99) == pytest.approx(100.0)
+        agent = SynapticAgent(gamma=0.99, q_init="optimistic")
+        agent.ensure("5_5_5_5_")
+        agent.ensure("6_6_6_6_")
+        assert node_attrs(agent, "5_5_5_5_")["value"] == optimistic_q(1.0, 0.99) \
+            == pytest.approx(100.0)
         # one step into a fresh state keeps the optimistic value in place
-        open_gate(neuron, 0)
-        q, _ = bellman_update(neuron, 0, reward=1.0, v_next=100.0, alpha=0.9, gamma=0.99)
-        assert q == pytest.approx(100.0)
+        agent.select("5_5_5_5_", forced=0)
+        agent.update("5_5_5_5_", 0, 1.0, "6_6_6_6_", False)
+        assert agent.q_values("5_5_5_5_")[0] == pytest.approx(100.0)
 
     def test_tau_attached_to_synapses(self):
-        graph = zero_graph(gamma=0.9)
-        neuron = spawn_neuron(graph, "0_0_0_0_")
-        assert neuron.synapses[0].tau == pytest.approx(gamma_to_tau(0.9))
+        assert zero_agent(gamma=0.9).tau == pytest.approx(gamma_to_tau(0.9))
 
 
 class TestForwardSelect:
     def test_direct_argmax(self):
-        graph = zero_graph()
-        neuron = spawn_neuron(graph, "a_key")
-        neuron.synapses[0].q = 0.9
-        neuron.synapses[1].q = 0.3
-        j, freqs = forward_select(neuron, c=1.0)
-        assert j == 0
-        assert freqs == [0.9, 0.3]
+        agent = agent_with_q({"a_key": [0.9, 0.3]})
+        assert agent.select("a_key") == 0
+        assert gates(agent, "a_key") == ["open", "closed"]
 
     def test_tie_breaks_to_lowest_index(self):
-        graph = zero_graph()
-        neuron = spawn_neuron(graph, "a_key")
-        j, _ = forward_select(neuron)
-        assert j == 0
+        agent = zero_agent()
+        agent.ensure("a_key")
+        assert agent.select("a_key") == 0
 
     def test_negative_q_selection_unaffected_by_clamp(self):
-        graph = zero_graph()
-        neuron = spawn_neuron(graph, "a_key")
-        neuron.synapses[0].q = -10.0
-        neuron.synapses[1].q = -8.9
-        j, freqs = forward_select(neuron)
-        assert j == 1
-        assert freqs == [0.0, 0.0]
+        # selection sees the raw Q values, negative ones included
+        agent = agent_with_q({"a_key": [-10.0, -8.9]})
+        assert agent.select("a_key") == 1
 
     def test_gate_opens_exactly_one(self):
-        graph = zero_graph()
-        neuron = spawn_neuron(graph, "a_key")
-        forward_select(neuron)
-        assert neuron.open_gates() == [0]
+        agent = zero_agent(kappa=3)
+        agent.ensure("a_key")
+        agent.select("a_key")
+        assert gates(agent, "a_key") == ["open", "closed", "closed"]
 
     def test_select_with_open_gate_rejected(self):
-        graph = zero_graph()
-        neuron = spawn_neuron(graph, "a_key")
-        forward_select(neuron)
+        agent = zero_agent()
+        agent.ensure("a_key")
+        agent.select("a_key")
         with pytest.raises(ValueError, match="open"):
-            forward_select(neuron)
+            agent.select("a_key")
 
     def test_argmax_fidelity_over_random_vectors(self):
-        """Clamped frequencies never alter which action wins."""
+        """The selected synapse is always the first one with the highest Q."""
         rng = np.random.default_rng(42)
-        graph = zero_graph(kappa=4)
-        neuron = spawn_neuron(graph, "a_key")
         for trial in range(2000):
             qs = rng.normal(0, 5, size=4)
             if trial % 5 == 0:
                 qs = np.round(qs)  # force ties regularly
-            for syn, q in zip(neuron.synapses, qs):
-                syn.q = float(q)
-            j, _ = forward_select(neuron, c=rng.uniform(0.1, 10))
-            neuron.synapses[j].gate.is_open = False
-            assert j == int(np.argmax(qs))
+            agent = agent_with_q({"a_key": [float(q) for q in qs]})
+            assert agent.select("a_key") == int(np.argmax(qs))
 
 
 class TestConnect:
     def _pair(self):
-        graph = zero_graph()
-        a = spawn_neuron(graph, "a_key")
-        b = spawn_neuron(graph, "b_key")
-        return graph, a, b
+        agent = zero_agent()
+        agent.ensure("a_key")
+        agent.ensure("b_key")
+        return agent
+
+    def _step(self, agent, source, action, target):
+        agent.select(source, forced=action)
+        agent.update(source, action, 1.0, target, False)
 
     def test_first_edge(self):
-        graph, a, b = self._pair()
-        open_gate(a, 0)
-        connect(graph, a, 0, b)
-        assert b.fan_in == 1
-        assert network_stats(graph).edges == 1
+        agent = self._pair()
+        self._step(agent, "a_key", 0, "b_key")
+        assert node_attrs(agent, "b_key")["fan_in"] == 1
+        assert agent.stats().edges == 1
 
     def test_duplicate_edge_idempotent(self):
-        graph, a, b = self._pair()
-        open_gate(a, 0)
-        connect(graph, a, 0, b)
-        connect(graph, a, 0, b)
-        assert b.fan_in == 1
-        assert network_stats(graph).edges == 1
+        agent = self._pair()
+        self._step(agent, "a_key", 0, "b_key")
+        self._step(agent, "a_key", 0, "b_key")
+        assert node_attrs(agent, "b_key")["fan_in"] == 1
+        assert agent.stats().edges == 1
 
     def test_repoint_moves_fan_in(self):
-        graph, a, b = self._pair()
-        c = spawn_neuron(graph, "c_key")
-        open_gate(a, 0)
-        connect(graph, a, 0, b)
-        connect(graph, a, 0, c)
-        assert b.fan_in == 0
-        assert c.fan_in == 1
-        assert network_stats(graph).edges == 1
+        agent = self._pair()
+        agent.ensure("c_key")
+        self._step(agent, "a_key", 0, "b_key")
+        self._step(agent, "a_key", 0, "c_key")
+        assert node_attrs(agent, "b_key")["fan_in"] == 0
+        assert node_attrs(agent, "c_key")["fan_in"] == 1
+        assert agent.stats().edges == 1
 
     def test_closed_gate_rejected(self):
-        graph, a, b = self._pair()
+        agent = self._pair()
         with pytest.raises(ValueError, match="closed"):
-            connect(graph, a, 0, b)
+            agent.update("a_key", 0, 1.0, "b_key", False)
+        assert agent.stats().edges == 0
 
 
 class TestBellmanUpdate:
+    def _update(self, agent, action, reward, terminal=False):
+        agent.ensure("a_key")
+        agent.ensure("z_key")  # a fresh zero-valued successor
+        agent.select("a_key", forced=action)
+        agent.update("a_key", action, reward, "z_key", terminal)
+        return agent.q_values("a_key")[action], node_attrs(agent, "a_key")["value"]
+
     def test_hand_value_positive_reward(self):
-        graph = zero_graph()
-        neuron = spawn_neuron(graph, "a_key")
-        open_gate(neuron, 0)
-        q, v = bellman_update(neuron, 0, reward=1.0, v_next=0.0, alpha=0.9, gamma=0.99)
+        q, v = self._update(zero_agent(), 0, 1.0)
         assert q == pytest.approx(0.9, abs=1e-15)
         assert v == pytest.approx(0.9, abs=1e-15)
 
     def test_hand_value_failure_penalty(self):
-        graph = zero_graph()
-        neuron = spawn_neuron(graph, "a_key")
-        open_gate(neuron, 0)
-        q, v = bellman_update(neuron, 0, reward=-10.0, v_next=0.0, alpha=0.9, gamma=0.99)
+        q, v = self._update(zero_agent(), 0, -10.0, terminal=True)
         assert q == pytest.approx(-9.0, abs=1e-15)
         assert v == 0.0  # the untouched action shields the value function
 
     def test_zero_alpha_is_identity(self):
-        graph = zero_graph()
-        neuron = spawn_neuron(graph, "a_key")
-        neuron.synapses[0].q = 0.37
-        open_gate(neuron, 0)
-        q, _ = bellman_update(neuron, 0, reward=123.0, v_next=-5.0, alpha=0.0, gamma=0.99)
+        agent = agent_with_q({"a_key": [0.37, 0.0], "z_key": [-5.0, -5.0]}, alpha=0.0)
+        q, _ = self._update(agent, 0, 123.0)
         assert q == 0.37
 
     def test_gate_closes_after_update(self):
-        graph = zero_graph()
-        neuron = spawn_neuron(graph, "a_key")
-        open_gate(neuron, 1)
-        bellman_update(neuron, 1, 1.0, 0.0, 0.9, 0.99)
-        assert neuron.open_gates() == []
+        agent = zero_agent()
+        self._update(agent, 1, 1.0)
+        assert gates(agent, "a_key") == ["closed", "closed"]
 
     def test_closed_gate_rejected(self):
-        graph = zero_graph()
-        neuron = spawn_neuron(graph, "a_key")
+        agent = zero_agent()
+        agent.ensure("a_key")
+        agent.select("a_key", forced=1)
         with pytest.raises(ValueError, match="closed"):
-            bellman_update(neuron, 0, 1.0, 0.0, 0.9, 0.99)
+            agent.update("a_key", 0, 1.0, "a_key", False)
 
     def test_non_finite_rejected(self):
-        graph = zero_graph()
-        neuron = spawn_neuron(graph, "a_key")
-        open_gate(neuron, 0)
         with pytest.raises(ValueError, match="finite"):
-            bellman_update(neuron, 0, float("nan"), 0.0, 0.9, 0.99)
+            self._update(zero_agent(), 0, float("nan"))
 
     def test_value_is_max_over_synapses(self):
         rng = np.random.default_rng(3)
-        graph = zero_graph(kappa=3)
-        neuron = spawn_neuron(graph, "a_key")
+        agent = zero_agent(kappa=3)
+        keys = ["a_key", "b_key"]
+        for key in keys:
+            agent.ensure(key)
         for _ in range(200):
             j = int(rng.integers(3))
-            open_gate(neuron, j)
-            bellman_update(neuron, j, float(rng.normal()), float(rng.normal()),
-                           0.9, 0.99)
-            assert neuron.value == max(s.q for s in neuron.synapses)
+            agent.select("a_key", forced=j)
+            agent.update("a_key", j, float(rng.normal()), keys[rng.integers(2)],
+                         bool(rng.uniform() < 0.2))
+            assert node_attrs(agent, "a_key")["value"] == max(agent.q_values("a_key"))
 
 
 class TestDiscountKernel:
@@ -262,24 +260,24 @@ class TestDiscountKernel:
 
 class TestNetworkStats:
     def test_parameter_convention_matches_table(self):
-        graph = zero_graph()
+        agent = zero_agent()
         for i in range(250):
-            spawn_neuron(graph, f"k{i}_")
-        assert network_stats(graph).parameter_count == 1000
+            agent.ensure(f"k{i}_")
+        assert agent.stats().parameter_count == 1000
 
     def test_dense_table_scale_consistency(self):
         # the same convention over the full 10^4-state grid
         assert 10_000 * (2 + 2) == 40_000
 
     def test_single_neuron_zero_fan_in(self):
-        graph = zero_graph()
-        spawn_neuron(graph, "a_key")
-        stats = network_stats(graph)
+        agent = zero_agent()
+        agent.ensure("a_key")
+        stats = agent.stats()
         assert stats.avg_fan_in == 0.0
         assert stats.neurons == 1
 
     def test_empty_graph_zeros(self):
-        stats = network_stats(zero_graph())
+        stats = zero_agent().stats()
         assert (stats.neurons, stats.edges, stats.avg_fan_in, stats.parameter_count) \
             == (0, 0, 0.0, 0)
 
@@ -349,11 +347,12 @@ def test_fan_in_matches_edge_list_recount():
         agent.ensure(s2)
         agent.select(s, forced=action)
         agent.update(s, action, reward, s2, terminal)
-    recount = {key: 0 for key in agent.graph.population}
-    for _, _, target in agent.graph.edge_list():
+    snapshot = agent.snapshot()
+    recount = {key: 0 for key in snapshot.node_ids()}
+    for _, target, _ in snapshot.edges:
         recount[target] += 1
-    for key in agent.graph.population:
-        assert agent.graph.neurons[key].fan_in == recount[key]
+    assert {key: attrs["fan_in"] for key, attrs in snapshot.nodes} == recount
+    assert agent.stats().avg_fan_in == sum(recount.values()) / len(recount)
 
 
 def test_snapshot_carries_node_and_edge_attributes():
@@ -370,13 +369,3 @@ def test_snapshot_carries_node_and_edge_attributes():
     assert attrs["gate"] == "closed"
     assert attrs["q"] == pytest.approx(0.9)
 
-
-def test_serialize_round_trip():
-    agent = SynapticAgent(q_init="zeros")
-    for s, action, reward, s2, terminal in random_stream(300, seed=13):
-        agent.ensure(s)
-        agent.ensure(s2)
-        agent.select(s, forced=action)
-        agent.update(s, action, reward, s2, terminal)
-    clone = SynapticAgent.deserialize(agent.serialize())
-    assert clone.serialize() == agent.serialize()

@@ -1,6 +1,8 @@
 """Trainer tests: config validation, episode accounting, convergence
 detection, multi-seed bands, and learning-free evaluation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,11 @@ class TestConfig:
     def test_agent_kind(self):
         with pytest.raises(ConfigError, match="agent"):
             TrainConfig(agent="dqn").validate()
+
+    def test_kappa_must_match_the_two_cartpole_actions(self):
+        for kappa in (1, 3):
+            with pytest.raises(ConfigError, match="kappa"):
+                TrainConfig(kappa=kappa).validate()
 
     def test_env_invariants_surface_by_key(self):
         with pytest.raises(ConfigError, match="max_steps"):
@@ -247,6 +254,13 @@ class TestEvaluate:
         config = TrainConfig()
         agent = make_agent(config, np.random.default_rng(0))
         assert greedy_action(agent, "0_0_0_0_") == 0
+
+    def test_zero_episodes_rejected_before_any_rollout(self):
+        agent = make_agent(TrainConfig(), np.random.default_rng(0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="n_episodes"):
+                evaluate(agent, TrainConfig(), 0, 0)
 
     def test_summary_stats(self):
         config, agent = self._trained()
