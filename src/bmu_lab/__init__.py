@@ -3,8 +3,7 @@ on an evolving network topology, balancing a cartpole."""
 
 from .cartpole import CartPoleEnv, CartState, EnvParams, StepOutcome, is_terminal, step
 from .discretize import BinSpec, DiscreteState, discretize, key_of, parse_key
-from .core import BellmanCore, argmax
-from .synaptic import SynapticAgent, gamma_to_tau, optimistic_q, synaptic_filter, tau_to_gamma
+from .synaptic import SynapticAgent, gamma_to_tau, synaptic_filter, tau_to_gamma
 from .bmu import BmuAgent, PoolAgent, PoolCapacityError
 from .qtable import QTableAgent
 from .graphio import GraphSnapshot, read_dot, read_gexf, to_dot, to_gexf

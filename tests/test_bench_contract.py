@@ -12,14 +12,29 @@ from pathlib import Path
 import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-sys.path.insert(0, str(BENCH))
-
-import workloads  # noqa: E402
-from tracing import Tracer  # noqa: E402
 
 
-def test_every_patched_name_resolves_and_is_restored():
+@pytest.fixture
+def bench(monkeypatch, tmp_path):
+    """bench/'s `workloads` and `tracing` modules, imported for one test.
+
+    sys.path and sys.modules are restored afterwards, and the artifacts
+    workload's scratch runs go to the test's temporary directory.
+    """
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+    import workloads
+
+    monkeypatch.setattr(workloads, "WORK_DIR", tmp_path)
+    yield workloads, tracing.Tracer
+    for name in ("workloads", "tracing"):
+        sys.modules.pop(name, None)
+
+
+def test_every_patched_name_resolves_and_is_restored(bench):
     from bmu_lab import cli, runio, trainer
+
+    _, Tracer = bench
 
     tapped = [(trainer, "train"), (cli, "train"), (runio, "evaluate"), (cli, "evaluate")]
     originals = [getattr(owner, name) for owner, name in tapped]
@@ -35,7 +50,8 @@ def test_every_patched_name_resolves_and_is_restored():
 
 
 @pytest.mark.parametrize("workload", ["train-churn", "artifacts"])
-def test_first_round_matches_recorded_fingerprints(workload):
+def test_first_round_matches_recorded_fingerprints(bench, workload):
+    workloads, Tracer = bench
     expected = workloads.load_fingerprints()[workload]
     with Tracer(spans=False) as tracer:
         session = workloads.Session(workload, 0, tracer, expected)

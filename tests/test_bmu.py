@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bmu_lab.bmu import BmuAgent, PoolAgent, PoolCapacityError
+from bmu_lab.core import argmax
 from bmu_lab.synaptic import SynapticAgent
 
 
@@ -208,18 +209,22 @@ def test_pool_matches_graph_agent_on_shared_stream():
     """Zero-init pool and graph agent act and learn identically."""
     rng = np.random.default_rng(55)
     keys = [f"{i}_{i}_{i}_{i}_" for i in range(20)]
+    stream = []
+    for _ in range(2000):
+        stream.append((keys[rng.integers(20)], int(rng.integers(2)),
+                       float(rng.choice([1.0, -10.0])), keys[rng.integers(20)],
+                       bool(rng.uniform() < 0.05)))
+
     pool_agent = PoolAgent(capacity=64, n_actions=2, alpha=0.9, gamma=0.99)
     graph_agent = SynapticAgent(kappa=2, alpha=0.9, gamma=0.99, q_init="zeros")
-    for _ in range(2000):
-        s, s2 = keys[rng.integers(20)], keys[rng.integers(20)]
-        reward = float(rng.choice([1.0, -10.0]))
-        terminal = bool(rng.uniform() < 0.05)
+    for s, action, reward, s2, terminal in stream:
         for agent in (pool_agent, graph_agent):
             agent.ensure(s)
             agent.ensure(s2)
-        # greedy choices agree at every step, and both learn from that choice
-        action = pool_agent.select(s)
-        assert graph_agent.select(s) == action
+        # greedy choices agree at every step
+        assert pool_agent.select(s) == argmax(graph_agent.q_values(s))
+        # both learn from the stream action, greedy or not
+        graph_agent.select(s, forced=action)
         graph_agent.update(s, action, reward, s2, terminal)
         pool_agent.update(s, action, reward, s2, terminal)
         assert abs(pool_agent.q_values(s)[action]
