@@ -2,7 +2,7 @@
 on an evolving network topology, balancing a cartpole."""
 
 from .cartpole import CartPoleEnv, CartState, EnvParams, StepOutcome, is_terminal, step
-from .discretize import BinSpec, DiscreteState, discretize, key_of, parse_key
+from .discretize import BinSpec, discretize, key_of, parse_key
 from .synaptic import SynapticAgent, gamma_to_tau, synaptic_filter, tau_to_gamma
 from .bmu import BmuAgent, PoolAgent, PoolCapacityError
 from .qtable import QTableAgent

@@ -11,8 +11,8 @@ the pole angle or the cart position leaves its limit; it succeeds
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import cos, sin
 
 import numpy as np
 
@@ -69,79 +69,97 @@ def is_terminal(state: CartState, params: EnvParams | None = None) -> bool:
     return abs(state.theta) > params.theta_limit or abs(state.x) > params.x_limit
 
 
-def accelerations(state: CartState, force: float, params: EnvParams) -> tuple[float, float]:
-    """Cart and pole angular accelerations for a signed applied force."""
-    total_mass = params.mass_cart + params.mass_pole
-    polemass_length = params.mass_pole * params.pole_half_length
-    cos_t = math.cos(state.theta)
-    sin_t = math.sin(state.theta)
-    temp = (force + polemass_length * state.theta_dot ** 2 * sin_t) / total_mass
-    theta_acc = (params.gravity * sin_t - cos_t * temp) / (
-        params.pole_half_length * (4.0 / 3.0 - params.mass_pole * cos_t ** 2 / total_mass)
-    )
-    x_acc = temp - polemass_length * theta_acc * cos_t / total_mass
-    return x_acc, theta_acc
-
-
 def euler_step(state: CartState, force: float, params: EnvParams) -> CartState:
     """One explicit Euler step of the equations of motion (position first)."""
-    x_acc, theta_acc = accelerations(state, force, params)
-    return CartState(
-        x=state.x + params.dt * state.x_dot,
-        x_dot=state.x_dot + params.dt * x_acc,
-        theta=state.theta + params.dt * state.theta_dot,
-        theta_dot=state.theta_dot + params.dt * theta_acc,
-        t=state.t + 1,
-    )
+    nxt = CartPoleEnv(params).integrate(state.components(), force)
+    return CartState(*nxt, t=state.t + 1)
 
 
 def step(state: CartState, action: int, params: EnvParams | None = None) -> StepOutcome:
-    """Advance one step; action 1 pushes right (+F), action 0 pushes left (-F)."""
-    params = params or EnvParams()
-    if action not in (0, 1):
-        raise ValueError(f"action must be 0 or 1, got {action!r}")
-    if is_terminal(state, params):
-        raise ValueError("cannot step a terminal state")
-    force = params.force_mag if action == 1 else -params.force_mag
-    nxt = euler_step(state, force, params)
-    terminated = is_terminal(nxt, params)
-    truncated = (not terminated) and nxt.t >= params.max_steps
-    reward = params.fail_reward if terminated else params.step_reward
-    return StepOutcome(next_state=nxt, reward=reward, terminated=terminated, truncated=truncated)
+    """One `CartPoleEnv.step` from `state`; action 1 pushes right (+F), action 0
+    pushes left (-F)."""
+    env = CartPoleEnv(params)
+    env.place(state.components(), state.t)
+    nxt, reward, terminated, truncated = env.step(action)
+    return StepOutcome(CartState(*nxt, t=env.t), reward, terminated, truncated)
 
 
 class CartPoleEnv:
-    """Stateful wrapper around the pure dynamics, one instance per worker.
+    """The cartpole, stepped on plain floats; one instance per worker.
 
-    ``reset(seed)`` seeds an internal generator; ``reset()`` with no seed
-    continues the same stream, so a single seed fixes the whole sequence
-    of initial conditions.
+    The state is a tuple (x, x_dot, theta, theta_dot) plus the step counter
+    `t`. ``reset(seed)`` seeds an internal generator; ``reset()`` with no
+    seed continues the same stream, so a single seed fixes the whole
+    sequence of initial conditions.
     """
 
     def __init__(self, params: EnvParams | None = None):
-        self.params = params or EnvParams()
-        self.state: CartState | None = None
+        self.params = p = params or EnvParams()
+        total_mass = p.mass_cart + p.mass_pole
+        self._constants = (p.gravity, p.mass_pole, p.pole_half_length, p.dt,
+                           total_mass, p.mass_pole * p.pole_half_length)
+        self.state: tuple[float, float, float, float] | None = None
+        self.t = 0
+        self.terminated = False
         self._rng: np.random.Generator | None = None
 
-    def reset(self, seed: int | None = None) -> CartState:
+    def place(self, state: tuple[float, float, float, float], t: int) -> None:
+        """Put the cart in `state` at step `t`."""
+        self.state = state
+        self.t = t
+        x, _, theta, _ = state
+        self.terminated = abs(theta) > self.params.theta_limit or abs(x) > self.params.x_limit
+
+    def reset(self, seed: int | None = None) -> tuple[float, float, float, float]:
         """Sample an initial state with all components uniform in [-0.05, 0.05]."""
         if seed is not None:
             self._rng = np.random.default_rng(seed)
         if self._rng is None:
             raise ValueError("first reset needs a seed")
-        vals = self._rng.uniform(-RESET_SPREAD, RESET_SPREAD, size=4)
-        self.state = CartState(float(vals[0]), float(vals[1]), float(vals[2]), float(vals[3]), t=0)
+        self.place(tuple(self._rng.uniform(-RESET_SPREAD, RESET_SPREAD, size=4).tolist()), 0)
         return self.state
 
-    def step(self, action: int) -> StepOutcome:
+    def integrate(self, state: tuple[float, float, float, float],
+                  force: float) -> tuple[float, float, float, float]:
+        """The equations of motion under a signed force, one Euler step."""
+        x, x_dot, theta, theta_dot = state
+        gravity, mass_pole, half_length, dt, total_mass, polemass_length = self._constants
+        cos_t = cos(theta)
+        sin_t = sin(theta)
+        temp = (force + polemass_length * theta_dot ** 2 * sin_t) / total_mass
+        theta_acc = (gravity * sin_t - cos_t * temp) / (
+            half_length * (4.0 / 3.0 - mass_pole * cos_t ** 2 / total_mass)
+        )
+        x_acc = temp - polemass_length * theta_acc * cos_t / total_mass
+        return (x + dt * x_dot, x_dot + dt * x_acc,
+                theta + dt * theta_dot, theta_dot + dt * theta_acc)
+
+    def step(self, action: int) -> tuple[tuple[float, float, float, float], float, bool, bool]:
+        """Advance one step; action 1 pushes right (+F), action 0 pushes left (-F).
+
+        Returns (next state, reward, terminated, truncated).
+        """
         if self.state is None:
             raise ValueError("reset the environment before stepping")
-        outcome = step(self.state, action, self.params)
-        self.state = outcome.next_state
-        return outcome
+        params = self.params
+        if action == 1:
+            force = params.force_mag
+        elif action == 0:
+            force = -params.force_mag
+        else:
+            raise ValueError(f"action must be 0 or 1, got {action!r}")
+        if self.terminated:
+            raise ValueError("cannot step a terminal state")
+        self.state = nxt = self.integrate(self.state, force)
+        self.t += 1
+        x, _, theta, _ = nxt
+        self.terminated = terminated = abs(theta) > params.theta_limit or abs(x) > params.x_limit
+        if terminated:
+            return nxt, params.fail_reward, True, False
+        return nxt, params.step_reward, False, self.t >= params.max_steps
 
     def is_terminal(self) -> bool:
-        return self.state is not None and is_terminal(self.state, self.params)
+        return self.terminated
 
 
 TRAJECTORY_HEADER = "t,x,x_dot,theta,theta_dot,action,reward,terminated"

@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .graphio import read_gexf
@@ -172,8 +173,11 @@ def _handle_export_graph(args) -> int:
     run_dir = Path(args.run)
     config = load_run_config(run_dir)
     _, chosen = _seed_dir(run_dir, config, args.seed)
-    # deterministic replay of the recorded run up to the requested episode
-    result = train(config, chosen, snapshot_episodes={args.episode})
+    if args.episode < 1:
+        raise ValueError(f"--episode must be >= 1, got {args.episode}")
+    # deterministic replay of the recorded run, stopped at the requested episode
+    replay = replace(config, max_episodes=min(config.max_episodes, args.episode))
+    result = train(replay, chosen, snapshot_episodes={args.episode})
     if args.episode not in result.snapshots:
         raise ValueError(
             f"run for seed {chosen} ended after {result.metrics.episodes_run} "

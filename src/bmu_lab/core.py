@@ -4,15 +4,20 @@ The synaptic graph, the BMU ensembles, the neuron pool and the Q-table all
 run the same Bellman iteration over the same data: one row of kappa action
 values per discretized state, and, for the graph agents, which state each
 (state, action) transition last led to. `BellmanCore` holds exactly that,
-under integer state ids given out in first-seen order, and the four agent
-classes are thin adapters over it that differ only in how they initialise
-rows and how they render their state to files.
+under row ids given out in first-seen order, and the four agent classes are
+thin adapters over it that differ only in how they initialise rows and how
+they render their state to files.
+
+Agents are driven with the packed cell ids of `discretize`. The string key
+of a cell is rendered once, when its row is added, and is what the files
+show; loading a file parses the keys back into cell ids.
 """
 
 from __future__ import annotations
 
 import math
 
+from .discretize import cell_of, key_of, unpack
 from .graphio import GraphSnapshot
 from .metrics import NetworkStats, parameter_count
 
@@ -25,11 +30,11 @@ def argmax(row) -> int:
 class BellmanCore:
     """State rows, their Bellman update and the transition edges between them.
 
-    `keys[i]` is the state key of id i and `rows[i]` its action values.
-    `targets` maps (source id, action) to the target id of the latest
-    transition, in first-pointed order, and `fan_in[i]` counts the edges
-    pointing at id i. Every edge adds exactly one unit of fan-in, so the
-    fan-in total always equals the edge count.
+    `ids` maps a cell id to its row id i, `keys[i]` is the cell's state key
+    and `rows[i]` its action values. `targets` maps (source id, action) to
+    the target id of the latest transition, in first-pointed order, and
+    `fan_in[i]` counts the edges pointing at id i. Every edge adds exactly
+    one unit of fan-in, so the fan-in total always equals the edge count.
     """
 
     def __init__(self, kappa: int, alpha: float, gamma: float):
@@ -39,7 +44,7 @@ class BellmanCore:
         self.alpha = alpha
         self.gamma = gamma
         self.keys: list[str] = []
-        self.ids: dict[str, int] = {}
+        self.ids: dict[int, int] = {}
         self.rows: list[list[float]] = []
         self.fan_in: list[int] = []
         self.targets: dict[tuple[int, int], int] = {}
@@ -50,14 +55,14 @@ class BellmanCore:
         """Initial action values of a newly seen state."""
         return [0.0] * self.kappa
 
-    def add(self, state_key: str, row: list[float]) -> None:
-        self.ids[state_key] = len(self.keys)
-        self.keys.append(state_key)
+    def add(self, cell: int, row: list[float]) -> None:
+        self.ids[cell] = len(self.keys)
+        self.keys.append(key_of(unpack(cell)))
         self.rows.append(row)
         self.fan_in.append(0)
 
-    def row(self, state_key: str) -> list[float]:
-        return self.rows[self.ids[state_key]]
+    def row(self, cell: int) -> list[float]:
+        return self.rows[self.ids[cell]]
 
     def learn(self, source: int, action: int, reward: float,
               target: int | None, terminal: bool) -> None:
@@ -93,27 +98,27 @@ class BellmanCore:
 
     # -- the agent interface the trainer drives --------------------------
 
-    def ensure(self, state_key: str) -> bool:
+    def ensure(self, cell: int) -> bool:
         """Add a row for an unseen state; True when one was added."""
-        if state_key in self.ids:
+        if cell in self.ids:
             return False
-        self.add(state_key, self.new_row())
+        self.add(cell, self.new_row())
         return True
 
-    def select(self, state_key: str, forced: int | None = None) -> int:
+    def select(self, cell: int, forced: int | None = None) -> int:
         if forced is not None:
             return forced
-        return argmax(self.row(state_key))
+        return argmax(self.row(cell))
 
-    def update(self, state_key: str, action: int, reward: float,
-               next_key: str, terminal: bool) -> None:
-        source = self.ids[state_key]
-        target = self.ids[next_key]
+    def update(self, cell: int, action: int, reward: float,
+               next_cell: int, terminal: bool) -> None:
+        source = self.ids[cell]
+        target = self.ids[next_cell]
         self.learn(source, action, reward, target, terminal)
         self.point(source, action, target)
 
-    def q_values(self, state_key: str) -> list[float]:
-        return list(self.row(state_key))
+    def q_values(self, cell: int) -> list[float]:
+        return list(self.row(cell))
 
     def stats(self) -> NetworkStats:
         n = len(self.keys)
@@ -160,4 +165,5 @@ class BellmanCore:
     def restore_edges(self, edges) -> None:
         ids = self.ids
         for edge in edges:
-            self.point(ids[edge["source"]], edge["action"], ids[edge["target"]])
+            self.point(ids[cell_of(edge["source"])], edge["action"],
+                       ids[cell_of(edge["target"])])

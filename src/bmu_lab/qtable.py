@@ -5,7 +5,9 @@ reference semantics for the graph agents (all of them must produce the
 same Q values on the same transition stream). Sparse-on-demand storage is
 the default; dense mode preallocates every n_bins^4 state row to reproduce
 the full-table parameter bookkeeping. Unseen states read as a zero row
-without being inserted, and the table records no transition edges.
+without being inserted, and the table records no transition edges. Visit
+counts and the row order of `qtable.csv` and `agent.json` follow the
+string keys, so the files sort as keys, not as cell ids.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from itertools import product
 
 from .core import BellmanCore
-from .discretize import key_of
+from .discretize import cell_of, pack
 from .graphio import GraphSnapshot
 from .metrics import NetworkStats, parameter_count
 from .synaptic import optimistic_q
@@ -35,22 +37,24 @@ class QTableAgent(BellmanCore):
         self.visits: dict[str, int] = {}
         if dense:
             for bins in product(range(n_bins), repeat=4):
-                self.add(key_of(bins), self.new_row())
+                self.add(pack(bins), self.new_row())
 
     def new_row(self) -> list[float]:
         return [self.init_value] * self.kappa
 
-    def row(self, state_key: str) -> list[float]:
+    def row(self, cell: int) -> list[float]:
         """Stored row, or a zero view for unseen states (no insertion)."""
-        index = self.ids.get(state_key)
+        index = self.ids.get(cell)
         return [0.0] * self.kappa if index is None else self.rows[index]
 
-    def update(self, state_key: str, action: int, reward: float,
-               next_key: str, terminal: bool) -> None:
+    def update(self, cell: int, action: int, reward: float,
+               next_cell: int, terminal: bool) -> None:
         # a row inserted by an update is not an agent-level ensure (no spawn)
-        BellmanCore.ensure(self, state_key)
-        self.learn(self.ids[state_key], action, reward, self.ids.get(next_key), terminal)
-        self.visits[state_key] = self.visits.get(state_key, 0) + 1
+        BellmanCore.ensure(self, cell)
+        source = self.ids[cell]
+        self.learn(source, action, reward, self.ids.get(next_cell), terminal)
+        key = self.keys[source]
+        self.visits[key] = self.visits.get(key, 0) + 1
 
     def stats(self) -> NetworkStats:
         # fan-in has no natural meaning for a lookup table; reported as n/a
@@ -91,9 +95,10 @@ class QTableAgent(BellmanCore):
                     n_bins=payload["n_bins"], q_init=payload.get("q_init", "zeros"))
         for key, row in payload["rows"].items():
             row = [float(v) for v in row]
-            if key in agent.ids:
-                agent.rows[agent.ids[key]] = row
+            cell = cell_of(key)
+            if cell in agent.ids:
+                agent.rows[agent.ids[cell]] = row
             else:
-                agent.add(key, row)
+                agent.add(cell, row)
         agent.visits = {key: int(n) for key, n in payload["visits"].items()}
         return agent

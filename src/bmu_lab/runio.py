@@ -1,7 +1,9 @@
 """Run-directory persistence: config files, CSV emission, agent snapshots.
 
 All files are write-once; re-running a command never overwrites an
-existing artifact. Layout of a training run directory:
+existing artifact. A training run directory is built in a temporary
+sibling and renamed into place when complete, so a failed run leaves
+nothing behind. Layout of a training run directory:
 
     <out>/config.txt               resolved flat key=value config
     <out>/aggregate.csv            cross-seed mean and +/-2 sigma band
@@ -15,8 +17,12 @@ existing artifact. Layout of a training run directory:
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
+import os
+import shutil
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
@@ -200,12 +206,36 @@ def write_snapshot(directory: Path, stem: str, snapshot: GraphSnapshot) -> None:
 
 
 def execute_train_run(config: TrainConfig, out_dir: Path) -> dict:
-    """Train every configured seed and lay down the full run directory."""
-    out_dir = Path(out_dir)
-    if out_dir.exists() and any(out_dir.iterdir()):
-        raise FileExistsError(f"run directory {out_dir} already exists and is not empty")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Train every configured seed and lay down the full run directory.
 
+    The directory is written under a temporary sibling and renamed to
+    `out_dir` only once every file is in it; an existing empty `out_dir`
+    is replaced, a non-empty one is refused.
+    """
+    out_dir = Path(out_dir)
+    refusal = f"run directory {out_dir} already exists and is not empty"
+    if out_dir.exists() and any(out_dir.iterdir()):
+        raise FileExistsError(refusal)
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    temp_dir = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
+    try:
+        # a plain mkdir inside the 0700 temporary gives the usual permissions
+        staging = temp_dir / out_dir.name
+        staging.mkdir()
+        summary = _write_train_run(config, staging)
+        try:
+            os.rename(staging, out_dir)
+        except OSError as exc:
+            # out_dir was filled while this run was training
+            if exc.errno not in (errno.EEXIST, errno.ENOTEMPTY):
+                raise
+            raise FileExistsError(refusal) from exc
+    finally:
+        shutil.rmtree(temp_dir, ignore_errors=True)
+    return summary
+
+
+def _write_train_run(config: TrainConfig, out_dir: Path) -> dict:
     aggregate, results = multi_seed(config)
     write_text(out_dir / "config.txt", format_config(config))
     write_text(out_dir / "aggregate.csv", aggregate_csv(aggregate))

@@ -22,6 +22,7 @@ import math
 import numpy as np
 
 from .core import BellmanCore, argmax
+from .discretize import cell_of
 
 
 def gamma_to_tau(gamma: float) -> float:
@@ -93,21 +94,22 @@ class SynapticAgent(BellmanCore):
         q = optimistic_q(self.step_reward, self.gamma) if self.q_init == "optimistic" else 0.0
         return [q] * self.kappa
 
-    def select(self, state_key: str, forced: int | None = None) -> int:
-        source = self.ids[state_key]
+    def select(self, cell: int, forced: int | None = None) -> int:
+        source = self.ids[cell]
         if self.open_gate is not None:
             raise ValueError(f"neuron {self.keys[self.open_gate[0]]} already has an open gate")
         action = argmax(self.rows[source]) if forced is None else forced
         self.open_gate = (source, action)
         return action
 
-    def update(self, state_key: str, action: int, reward: float,
-               next_key: str, terminal: bool) -> None:
-        if self.open_gate != (self.ids[state_key], action):
+    def update(self, cell: int, action: int, reward: float,
+               next_cell: int, terminal: bool) -> None:
+        source = self.ids[cell]
+        if self.open_gate != (source, action):
             raise ValueError(
-                f"gate {action} of neuron {state_key} is closed; select before updating"
+                f"gate {action} of neuron {self.keys[source]} is closed; select before updating"
             )
-        super().update(state_key, action, reward, next_key, terminal)
+        super().update(cell, action, reward, next_cell, terminal)
         self.open_gate = None
 
     def gate(self, source: int, action: int) -> str:
@@ -150,11 +152,11 @@ class SynapticAgent(BellmanCore):
         agent = cls(kappa=payload["kappa"], alpha=payload["alpha"],
                     gamma=payload["gamma"], c=payload["c"], q_init="zeros")
         for entry in payload["neurons"]:
-            agent.add(entry["key"], [float(syn["q"]) for syn in entry["synapses"]])
+            agent.add(cell_of(entry["key"]), [float(syn["q"]) for syn in entry["synapses"]])
         for i, entry in enumerate(payload["neurons"]):
             for j, syn in enumerate(entry["synapses"]):
                 if syn["target"] is not None:
-                    agent.point(i, j, agent.ids[syn["target"]])
+                    agent.point(i, j, agent.ids[cell_of(syn["target"])])
                 if syn["gate"] == "open":
                     agent.open_gate = (i, j)
         return agent

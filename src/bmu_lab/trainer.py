@@ -166,28 +166,39 @@ class EpisodeRecord:
 
 def run_episode(agent, env: CartPoleEnv, config: TrainConfig, episode_seed: int,
                 explore_rng: np.random.Generator | None = None,
-                epsilon: float = 0.0) -> EpisodeRecord:
+                epsilon: float = 0.0, spec: BinSpec | None = None) -> EpisodeRecord:
     """One full episode: discretize, look up or spawn, select, step, connect,
-    Bellman-update, advance, until failure or the step cap."""
-    bins = config.bin_spec()
-    key = discretize(env.reset(episode_seed), bins).key
-    spawned = int(agent.ensure(key))
+    Bellman-update, advance, until failure or the step cap.
+
+    `spec` is `config.bin_spec()`, passed in by callers that run many
+    episodes so it is built once.
+    """
+    if spec is None:
+        spec = config.bin_spec()
+    explore = explore_rng is not None and epsilon > 0.0
+    kappa = config.kappa
+    ensure, select, update = agent.ensure, agent.select, agent.update
+    step = env.step
+    cell = discretize(env.reset(episode_seed), spec)
+    spawned = int(ensure(cell))
     total = 0.0
     steps = 0
     while True:
         forced = None
-        if epsilon > 0.0 and explore_rng is not None and explore_rng.uniform() < epsilon:
-            forced = int(explore_rng.integers(config.kappa))
-        action = agent.select(key, forced)
-        outcome = env.step(action)
-        next_key = discretize(outcome.next_state, bins).key
-        spawned += int(agent.ensure(next_key))
-        agent.update(key, action, outcome.reward, next_key, outcome.terminated)
-        total += outcome.reward
+        # random() is uniform() on [0, 1): the same draws, at less cost
+        if explore and explore_rng.random() < epsilon:
+            forced = int(explore_rng.integers(kappa))
+        action = select(cell, forced)
+        next_state, reward, terminated, truncated = step(action)
+        next_cell = discretize(next_state, spec)
+        if ensure(next_cell):
+            spawned += 1
+        update(cell, action, reward, next_cell, terminated)
+        total += reward
         steps += 1
-        if outcome.terminated or outcome.truncated:
+        if terminated or truncated:
             break
-        key = next_key
+        cell = next_cell
     return EpisodeRecord(total_reward=total, steps=steps, spawned=spawned)
 
 
@@ -244,6 +255,7 @@ def train(config: TrainConfig, seed: int,
     started = time.perf_counter()
     env_seeder, agent_rng, explore_rng = _seed_streams(seed)
     env = CartPoleEnv(config.env_params())
+    spec = config.bin_spec()
     agent = make_agent(config, agent_rng)
 
     wanted_snapshots = set(snapshot_episodes or ())
@@ -261,7 +273,7 @@ def train(config: TrainConfig, seed: int,
     for episode in range(1, config.max_episodes + 1):
         episode_seed = int(env_seeder.integers(0, 2 ** 63))
         record = run_episode(agent, env, config, episode_seed,
-                             explore_rng=explore_rng, epsilon=epsilon)
+                             explore_rng=explore_rng, epsilon=epsilon, spec=spec)
         epsilon *= config.epsilon_decay
 
         metrics.rewards.append(record.total_reward)
@@ -350,10 +362,10 @@ class EvalReport:
         return float(max(self.rewards))
 
 
-def greedy_action(agent, state_key: str) -> int:
+def greedy_action(agent, cell: int) -> int:
     """Frozen-policy readout; unseen states fall back to the zero-Q tie."""
     try:
-        qs = agent.q_values(state_key)
+        qs = agent.q_values(cell)
     except KeyError:
         return 0
     return argmax(qs)
@@ -363,7 +375,7 @@ def evaluate(agent, config: TrainConfig, seed: int, n_episodes: int) -> EvalRepo
     """Greedy rollouts with learning disabled; the agent is never mutated."""
     if n_episodes < 1:
         raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
-    bins = config.bin_spec()
+    spec = config.bin_spec()
     env = CartPoleEnv(config.env_params())
     seeder = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     report = EvalReport(rewards=[], steps=[], traces=[], trajectories=[])
@@ -374,15 +386,17 @@ def evaluate(agent, config: TrainConfig, seed: int, n_episodes: int) -> EvalRepo
         trace: list[tuple[int, float, float]] = []
         trajectory: list[tuple[CartState, int, float, bool]] = []
         while True:
-            action = greedy_action(agent, discretize(state, bins).key)
-            outcome = env.step(action)
-            trace.append((state.t, state.x, state.theta))
-            trajectory.append((state, action, outcome.reward, outcome.terminated))
-            total += outcome.reward
+            action = greedy_action(agent, discretize(state, spec))
+            next_state, reward, terminated, truncated = env.step(action)
+            x, x_dot, theta, theta_dot = state
+            trace.append((steps, x, theta))
+            trajectory.append((CartState(x, x_dot, theta, theta_dot, steps), action,
+                               reward, terminated))
+            total += reward
             steps += 1
-            if outcome.terminated or outcome.truncated:
+            if terminated or truncated:
                 break
-            state = outcome.next_state
+            state = next_state
         report.rewards.append(total)
         report.steps.append(steps)
         report.traces.append(trace)

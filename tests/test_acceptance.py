@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from bmu_lab.bmu import BmuAgent, PoolAgent
+from bmu_lab.discretize import cell_of, pack
 from bmu_lab.metrics import degree_distribution
 from bmu_lab.qtable import QTableAgent
 from bmu_lab.runio import execute_train_run
@@ -64,7 +65,7 @@ def test_oracle_equivalence_across_agents():
     """All four containers run the same fixed-point iteration: one shared
     transition stream yields identical Q sequences to 1e-12."""
     rng = np.random.default_rng(2024)
-    keys = [f"{i % 10}_{(i // 10) % 10}_{i % 7}_{i % 5}_" for i in range(60)]
+    keys = [cell_of(f"{i % 10}_{(i // 10) % 10}_{i % 7}_{i % 5}_") for i in range(60)]
     agents = matched_zero_agents()
     worst = 0.0
     for _ in range(10_000):
@@ -81,12 +82,14 @@ def test_oracle_equivalence_across_agents():
     report(f"oracle equivalence over 10000 transitions (max spread {worst:.2e})")
 
 
-MDP_NEXT = {"A_0_0_0_": ["B_0_0_0_", "C_0_0_0_"],
-            "B_0_0_0_": ["A_0_0_0_", "C_0_0_0_"],
-            "C_0_0_0_": ["C_0_0_0_", "A_0_0_0_"]}
-MDP_REWARD = {"A_0_0_0_": [1.0, 0.0],
-              "B_0_0_0_": [-1.0, 2.0],
-              "C_0_0_0_": [0.5, -0.5]}
+MDP_NEXT = {"A": ["B", "C"],
+            "B": ["A", "C"],
+            "C": ["C", "A"]}
+MDP_REWARD = {"A": [1.0, 0.0],
+              "B": [-1.0, 2.0],
+              "C": [0.5, -0.5]}
+# the agents' cell id of each MDP state
+MDP_CELL = {state: pack((i, 0, 0, 0)) for i, state in enumerate(MDP_NEXT)}
 
 
 def solve_q_star(gamma, tol=1e-13):
@@ -121,15 +124,15 @@ def test_bellman_fixed_point():
     started = time.perf_counter()
     for agent in agents:
         for state in MDP_NEXT:
-            agent.ensure(state)
+            agent.ensure(MDP_CELL[state])
         for _ in range(500):
             for state in MDP_NEXT:
                 for action in (0, 1):
-                    agent.select(state, forced=action)
-                    agent.update(state, action, MDP_REWARD[state][action],
-                                 MDP_NEXT[state][action], False)
+                    agent.select(MDP_CELL[state], forced=action)
+                    agent.update(MDP_CELL[state], action, MDP_REWARD[state][action],
+                                 MDP_CELL[MDP_NEXT[state][action]], False)
         for state in MDP_NEXT:
-            got = agent.q_values(state)
+            got = agent.q_values(MDP_CELL[state])
             for action in (0, 1):
                 assert abs(got[action] - q_star[state][action]) < 1e-6
     elapsed = time.perf_counter() - started

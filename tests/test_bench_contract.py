@@ -18,8 +18,9 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 def bench(monkeypatch, tmp_path):
     """bench/'s `workloads` and `tracing` modules, imported for one test.
 
-    sys.path and sys.modules are restored afterwards, and the artifacts
-    workload's scratch runs go to the test's temporary directory.
+    sys.path and sys.modules (also `run`, if the test imports it) are
+    restored afterwards, and the artifacts workload's scratch runs go to
+    the test's temporary directory.
     """
     monkeypatch.syspath_prepend(str(BENCH))
     import tracing
@@ -27,7 +28,7 @@ def bench(monkeypatch, tmp_path):
 
     monkeypatch.setattr(workloads, "WORK_DIR", tmp_path)
     yield workloads, tracing.Tracer
-    for name in ("workloads", "tracing"):
+    for name in ("workloads", "tracing", "run"):
         sys.modules.pop(name, None)
 
 
@@ -59,3 +60,22 @@ def test_first_round_matches_recorded_fingerprints(bench, workload):
     assert session.failures() == []
     assert session.observed
     assert all(key in expected for key in session.observed)
+
+
+def test_traced_round_reconciles_with_program_counts(bench):
+    """Every traced boundary is still called where the benchmark expects it:
+    one traced round's span counts match the counts the program reports."""
+    import run
+
+    workloads, Tracer = bench
+    expected = workloads.load_fingerprints()["train-churn"]
+    with Tracer(spans=True) as tracer:
+        session = workloads.Session("train-churn", 0, tracer, expected)
+        session.run(rounds=1)
+    assert session.failures() == []
+    assert run.reconcile(tracer, session) == []
+    # reconcile counts env steps, discretize and stats; the per-step agent
+    # methods must be traced too
+    for kind in workloads.KINDS:
+        for method in ("ensure", "select", "update"):
+            assert tracer.calls(f"{kind}.{method}") > 0

@@ -6,7 +6,13 @@ import pytest
 
 from bmu_lab.bmu import BmuAgent, PoolAgent, PoolCapacityError
 from bmu_lab.core import argmax
+from bmu_lab.discretize import cell_of, pack
 from bmu_lab.synaptic import SynapticAgent
+
+# agents take cell ids; agent.json and snapshots name the same states by key
+S_KEY, T_KEY = "1_1_1_1_", "2_2_2_2_"
+S, T = cell_of(S_KEY), cell_of(T_KEY)
+A, B, C = (pack((i, 0, 0, 0)) for i in (1, 2, 3))
 
 
 def bmu_with_encoders(rows, alpha=0.9):
@@ -45,8 +51,8 @@ class TestSpawnEnsemble:
     def test_seeded_encoders_reproducible_in_range(self):
         def build():
             agent = BmuAgent(b=2, d=1, rng=np.random.default_rng(7))
-            agent.ensure("5_5_5_5_")
-            return agent.q_values("5_5_5_5_")
+            agent.ensure(cell_of("5_5_5_5_"))
+            return agent.q_values(cell_of("5_5_5_5_"))
 
         a, b = build(), build()
         assert a == b
@@ -54,21 +60,21 @@ class TestSpawnEnsemble:
 
     def test_population_grows_by_one(self):
         agent = BmuAgent(rng=np.random.default_rng(0))
-        agent.ensure("1_1_1_1_")
+        agent.ensure(cell_of("1_1_1_1_"))
         assert agent.stats().neurons == 1
-        agent.ensure("2_2_2_2_")
+        agent.ensure(cell_of("2_2_2_2_"))
         assert agent.stats().neurons == 2
         assert agent.snapshot().node_ids() == ["1_1_1_1_", "2_2_2_2_"]
 
     def test_q_readback_equals_encoder(self):
         agent = BmuAgent(rng=np.random.default_rng(3))
-        agent.ensure("1_1_1_1_")
-        assert agent.q_values("1_1_1_1_") == encoders_of(agent, "1_1_1_1_")
+        agent.ensure(cell_of("1_1_1_1_"))
+        assert agent.q_values(cell_of("1_1_1_1_")) == encoders_of(agent, "1_1_1_1_")
 
     def test_duplicate_key_rejected(self):
         agent = BmuAgent(rng=np.random.default_rng(0))
-        assert agent.ensure("1_1_1_1_") is True
-        assert agent.ensure("1_1_1_1_") is False
+        assert agent.ensure(cell_of("1_1_1_1_")) is True
+        assert agent.ensure(cell_of("1_1_1_1_")) is False
         assert agent.stats().neurons == 1
 
     def test_bad_init_mode_rejected(self):
@@ -80,70 +86,70 @@ class TestActivity:
     """Selecting the most active neuron is selecting the largest encoder."""
 
     def test_identity_map_under_unit_input(self):
-        agent = bmu_with_encoders({"s_": [0.7, -0.2]})
-        assert activity(encoders_of(agent, "s_")) == [0.7, -0.2]
-        assert agent.select("s_") == 0
+        agent = bmu_with_encoders({S_KEY: [0.7, -0.2]})
+        assert activity(encoders_of(agent, S_KEY)) == [0.7, -0.2]
+        assert agent.select(S) == 0
 
     def test_monotone_g_preserves_argmax(self):
         rng = np.random.default_rng(21)
         for g in (np.tanh, np.exp, lambda j: 3 * j + 1):
             for _ in range(100):
-                agent = bmu_with_encoders({"s_": list(rng.uniform(-1, 1, size=4))})
-                acts = activity(agent.q_values("s_"), g=lambda cur: float(g(cur)))
-                assert agent.select("s_") == max(range(4), key=lambda j: acts[j])
+                agent = bmu_with_encoders({S_KEY: list(rng.uniform(-1, 1, size=4))})
+                acts = activity(agent.q_values(S), g=lambda cur: float(g(cur)))
+                assert agent.select(S) == max(range(4), key=lambda j: acts[j])
 
     def test_uniform_gain_and_bias_leave_argmax(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
-            agent = bmu_with_encoders({"s_": list(rng.uniform(-1, 1, size=3))})
-            acts = activity(agent.q_values("s_"), gain=2.0, bias=0.5)
-            assert agent.select("s_") == max(range(3), key=lambda j: acts[j])
+            agent = bmu_with_encoders({S_KEY: list(rng.uniform(-1, 1, size=3))})
+            acts = activity(agent.q_values(S), gain=2.0, bias=0.5)
+            assert agent.select(S) == max(range(3), key=lambda j: acts[j])
 
 
 class TestSelectAction:
     def test_direct_argmax(self):
-        assert bmu_with_encoders({"s_": [0.7, -0.2]}).select("s_") == 0  # push left
+        assert bmu_with_encoders({S_KEY: [0.7, -0.2]}).select(S) == 0  # push left
 
     def test_tie_breaks_low(self):
-        assert bmu_with_encoders({"s_": [0.4, 0.4]}).select("s_") == 0
+        assert bmu_with_encoders({S_KEY: [0.4, 0.4]}).select(S) == 0
 
     def test_penalty_flips_selection(self):
-        agent = bmu_with_encoders({"s_": [0.5, 0.1], "t_": [0.0, 0.0]})
-        assert agent.select("s_") == 0
+        agent = bmu_with_encoders({S_KEY: [0.5, 0.1], T_KEY: [0.0, 0.0]})
+        assert agent.select(S) == 0
         # a -10 outcome drives e[0] below e[1]: 0.5 + 0.9(-0.5 - 10 + 0) = -8.95
-        agent.update("s_", 0, -10.0, "t_", True)
-        assert agent.q_values("s_")[0] == pytest.approx(-8.95)
-        assert agent.select("s_") == 1
+        agent.update(S, 0, -10.0, T, True)
+        assert agent.q_values(S)[0] == pytest.approx(-8.95)
+        assert agent.select(S) == 1
 
 
 class TestBmuUpdate:
     def test_hand_value(self):
-        agent = bmu_with_encoders({"s_": [0.5, 0.1], "t_": [0.3, -0.4]})
-        agent.update("s_", 0, 1.0, "t_", False)
-        assert agent.q_values("s_")[0] == pytest.approx(1.2173, abs=1e-12)
+        agent = bmu_with_encoders({S_KEY: [0.5, 0.1], T_KEY: [0.3, -0.4]})
+        agent.update(S, 0, 1.0, T, False)
+        assert agent.q_values(S)[0] == pytest.approx(1.2173, abs=1e-12)
 
     def test_zero_alpha_identity(self):
-        agent = bmu_with_encoders({"s_": [0.5, 0.1], "t_": [0.3, -0.4]}, alpha=0.0)
-        agent.update("s_", 0, 1.0, "t_", False)
-        assert encoders_of(agent, "s_") == [0.5, 0.1]
+        agent = bmu_with_encoders({S_KEY: [0.5, 0.1], T_KEY: [0.3, -0.4]}, alpha=0.0)
+        agent.update(S, 0, 1.0, T, False)
+        assert encoders_of(agent, S_KEY) == [0.5, 0.1]
 
     def test_edge_recorded_for_topology(self):
-        agent = bmu_with_encoders({"s_": [0.5, 0.1], "t_": [0.0, 0.0]})
-        agent.update("s_", 1, 1.0, "t_", False)
+        agent = bmu_with_encoders({S_KEY: [0.5, 0.1], T_KEY: [0.0, 0.0]})
+        agent.update(S, 1, 1.0, T, False)
         snapshot = agent.snapshot()
-        assert [(s, t, a["action"]) for s, t, a in snapshot.edges] == [("s_", "t_", 1)]
-        assert dict(snapshot.nodes)["t_"]["fan_in"] == 1
+        assert [(s, t, a["action"]) for s, t, a in snapshot.edges] == [(S_KEY, T_KEY, 1)]
+        assert dict(snapshot.nodes)[T_KEY]["fan_in"] == 1
 
     def test_non_finite_rejected(self):
-        agent = bmu_with_encoders({"s_": [0.5, 0.1]})
+        agent = bmu_with_encoders({S_KEY: [0.5, 0.1]})
         with pytest.raises(ValueError, match="finite"):
-            agent.update("s_", 0, float("inf"), "s_", False)
+            agent.update(S, 0, float("inf"), S, False)
 
     def test_self_loop_reads_value_before_write(self):
-        agent = bmu_with_encoders({"s_": [0.5, 0.1]})
-        agent.update("s_", 0, 1.0, "s_", False)
+        agent = bmu_with_encoders({S_KEY: [0.5, 0.1]})
+        agent.update(S, 0, 1.0, S, False)
         # v_next must be the pre-update max encoder 0.5
-        assert agent.q_values("s_")[0] == pytest.approx(0.5 + 0.9 * (-0.5 + 1.0 + 0.99 * 0.5))
+        assert agent.q_values(S)[0] == pytest.approx(0.5 + 0.9 * (-0.5 + 1.0 + 0.99 * 0.5))
 
 
 def test_encoder_q_identity_through_random_updates():
@@ -151,55 +157,56 @@ def test_encoder_q_identity_through_random_updates():
     agent = BmuAgent(b=2, d=1, alpha=0.9, gamma=0.99, rng=rng)
     keys = [f"{i}_{i}_{i}_{i}_" for i in range(15)]
     for key in keys:
-        agent.ensure(key)
+        agent.ensure(cell_of(key))
     for _ in range(500):
         s, s2 = keys[rng.integers(15)], keys[rng.integers(15)]
         action = int(rng.integers(2))
-        agent.update(s, action, float(rng.normal()), s2, bool(rng.uniform() < 0.1))
-        assert agent.q_values(s) == encoders_of(agent, s)
+        agent.update(cell_of(s), action, float(rng.normal()), cell_of(s2),
+                     bool(rng.uniform() < 0.1))
+        assert agent.q_values(cell_of(s)) == encoders_of(agent, s)
 
 
 class TestPool:
     def test_assign_claims_sequential_neurons(self):
         agent = PoolAgent(capacity=300, n_actions=2)
         for i in range(250):
-            agent.ensure(f"k{i}_")
+            agent.ensure(pack((i, 0, 0, 0)))
         assigned = agent.serialize()["assigned"]
         assert [index for _, index in assigned] == list(range(250))
         assert agent.stats().neurons == 250
 
     def test_capacity_error_names_size(self):
         agent = PoolAgent(capacity=2, n_actions=2)
-        agent.ensure("a_")
-        agent.ensure("b_")
+        agent.ensure(A)
+        agent.ensure(B)
         with pytest.raises(PoolCapacityError, match="2"):
-            agent.ensure("c_")
+            agent.ensure(C)
 
     def test_duplicate_assignment_rejected(self):
         agent = PoolAgent(capacity=1)
-        assert agent.ensure("a_") is True
-        assert agent.ensure("a_") is False  # no second neuron, so no capacity error
+        assert agent.ensure(A) is True
+        assert agent.ensure(A) is False  # no second neuron, so no capacity error
 
     def test_select_argmax_with_low_tie(self):
-        assert pool_with_weights({"a_": [0.0, 0.0]}).select("a_") == 0
-        assert pool_with_weights({"a_": [0.2, 0.9]}).select("a_") == 1
+        assert pool_with_weights({"1_0_0_0_": [0.0, 0.0]}).select(A) == 0
+        assert pool_with_weights({"1_0_0_0_": [0.2, 0.9]}).select(A) == 1
 
     def test_update_uses_next_neuron_max(self):
-        agent = pool_with_weights({"a_": [0.0, 0.0], "b_": [0.3, -0.2]})
-        agent.update("a_", 0, 1.0, "b_", False)
-        assert agent.q_values("a_")[0] == pytest.approx(0.9 * (1.0 + 0.99 * 0.3))
+        agent = pool_with_weights({"1_0_0_0_": [0.0, 0.0], "2_0_0_0_": [0.3, -0.2]})
+        agent.update(A, 0, 1.0, B, False)
+        assert agent.q_values(A)[0] == pytest.approx(0.9 * (1.0 + 0.99 * 0.3))
 
     def test_injectivity(self):
         agent = PoolAgent(capacity=64)
         for i in range(64):
-            agent.ensure(f"k{i}_")
+            agent.ensure(pack((i, 0, 0, 0)))
         indices = [index for _, index in agent.serialize()["assigned"]]
         assert len(set(indices)) == len(indices) == 64
 
     def test_stats_count_assigned_not_capacity(self):
         agent = PoolAgent(capacity=300, n_actions=2)
         for i in range(10):
-            agent.ensure(f"k{i}_")
+            agent.ensure(pack((i, 0, 0, 0)))
         stats = agent.stats()
         assert stats.neurons == 10
         assert stats.parameter_count == 40
@@ -208,11 +215,11 @@ class TestPool:
 def test_pool_matches_graph_agent_on_shared_stream():
     """Zero-init pool and graph agent act and learn identically."""
     rng = np.random.default_rng(55)
-    keys = [f"{i}_{i}_{i}_{i}_" for i in range(20)]
+    cells = [pack((i, i, i, i)) for i in range(20)]
     stream = []
     for _ in range(2000):
-        stream.append((keys[rng.integers(20)], int(rng.integers(2)),
-                       float(rng.choice([1.0, -10.0])), keys[rng.integers(20)],
+        stream.append((cells[rng.integers(20)], int(rng.integers(2)),
+                       float(rng.choice([1.0, -10.0])), cells[rng.integers(20)],
                        bool(rng.uniform() < 0.05)))
 
     pool_agent = PoolAgent(capacity=64, n_actions=2, alpha=0.9, gamma=0.99)
@@ -234,7 +241,7 @@ def test_pool_matches_graph_agent_on_shared_stream():
 def test_population_stats_parameter_convention():
     agent = BmuAgent(b=2, d=1, rng=np.random.default_rng(0))
     for i in range(7):
-        agent.ensure(f"k{i}_")
+        agent.ensure(pack((i, 0, 0, 0)))
     stats = agent.stats()
     assert stats.neurons == 7
     assert stats.parameter_count == 7 * 4
@@ -242,7 +249,7 @@ def test_population_stats_parameter_convention():
 
 def test_encoder_csv_layout():
     agent = BmuAgent(b=2, d=1, rng=np.random.default_rng(0), encoder_init="zeros")
-    agent.ensure("1_2_3_4_")
+    agent.ensure(cell_of("1_2_3_4_"))
     name, text = agent.value_table()
     lines = text.strip().split("\n")
     assert name == "encoders.csv"

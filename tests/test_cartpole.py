@@ -55,13 +55,14 @@ class TestReset:
 
     def test_components_within_spread(self):
         for seed in range(200):
-            state = CartPoleEnv().reset(seed)
-            assert all(abs(v) <= 0.05 for v in state.components())
-            assert state.t == 0
+            env = CartPoleEnv()
+            state = env.reset(seed)
+            assert len(state) == 4
+            assert all(abs(v) <= 0.05 for v in state)
+            assert env.t == 0
 
     def test_golden_seed_zero(self):
-        state = CartPoleEnv().reset(0)
-        assert state.components() == GOLDEN_RESET_0
+        assert CartPoleEnv().reset(0) == GOLDEN_RESET_0
 
 
 class TestTermination:
@@ -151,12 +152,12 @@ class TestEnvClass:
             env.reset(seed)
             total, steps = 0.0, 0
             while True:
-                out = env.step(steps % 2)
-                total += out.reward
+                _, reward, terminated, truncated = env.step(steps % 2)
+                total += reward
                 steps += 1
-                if out.terminated or out.truncated:
+                if terminated or truncated:
                     break
-            if out.terminated:
+            if terminated:
                 assert total == (steps - 1) * 1.0 + (-10.0)
             else:
                 assert total == steps * 1.0
@@ -167,13 +168,41 @@ class TestEnvClass:
             env.reset(seed)
             states = []
             for i in range(40):
-                out = env.step(i % 2)
-                states.append(out.next_state.components())
-                if out.terminated or out.truncated:
+                state, _, terminated, truncated = env.step(i % 2)
+                states.append(state)
+                if terminated or truncated:
                     break
             return states
 
         assert rollout(5) == rollout(5)
+
+    def test_matches_pure_step_from_every_state(self):
+        env = CartPoleEnv()
+        for seed in range(10):
+            state = CartState(*env.reset(seed), t=env.t)
+            while True:
+                action = int(state.theta_dot > 0)
+                want = step(state, action)
+                got = env.step(action)
+                assert got == (want.next_state.components(), want.reward,
+                               want.terminated, want.truncated)
+                assert env.t == want.next_state.t
+                if want.terminated or want.truncated:
+                    break
+                state = want.next_state
+
+    def test_step_checks(self):
+        env = CartPoleEnv()
+        with pytest.raises(ValueError, match="reset"):
+            env.step(0)
+        env.reset(0)
+        with pytest.raises(ValueError, match="action"):
+            env.step(2)
+        while not env.step(1)[2]:
+            pass
+        assert env.is_terminal()
+        with pytest.raises(ValueError, match="terminal"):
+            env.step(0)
 
     def test_unseeded_first_reset_rejected(self):
         with pytest.raises(ValueError, match="seed"):

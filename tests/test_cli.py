@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from bmu_lab import trainer
 from bmu_lab.cli import main
+from bmu_lab.trainer import run_episode
 
 TINY = ["--max-episodes", "5", "--window", "3", "--convergence-reward", "200"]
 
@@ -126,6 +128,29 @@ class TestExportGraph:
         assert code == 0
         assert (trained_run / "export" / "graph_ep4.dot").is_file()
         assert (trained_run / "export" / "graph_ep4.gexf").is_file()
+
+    def test_replay_stops_at_requested_episode(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        # a window as long as the run: it cannot converge before its cap
+        assert run_cli(["train", "--agent", "synaptic", "--seeds", "1", "--max-episodes", "12",
+                        "--window", "12", "--snapshot-every", "4", "--out", out]) == 0
+        assert json.loads(read(out / "summary.json"))["converged_count"] == 0
+        episodes = []
+
+        def counted(*args, **kwargs):
+            episodes.append(1)
+            return run_episode(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "run_episode", counted)
+        assert run_cli(["export-graph", "--run", out, "--episode", "4"]) == 0
+        assert len(episodes) == 4
+        for suffix in ("dot", "gexf"):
+            name = f"graph_ep4.{suffix}"
+            assert (out / "export" / name).read_bytes() == (out / "seed0" / name).read_bytes()
+
+    def test_episode_below_one_errors(self, trained_run, capsys):
+        assert run_cli(["export-graph", "--run", trained_run, "--episode", "0"]) == 1
+        assert "--episode" in capsys.readouterr().err
 
     def test_episode_beyond_run_errors(self, trained_run, capsys):
         assert run_cli(["export-graph", "--run", trained_run, "--episode", "99"]) == 1

@@ -7,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from bmu_lab.bmu import BmuAgent, PoolAgent
 from bmu_lab.core import argmax
+from bmu_lab.discretize import cell_of
 from bmu_lab.qtable import QTableAgent
 from bmu_lab.runio import load_agent, save_agent
 from bmu_lab.synaptic import SynapticAgent
 from bmu_lab.trainer import AGENT_KINDS, TrainConfig, make_agent
 
-KEYS = [f"{i}_{i}_{i}_{i}_" for i in range(6)]
+CELLS = [cell_of(f"{i}_{i}_{i}_{i}_") for i in range(6)]
 
 
 def zero_agents(kappa):
@@ -20,7 +21,7 @@ def zero_agents(kappa):
     return [
         SynapticAgent(kappa=kappa, q_init="zeros"),
         BmuAgent(b=kappa, rng=np.random.default_rng(0), encoder_init="zeros"),
-        PoolAgent(capacity=len(KEYS), n_actions=kappa),
+        PoolAgent(capacity=len(CELLS), n_actions=kappa),
         QTableAgent(kappa=kappa),
     ]
 
@@ -40,10 +41,10 @@ class TestArgmax:
 # (state, forced action or None for greedy, reward, next state, terminal);
 # a forced action is taken modulo kappa
 transitions = st.tuples(
-    st.sampled_from(KEYS),
+    st.sampled_from(CELLS),
     st.one_of(st.none(), st.integers(0, 3)),
     st.sampled_from([1.0, -10.0, 0.5, -1.0, 2.0]),
-    st.sampled_from(KEYS),
+    st.sampled_from(CELLS),
     st.booleans(),
 )
 
@@ -78,13 +79,13 @@ def test_serialize_round_trip(kind):
     agent = make_agent(config, np.random.default_rng(5))
     rng = np.random.default_rng(13)
     for _ in range(300):
-        s, s2 = KEYS[rng.integers(len(KEYS))], KEYS[rng.integers(len(KEYS))]
+        s, s2 = CELLS[rng.integers(len(CELLS))], CELLS[rng.integers(len(CELLS))]
         agent.ensure(s)
         agent.ensure(s2)
         forced = int(rng.integers(2)) if rng.uniform() < 0.5 else None
         action = agent.select(s, forced)
         reward = float(rng.choice([1.0, -10.0]))
         agent.update(s, action, reward, s2, reward < 0)
-    agent.select(KEYS[0])  # a synaptic gate left open is part of the state
+    agent.select(CELLS[0])  # a synaptic gate left open is part of the state
     text = save_agent(agent)
     assert save_agent(load_agent(text)) == text

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from bmu_lab.discretize import cell_of, pack
 from bmu_lab.synaptic import (
     SynapticAgent,
     gamma_to_tau,
@@ -13,6 +14,11 @@ from bmu_lab.synaptic import (
     synaptic_filter,
     tau_to_gamma,
 )
+
+
+# agents take cell ids; agent.json and snapshots name the same states by key
+A_KEY, B_KEY, C_KEY, Z_KEY = "1_0_0_0_", "2_0_0_0_", "3_0_0_0_", "0_0_0_9_"
+A, B, C, Z = (cell_of(key) for key in (A_KEY, B_KEY, C_KEY, Z_KEY))
 
 
 def zero_agent(kappa=2, gamma=0.99, alpha=0.9):
@@ -44,35 +50,35 @@ def node_attrs(agent, key):
 class TestSpawn:
     def test_fresh_neuron_zero_init(self):
         agent = zero_agent()
-        assert agent.ensure("5_5_5_5_") is True
-        assert agent.q_values("5_5_5_5_") == [0.0, 0.0]
+        assert agent.ensure(cell_of("5_5_5_5_")) is True
+        assert agent.q_values(cell_of("5_5_5_5_")) == [0.0, 0.0]
         assert node_attrs(agent, "5_5_5_5_") == {"value": 0.0, "fan_in": 0}
         assert gates(agent, "5_5_5_5_") == ["closed", "closed"]
 
     def test_duplicate_key_rejected(self):
         agent = zero_agent()
-        agent.ensure("5_5_5_5_")
-        assert agent.ensure("5_5_5_5_") is False
+        agent.ensure(cell_of("5_5_5_5_"))
+        assert agent.ensure(cell_of("5_5_5_5_")) is False
         assert agent.stats().neurons == 1
 
     def test_three_spawns_no_edges(self):
         agent = zero_agent()
         for key in ("1_1_1_1_", "2_2_2_2_", "3_3_3_3_"):
-            agent.ensure(key)
+            agent.ensure(cell_of(key))
         stats = agent.stats()
         assert stats.neurons == 3
         assert stats.edges == 0
 
     def test_optimistic_init_is_reward_fixed_point(self):
         agent = SynapticAgent(gamma=0.99, q_init="optimistic")
-        agent.ensure("5_5_5_5_")
-        agent.ensure("6_6_6_6_")
+        agent.ensure(cell_of("5_5_5_5_"))
+        agent.ensure(cell_of("6_6_6_6_"))
         assert node_attrs(agent, "5_5_5_5_")["value"] == optimistic_q(1.0, 0.99) \
             == pytest.approx(100.0)
         # one step into a fresh state keeps the optimistic value in place
-        agent.select("5_5_5_5_", forced=0)
-        agent.update("5_5_5_5_", 0, 1.0, "6_6_6_6_", False)
-        assert agent.q_values("5_5_5_5_")[0] == pytest.approx(100.0)
+        agent.select(cell_of("5_5_5_5_"), forced=0)
+        agent.update(cell_of("5_5_5_5_"), 0, 1.0, cell_of("6_6_6_6_"), False)
+        assert agent.q_values(cell_of("5_5_5_5_"))[0] == pytest.approx(100.0)
 
     def test_tau_attached_to_synapses(self):
         assert zero_agent(gamma=0.9).tau == pytest.approx(gamma_to_tau(0.9))
@@ -80,32 +86,32 @@ class TestSpawn:
 
 class TestForwardSelect:
     def test_direct_argmax(self):
-        agent = agent_with_q({"a_key": [0.9, 0.3]})
-        assert agent.select("a_key") == 0
-        assert gates(agent, "a_key") == ["open", "closed"]
+        agent = agent_with_q({A_KEY: [0.9, 0.3]})
+        assert agent.select(A) == 0
+        assert gates(agent, A_KEY) == ["open", "closed"]
 
     def test_tie_breaks_to_lowest_index(self):
         agent = zero_agent()
-        agent.ensure("a_key")
-        assert agent.select("a_key") == 0
+        agent.ensure(A)
+        assert agent.select(A) == 0
 
     def test_negative_q_selection_unaffected_by_clamp(self):
         # selection sees the raw Q values, negative ones included
-        agent = agent_with_q({"a_key": [-10.0, -8.9]})
-        assert agent.select("a_key") == 1
+        agent = agent_with_q({A_KEY: [-10.0, -8.9]})
+        assert agent.select(A) == 1
 
     def test_gate_opens_exactly_one(self):
         agent = zero_agent(kappa=3)
-        agent.ensure("a_key")
-        agent.select("a_key")
-        assert gates(agent, "a_key") == ["open", "closed", "closed"]
+        agent.ensure(A)
+        agent.select(A)
+        assert gates(agent, A_KEY) == ["open", "closed", "closed"]
 
     def test_select_with_open_gate_rejected(self):
         agent = zero_agent()
-        agent.ensure("a_key")
-        agent.select("a_key")
+        agent.ensure(A)
+        agent.select(A)
         with pytest.raises(ValueError, match="open"):
-            agent.select("a_key")
+            agent.select(A)
 
     def test_argmax_fidelity_over_random_vectors(self):
         """The selected synapse is always the first one with the highest Q."""
@@ -114,15 +120,15 @@ class TestForwardSelect:
             qs = rng.normal(0, 5, size=4)
             if trial % 5 == 0:
                 qs = np.round(qs)  # force ties regularly
-            agent = agent_with_q({"a_key": [float(q) for q in qs]})
-            assert agent.select("a_key") == int(np.argmax(qs))
+            agent = agent_with_q({A_KEY: [float(q) for q in qs]})
+            assert agent.select(A) == int(np.argmax(qs))
 
 
 class TestConnect:
     def _pair(self):
         agent = zero_agent()
-        agent.ensure("a_key")
-        agent.ensure("b_key")
+        agent.ensure(A)
+        agent.ensure(B)
         return agent
 
     def _step(self, agent, source, action, target):
@@ -131,40 +137,40 @@ class TestConnect:
 
     def test_first_edge(self):
         agent = self._pair()
-        self._step(agent, "a_key", 0, "b_key")
-        assert node_attrs(agent, "b_key")["fan_in"] == 1
+        self._step(agent, A, 0, B)
+        assert node_attrs(agent, B_KEY)["fan_in"] == 1
         assert agent.stats().edges == 1
 
     def test_duplicate_edge_idempotent(self):
         agent = self._pair()
-        self._step(agent, "a_key", 0, "b_key")
-        self._step(agent, "a_key", 0, "b_key")
-        assert node_attrs(agent, "b_key")["fan_in"] == 1
+        self._step(agent, A, 0, B)
+        self._step(agent, A, 0, B)
+        assert node_attrs(agent, B_KEY)["fan_in"] == 1
         assert agent.stats().edges == 1
 
     def test_repoint_moves_fan_in(self):
         agent = self._pair()
-        agent.ensure("c_key")
-        self._step(agent, "a_key", 0, "b_key")
-        self._step(agent, "a_key", 0, "c_key")
-        assert node_attrs(agent, "b_key")["fan_in"] == 0
-        assert node_attrs(agent, "c_key")["fan_in"] == 1
+        agent.ensure(C)
+        self._step(agent, A, 0, B)
+        self._step(agent, A, 0, C)
+        assert node_attrs(agent, B_KEY)["fan_in"] == 0
+        assert node_attrs(agent, C_KEY)["fan_in"] == 1
         assert agent.stats().edges == 1
 
     def test_closed_gate_rejected(self):
         agent = self._pair()
         with pytest.raises(ValueError, match="closed"):
-            agent.update("a_key", 0, 1.0, "b_key", False)
+            agent.update(A, 0, 1.0, B, False)
         assert agent.stats().edges == 0
 
 
 class TestBellmanUpdate:
     def _update(self, agent, action, reward, terminal=False):
-        agent.ensure("a_key")
-        agent.ensure("z_key")  # a fresh zero-valued successor
-        agent.select("a_key", forced=action)
-        agent.update("a_key", action, reward, "z_key", terminal)
-        return agent.q_values("a_key")[action], node_attrs(agent, "a_key")["value"]
+        agent.ensure(A)
+        agent.ensure(Z)  # a fresh zero-valued successor
+        agent.select(A, forced=action)
+        agent.update(A, action, reward, Z, terminal)
+        return agent.q_values(A)[action], node_attrs(agent, A_KEY)["value"]
 
     def test_hand_value_positive_reward(self):
         q, v = self._update(zero_agent(), 0, 1.0)
@@ -177,21 +183,21 @@ class TestBellmanUpdate:
         assert v == 0.0  # the untouched action shields the value function
 
     def test_zero_alpha_is_identity(self):
-        agent = agent_with_q({"a_key": [0.37, 0.0], "z_key": [-5.0, -5.0]}, alpha=0.0)
+        agent = agent_with_q({A_KEY: [0.37, 0.0], Z_KEY: [-5.0, -5.0]}, alpha=0.0)
         q, _ = self._update(agent, 0, 123.0)
         assert q == 0.37
 
     def test_gate_closes_after_update(self):
         agent = zero_agent()
         self._update(agent, 1, 1.0)
-        assert gates(agent, "a_key") == ["closed", "closed"]
+        assert gates(agent, A_KEY) == ["closed", "closed"]
 
     def test_closed_gate_rejected(self):
         agent = zero_agent()
-        agent.ensure("a_key")
-        agent.select("a_key", forced=1)
+        agent.ensure(A)
+        agent.select(A, forced=1)
         with pytest.raises(ValueError, match="closed"):
-            agent.update("a_key", 0, 1.0, "a_key", False)
+            agent.update(A, 0, 1.0, A, False)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -200,15 +206,15 @@ class TestBellmanUpdate:
     def test_value_is_max_over_synapses(self):
         rng = np.random.default_rng(3)
         agent = zero_agent(kappa=3)
-        keys = ["a_key", "b_key"]
+        keys = [A, B]
         for key in keys:
             agent.ensure(key)
         for _ in range(200):
             j = int(rng.integers(3))
-            agent.select("a_key", forced=j)
-            agent.update("a_key", j, float(rng.normal()), keys[rng.integers(2)],
+            agent.select(A, forced=j)
+            agent.update(A, j, float(rng.normal()), keys[rng.integers(2)],
                          bool(rng.uniform() < 0.2))
-            assert node_attrs(agent, "a_key")["value"] == max(agent.q_values("a_key"))
+            assert node_attrs(agent, A_KEY)["value"] == max(agent.q_values(A))
 
 
 class TestDiscountKernel:
@@ -262,7 +268,7 @@ class TestNetworkStats:
     def test_parameter_convention_matches_table(self):
         agent = zero_agent()
         for i in range(250):
-            agent.ensure(f"k{i}_")
+            agent.ensure(pack((i, 0, 0, 0)))
         assert agent.stats().parameter_count == 1000
 
     def test_dense_table_scale_consistency(self):
@@ -271,7 +277,7 @@ class TestNetworkStats:
 
     def test_single_neuron_zero_fan_in(self):
         agent = zero_agent()
-        agent.ensure("a_key")
+        agent.ensure(A)
         stats = agent.stats()
         assert stats.avg_fan_in == 0.0
         assert stats.neurons == 1
@@ -300,7 +306,7 @@ class PlainTabular:
 
 def random_stream(n, n_keys=40, seed=0):
     rng = np.random.default_rng(seed)
-    keys = [f"{i}_{i}_{i}_{i}_" for i in range(n_keys)]
+    keys = [pack((i, i, i, i)) for i in range(n_keys)]
     stream = []
     for _ in range(n):
         s = keys[rng.integers(n_keys)]
@@ -357,10 +363,10 @@ def test_fan_in_matches_edge_list_recount():
 
 def test_snapshot_carries_node_and_edge_attributes():
     agent = SynapticAgent(q_init="zeros")
-    agent.ensure("1_1_1_1_")
-    agent.ensure("2_2_2_2_")
-    agent.select("1_1_1_1_", forced=1)
-    agent.update("1_1_1_1_", 1, 1.0, "2_2_2_2_", False)
+    agent.ensure(cell_of("1_1_1_1_"))
+    agent.ensure(cell_of("2_2_2_2_"))
+    agent.select(cell_of("1_1_1_1_"), forced=1)
+    agent.update(cell_of("1_1_1_1_"), 1, 1.0, cell_of("2_2_2_2_"), False)
     snap = agent.snapshot()
     assert [n for n, _ in snap.nodes] == ["1_1_1_1_", "2_2_2_2_"]
     (source, target, attrs), = snap.edges

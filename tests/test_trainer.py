@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bmu_lab.cartpole import CartPoleEnv
-from bmu_lab.discretize import parse_key
+from bmu_lab.discretize import cell_of, unpack
 from bmu_lab.runio import agent_state_hash, config_from_entries, format_config, parse_config_text
 from bmu_lab.trainer import (
     ConfigError,
@@ -100,11 +100,11 @@ class PdStub:
     """A hand controller on bin indices; survives to truncation and
     never learns, so episode accounting is easy to pin down."""
 
-    def ensure(self, key):
+    def ensure(self, cell):
         return False
 
-    def select(self, key, forced=None):
-        x, x_dot, theta, theta_dot = (b - 4.5 for b in parse_key(key))
+    def select(self, cell, forced=None):
+        x, x_dot, theta, theta_dot = (b - 4.5 for b in unpack(cell))
         return 1 if (3.0 * theta + 1.2 * theta_dot + 0.05 * x + 0.4 * x_dot) > 0 else 0
 
     def update(self, *args, **kwargs):
@@ -253,7 +253,7 @@ class TestEvaluate:
     def test_unseen_state_falls_back_to_action_zero(self):
         config = TrainConfig()
         agent = make_agent(config, np.random.default_rng(0))
-        assert greedy_action(agent, "0_0_0_0_") == 0
+        assert greedy_action(agent, cell_of("0_0_0_0_")) == 0
 
     def test_zero_episodes_rejected_before_any_rollout(self):
         agent = make_agent(TrainConfig(), np.random.default_rng(0))
