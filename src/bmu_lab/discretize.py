@@ -11,7 +11,7 @@ identity of every agent. Files name a cell by its canonical key such as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import floor
+from math import floor, isfinite
 
 # bits per bin index in a cell id; fixed, so files can be read back without
 # knowing n_bins
@@ -31,6 +31,8 @@ class BinSpec:
         if len(self.lower) != 4 or len(self.upper) != 4:
             raise ValueError("bounds must cover exactly 4 state components")
         for lo, hi in zip(self.lower, self.upper):
+            if not (isfinite(lo) and isfinite(hi)):
+                raise ValueError(f"bounds must be finite, got [{lo}, {hi}]")
             if not lo < hi:
                 raise ValueError(f"lower bound {lo} must be below upper bound {hi}")
 

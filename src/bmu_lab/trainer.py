@@ -3,13 +3,16 @@
 A run is fully determined by its config and a single integer seed: the
 seed fans out into independent streams for episode initial conditions,
 agent initialization (random encoders) and the optional exploration
-override. Training stops once the trailing window of episodes all meet
+override. The exploration draws are decoded from the stream's raw words
+(`Exploration`) into exactly the values numpy's `Generator` would return.
+Training stops once the trailing window of episodes all meet
 the convergence reward, or at the episode cap; non-convergence is a
 recorded outcome, not an error.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -24,6 +27,9 @@ from .qtable import QTableAgent
 from .synaptic import Q_INIT_MODES, SynapticAgent
 
 AGENT_KINDS = ("synaptic", "bmu", "bmu-pool", "qtable")
+
+# raw words fetched from the exploration stream at a time
+BLOCK = 1024
 
 
 class ConfigError(ValueError):
@@ -76,6 +82,13 @@ class TrainConfig:
             raise ConfigError(f"alpha must be in (0, 1], got {self.alpha}")
         if self.convergence_window < 1:
             raise ConfigError(f"convergence_window must be >= 1, got {self.convergence_window}")
+        # theta_limit is also the angle bin bound; x_limit may be inf
+        for key in ("step_reward", "fail_reward", "convergence_reward", "theta_limit",
+                    "x_bin_bound", "x_dot_bound", "theta_dot_bound"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
+        if not 0.0 < self.c_gain < math.inf:
+            raise ConfigError(f"c_gain must be finite and > 0, got {self.c_gain}")
         if self.convergence_reward > self.max_steps * self.step_reward:
             raise ConfigError(
                 f"convergence_reward {self.convergence_reward} is unattainable with "
@@ -164,18 +177,75 @@ class EpisodeRecord:
     spawned: int
 
 
+class Exploration:
+    """numpy's `Generator.random()` and `Generator.integers(kappa)` over one
+    PCG64 stream, decoded from raw 64-bit words fetched `BLOCK` at a time.
+
+    The coin is numpy's `next_double`, the top 53 bits of a word. The
+    forced action is numpy's bounded draw: Lemire's multiply-and-reject
+    over `next_uint32`, which hands out the low half of a fresh word and
+    keeps the high half for the next 32-bit draw. One instance serves a
+    whole run, so the word buffer and the kept half carry across episodes
+    as the generator's own state would; nothing is fetched before the
+    first draw. The bit generator must not be drawn from directly
+    afterwards.
+    """
+
+    def __init__(self, bit_generator: np.random.BitGenerator):
+        if not isinstance(bit_generator, np.random.PCG64):
+            raise TypeError(f"exploration needs a PCG64 bit generator, "
+                            f"got {type(bit_generator).__name__}")
+        state = bit_generator.state
+        self._half = state["uinteger"] if state["has_uint32"] else None
+        self._words = self._stream(bit_generator.random_raw)
+
+    @staticmethod
+    def _stream(random_raw):
+        while True:
+            yield from random_raw(BLOCK).tolist()
+
+    def random(self) -> float:
+        return (next(self._words) >> 11) * (1.0 / 9007199254740992.0)
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        word = next(self._words)
+        self._half = word >> 32
+        return word & 0xFFFFFFFF
+
+    def integers(self, kappa: int) -> int:
+        """Uniform on [0, kappa) for 1 <= kappa <= 2**32; kappa 1 draws nothing."""
+        if not 1 < kappa <= 0x100000000:
+            if kappa == 1:
+                return 0
+            raise ValueError(f"kappa must be in [1, 2**32], got {kappa}")
+        m = self._uint32() * kappa
+        if m & 0xFFFFFFFF < kappa:
+            threshold = (0x100000000 - kappa) % kappa
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * kappa
+        return m >> 32
+
+
 def run_episode(agent, env: CartPoleEnv, config: TrainConfig, episode_seed: int,
-                explore_rng: np.random.Generator | None = None,
+                explore: Exploration | None = None,
                 epsilon: float = 0.0, spec: BinSpec | None = None) -> EpisodeRecord:
     """One full episode: discretize, look up or spawn, select, step, connect,
     Bellman-update, advance, until failure or the step cap.
 
-    `spec` is `config.bin_spec()`, passed in by callers that run many
-    episodes so it is built once.
+    With `epsilon` > 0, each step draws a coin from `explore`, the run's one
+    `Exploration`, and below `epsilon` forces a uniform action. `spec` is
+    `config.bin_spec()`, passed in by callers that run many episodes so it
+    is built once.
     """
     if spec is None:
         spec = config.bin_spec()
-    explore = explore_rng is not None and epsilon > 0.0
+    exploring = explore is not None and epsilon > 0.0
+    if exploring:
+        coin, forced_action = explore.random, explore.integers
     kappa = config.kappa
     ensure, select, update = agent.ensure, agent.select, agent.update
     step = env.step
@@ -185,9 +255,8 @@ def run_episode(agent, env: CartPoleEnv, config: TrainConfig, episode_seed: int,
     steps = 0
     while True:
         forced = None
-        # random() is uniform() on [0, 1): the same draws, at less cost
-        if explore and explore_rng.random() < epsilon:
-            forced = int(explore_rng.integers(kappa))
+        if exploring and coin() < epsilon:
+            forced = forced_action(kappa)
         action = select(cell, forced)
         next_state, reward, terminated, truncated = step(action)
         next_cell = discretize(next_state, spec)
@@ -211,6 +280,47 @@ def convergence_episode(rewards, threshold: float, window: int) -> int | None:
         if streak >= window:
             return index
     return None
+
+
+def _pairwise_sum(values) -> float:
+    """numpy's float64 `add.reduce` kernel: sequential below 8 items, eight
+    strided accumulators up to 128, halves (the first a multiple of 8)
+    above that."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+        whole = n - n % 8
+        for i in range(8, whole, 8):
+            r0 += values[i]
+            r1 += values[i + 1]
+            r2 += values[i + 2]
+            r3 += values[i + 3]
+            r4 += values[i + 4]
+            r5 += values[i + 5]
+            r6 += values[i + 6]
+            r7 += values[i + 7]
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for i in range(whole, n):
+            total += values[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
+def mean_std(window) -> tuple[float, float]:
+    """`float(np.mean(window))` and `float(np.std(window))`, bit for bit,
+    without numpy's per-call cost. numpy's reduction starts from the
+    identity 0.0, hence the leading `0.0 +`."""
+    n = len(window)
+    mean = (0.0 + _pairwise_sum(window)) / n
+    squares = [(v - mean) * (v - mean) for v in window]
+    return mean, math.sqrt((0.0 + _pairwise_sum(squares)) / n)
 
 
 @dataclass
@@ -257,6 +367,10 @@ def train(config: TrainConfig, seed: int,
     env = CartPoleEnv(config.env_params())
     spec = config.bin_spec()
     agent = make_agent(config, agent_rng)
+    explore = Exploration(explore_rng.bit_generator)
+    # one call draws what a scalar call per episode would: numpy's 64-bit
+    # bounded draw keeps no buffer between calls
+    episode_seeds = env_seeder.integers(0, 2 ** 63, size=config.max_episodes).tolist()
 
     wanted_snapshots = set(snapshot_episodes or ())
     if config.snapshot_every > 0:
@@ -270,16 +384,16 @@ def train(config: TrainConfig, seed: int,
     snapshots: dict[int, GraphSnapshot] = {}
     streak = 0
     epsilon = config.epsilon
-    for episode in range(1, config.max_episodes + 1):
-        episode_seed = int(env_seeder.integers(0, 2 ** 63))
+    for episode, episode_seed in enumerate(episode_seeds, start=1):
         record = run_episode(agent, env, config, episode_seed,
-                             explore_rng=explore_rng, epsilon=epsilon, spec=spec)
+                             explore=explore, epsilon=epsilon, spec=spec)
         epsilon *= config.epsilon_decay
 
         metrics.rewards.append(record.total_reward)
         window = metrics.rewards[-min(episode, config.convergence_window):]
-        metrics.moving_avg.append(float(np.mean(window)))
-        metrics.moving_std.append(float(np.std(window)))
+        moving_avg, moving_std = mean_std(window)
+        metrics.moving_avg.append(moving_avg)
+        metrics.moving_std.append(moving_std)
         stats = agent.stats()
         metrics.neurons.append(stats.neurons)
         metrics.avg_fan_in.append(stats.avg_fan_in)
@@ -379,8 +493,8 @@ def evaluate(agent, config: TrainConfig, seed: int, n_episodes: int) -> EvalRepo
     env = CartPoleEnv(config.env_params())
     seeder = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     report = EvalReport(rewards=[], steps=[], traces=[], trajectories=[])
-    for _ in range(n_episodes):
-        state = env.reset(int(seeder.integers(0, 2 ** 63)))
+    for episode_seed in seeder.integers(0, 2 ** 63, size=n_episodes).tolist():
+        state = env.reset(episode_seed)
         total = 0.0
         steps = 0
         trace: list[tuple[int, float, float]] = []

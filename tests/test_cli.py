@@ -40,6 +40,16 @@ class TestTrain:
         assert code == 1
         assert "gamma" in capsys.readouterr().err
 
+    def test_non_finite_reward_in_config_file_rejected(self, tmp_path, capsys):
+        config = tmp_path / "bad.txt"
+        config.write_text("agent = qtable\nfail_reward = nan\n")
+        code = run_cli(["train", "--config", config, "--seeds", "1",
+                        "--out", tmp_path / "run"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "fail_reward" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt"]
+
     def test_unknown_flag_is_an_error(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             run_cli(["train", "--agent", "qtable", "--out", tmp_path / "x",

@@ -104,6 +104,13 @@ class TestBinSpec:
         with pytest.raises(ValueError):
             BinSpec(lower=(-1,) * 4, upper=(1,) * 4, n_bins=MASK + 2)
 
+    @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
+    def test_non_finite_bounds_rejected(self, bound):
+        with pytest.raises(ValueError, match="finite"):
+            BinSpec(lower=(-1.0,) * 4, upper=(1.0, 1.0, bound, 1.0), n_bins=10)
+        with pytest.raises(ValueError, match="finite"):
+            BinSpec(lower=(bound, -1.0, -1.0, -1.0), upper=(1.0,) * 4, n_bins=10)
+
 
 @given(
     v1=st.floats(-10, 10, allow_nan=False),

@@ -1,22 +1,28 @@
 """Trainer tests: config validation, episode accounting, convergence
 detection, multi-seed bands, and learning-free evaluation."""
 
+import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bmu_lab.cartpole import CartPoleEnv
 from bmu_lab.discretize import cell_of, unpack
 from bmu_lab.runio import agent_state_hash, config_from_entries, format_config, parse_config_text
 from bmu_lab.trainer import (
+    BLOCK,
     ConfigError,
+    Exploration,
     TrainConfig,
     aggregate_curves,
     convergence_episode,
     evaluate,
     greedy_action,
     make_agent,
+    mean_std,
     multi_seed,
     run_episode,
     train,
@@ -53,6 +59,23 @@ class TestConfig:
     def test_env_invariants_surface_by_key(self):
         with pytest.raises(ConfigError, match="max_steps"):
             TrainConfig(max_steps=150).validate()
+
+    @pytest.mark.parametrize("key, value", [
+        ("fail_reward", math.nan), ("fail_reward", -math.inf),
+        ("step_reward", math.inf), ("step_reward", math.nan),
+        ("convergence_reward", math.nan), ("convergence_reward", -math.inf),
+        ("x_bin_bound", math.inf), ("x_dot_bound", math.nan),
+        ("theta_dot_bound", math.inf), ("theta_limit", math.inf),
+        ("c_gain", -1.0), ("c_gain", 0.0), ("c_gain", math.inf), ("c_gain", math.nan),
+    ])
+    def test_non_finite_or_non_positive_values_named(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            replace(TrainConfig(), **{key: value}).validate()
+
+    def test_unbounded_cart_position_trains(self):
+        config = TrainConfig(x_limit=math.inf, max_episodes=3)
+        config.validate()
+        assert train(config, 0).metrics.episodes_run == 3
 
     def test_kv_round_trip(self):
         config = TrainConfig(agent="bmu", seeds=(3, 1, 4), epsilon=0.25,
@@ -165,8 +188,44 @@ class TestTrain:
         metrics = train(config, 1).metrics
         for e in range(metrics.episodes_run):
             window = metrics.rewards[max(0, e - 4):e + 1]
-            assert metrics.moving_avg[e] == pytest.approx(np.mean(window))
-            assert metrics.moving_std[e] == pytest.approx(np.std(window))
+            assert metrics.moving_avg[e] == float(np.mean(window))
+            assert metrics.moving_std[e] == float(np.std(window))
+
+    def test_matches_per_call_numpy_draws(self):
+        """train() against the same loop drawn one numpy call at a time:
+        scalar episode seeds, Generator.random()/integers() for exploration,
+        np.mean/np.std for the moving stats."""
+        config = TrainConfig(n_bins=16, epsilon=0.4, epsilon_decay=0.99,
+                             convergence_window=7, max_episodes=40)
+        result = train(config, 11)
+
+        env_ss, agent_ss, explore_ss = np.random.SeedSequence(11).spawn(3)
+        env_seeder = np.random.default_rng(env_ss)
+        explore_rng = np.random.default_rng(explore_ss)
+
+        class PerCall:
+            random = explore_rng.random
+
+            @staticmethod
+            def integers(kappa):
+                return int(explore_rng.integers(kappa))
+
+        agent = make_agent(config, np.random.default_rng(agent_ss))
+        env = CartPoleEnv(config.env_params())
+        epsilon = config.epsilon
+        rewards, moving_avg, moving_std = [], [], []
+        for _ in range(result.metrics.episodes_run):
+            record = run_episode(agent, env, config, int(env_seeder.integers(0, 2 ** 63)),
+                                 explore=PerCall(), epsilon=epsilon)
+            epsilon *= config.epsilon_decay
+            rewards.append(record.total_reward)
+            window = rewards[-config.convergence_window:]
+            moving_avg.append(float(np.mean(window)))
+            moving_std.append(float(np.std(window)))
+        assert result.metrics.rewards == rewards
+        assert result.metrics.moving_avg == moving_avg
+        assert result.metrics.moving_std == moving_std
+        assert agent_state_hash(result.agent) == agent_state_hash(agent)
 
     def test_spawn_conservation_over_training(self):
         config = TrainConfig(max_episodes=15)
@@ -223,6 +282,79 @@ class TestMultiSeed:
         mean, lo, hi = aggregate_curves([[1.0, 2.0], [3.0]])
         assert mean == [2.0, 2.5]
         assert hi[1] == pytest.approx(2.5 + 2 * 0.5)
+
+
+class TestExactDraws:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 128 - 1), epsilon=st.floats(0.0, 1.0),
+           kappa=st.integers(1, 7), steps=st.integers(BLOCK + 1, 2 * BLOCK),
+           cached_half=st.booleans())
+    def test_exploration_equals_generator(self, seed, epsilon, kappa, steps, cached_half):
+        oracle = np.random.default_rng(seed)
+        source = np.random.default_rng(seed)
+        if cached_half:
+            # one 32-bit draw leaves the upper half of its word cached
+            assert oracle.integers(2) == source.integers(2)
+            assert source.bit_generator.state["has_uint32"] == 1
+        explore = Exploration(source.bit_generator)
+        expected, drawn = [], []
+        for _ in range(steps):
+            coin = oracle.random()
+            expected.append(coin)
+            drawn.append(explore.random())
+            if coin < epsilon:
+                expected.append(int(oracle.integers(kappa)))
+                drawn.append(explore.integers(kappa))
+        assert drawn == expected
+
+    def test_rejection_loop_and_large_ranges(self):
+        for kappa in (3, 2 ** 31 + 1, 2 ** 32 - 1, 2 ** 32):
+            oracle = np.random.default_rng(kappa)
+            explore = Exploration(np.random.default_rng(kappa).bit_generator)
+            draws = [explore.integers(kappa) for _ in range(2000)]
+            assert draws == oracle.integers(kappa, size=2000).tolist()
+
+    def test_words_fetched_lazily_a_block_at_a_time(self):
+        bit_generator = np.random.PCG64(3)
+        untouched = bit_generator.state
+        explore = Exploration(bit_generator)
+        config = TrainConfig()
+        run_episode(make_agent(config, np.random.default_rng(0)),
+                    CartPoleEnv(config.env_params()), config, 1,
+                    explore=explore, epsilon=0.0)
+        assert bit_generator.state == untouched
+        explore.random()
+        one_block = np.random.PCG64(3)
+        one_block.random_raw(BLOCK)
+        assert bit_generator.state == one_block.state
+
+    def test_non_pcg64_rejected(self):
+        with pytest.raises(TypeError, match="PCG64"):
+            Exploration(np.random.MT19937(0))
+        with pytest.raises(TypeError, match="PCG64"):
+            Exploration(np.random.Philox(0))
+
+    def test_bad_kappa_rejected(self):
+        explore = Exploration(np.random.PCG64(0))
+        for kappa in (0, -1, 2 ** 32 + 1):
+            with pytest.raises(ValueError, match="kappa"):
+                explore.integers(kappa)
+
+    def test_episode_seeds_in_one_call_equal_scalar_draws(self):
+        batch = np.random.default_rng(5).integers(0, 2 ** 63, size=1000).tolist()
+        scalar = np.random.default_rng(5)
+        assert batch == [int(scalar.integers(0, 2 ** 63)) for _ in range(1000)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False),
+        st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e150]),
+        st.integers(-10, 250).map(float),
+    ), min_size=1, max_size=300))
+    @example([-0.0] * 8)
+    def test_mean_std_equals_numpy(self, window):
+        expected = (float(np.mean(window)), float(np.std(window)))
+        assert [v.hex() for v in mean_std(window)] == [v.hex() for v in expected]
 
 
 class TestEvaluate:
