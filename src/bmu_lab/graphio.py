@@ -123,50 +123,67 @@ def _collect_attr_schema(items: list[tuple]) -> dict[str, str]:
     return schema
 
 
+_XML_SPECIAL = re.compile('[&<>"\r\n\t]')
+_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+                              "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"})
+
+
+def _xml_attr(text: str) -> str:
+    """Escape an attribute value exactly as ElementTree's serialiser does.
+
+    One translate equals its chain of replaces, as no entity holds a later
+    special character; a non-str fails the search with TypeError, as there.
+    """
+    return text.translate(_XML_ESCAPES) if _XML_SPECIAL.search(text) else text
+
+
+def _gexf_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return _xml_attr(repr(value) if isinstance(value, float) else str(value))
+
+
+def _gexf_element(lines: list[str], tag: str, head: str, attrs: Attrs,
+                  attr_ids: dict[str, int]) -> None:
+    if not attrs:
+        lines.append(f"      <{tag} {head} />")
+        return
+    lines += [f"      <{tag} {head}>", "        <attvalues>"]
+    lines += [f'          <attvalue for="{attr_ids[key]}" value="{_gexf_value(value)}" />'
+              for key, value in attrs.items()]
+    lines += ["        </attvalues>", f"      </{tag}>"]
+
+
 def to_gexf(snapshot: GraphSnapshot) -> str:
-    ET.register_namespace("", _GEXF_NS)
-    root = ET.Element(f"{{{_GEXF_NS}}}gexf", version="1.2")
-    graph = ET.SubElement(root, f"{{{_GEXF_NS}}}graph",
-                          defaultedgetype="directed", mode="static")
+    """GEXF 1.2 text in the dialect FORMATS.md spells out byte for byte."""
+    lines = ['<?xml version="1.0" encoding="UTF-8"?>',
+             f'<gexf xmlns="{_GEXF_NS}" version="1.2">',
+             '  <graph defaultedgetype="directed" mode="static">']
+    attr_ids = {}
+    for cls, items in (("node", snapshot.nodes), ("edge", snapshot.edges)):
+        schema = _collect_attr_schema(items)
+        attr_ids[cls] = {key: attr_id for attr_id, key in enumerate(schema)}
+        if schema:
+            lines.append(f'    <attributes class="{cls}">')
+            lines += [f'      <attribute id="{attr_id}" title="{_xml_attr(key)}" '
+                      f'type="{gexf_type}" />'
+                      for attr_id, (key, gexf_type) in enumerate(schema.items())]
+            lines.append("    </attributes>")
 
-    node_schema = _collect_attr_schema(snapshot.nodes)
-    edge_schema = _collect_attr_schema(snapshot.edges)
-    for cls, schema in (("node", node_schema), ("edge", edge_schema)):
-        if not schema:
-            continue
-        attributes = ET.SubElement(graph, f"{{{_GEXF_NS}}}attributes")
-        attributes.set("class", cls)
-        for attr_id, (key, gexf_type) in enumerate(schema.items()):
-            ET.SubElement(attributes, f"{{{_GEXF_NS}}}attribute",
-                          id=str(attr_id), title=key, type=gexf_type)
-
-    def fill_attvalues(parent, attrs: Attrs, schema: dict[str, str]) -> None:
-        if not attrs:
-            return
-        attvalues = ET.SubElement(parent, f"{{{_GEXF_NS}}}attvalues")
-        keys = list(schema.keys())
-        for key, value in attrs.items():
-            if isinstance(value, bool):
-                rendered = "true" if value else "false"
-            else:
-                rendered = repr(value) if isinstance(value, float) else str(value)
-            ET.SubElement(attvalues, f"{{{_GEXF_NS}}}attvalue",
-                          **{"for": str(keys.index(key)), "value": rendered})
-
-    nodes_el = ET.SubElement(graph, f"{{{_GEXF_NS}}}nodes")
+    lines.append("    <nodes>" if snapshot.nodes else "    <nodes />")
     for node_id, attrs in snapshot.nodes:
-        node_el = ET.SubElement(nodes_el, f"{{{_GEXF_NS}}}node", id=node_id, label=node_id)
-        fill_attvalues(node_el, attrs, node_schema)
-
-    edges_el = ET.SubElement(graph, f"{{{_GEXF_NS}}}edges")
+        node_id = _xml_attr(node_id)
+        _gexf_element(lines, "node", f'id="{node_id}" label="{node_id}"', attrs, attr_ids["node"])
+    if snapshot.nodes:
+        lines.append("    </nodes>")
+    lines.append("    <edges>" if snapshot.edges else "    <edges />")
     for edge_id, (source, target, attrs) in enumerate(snapshot.edges):
-        edge_el = ET.SubElement(edges_el, f"{{{_GEXF_NS}}}edge",
-                                id=str(edge_id), source=source, target=target)
-        fill_attvalues(edge_el, attrs, edge_schema)
-
-    ET.indent(root)
-    body = ET.tostring(root, encoding="unicode")
-    return '<?xml version="1.0" encoding="UTF-8"?>\n' + body + "\n"
+        head = f'id="{edge_id}" source="{_xml_attr(source)}" target="{_xml_attr(target)}"'
+        _gexf_element(lines, "edge", head, attrs, attr_ids["edge"])
+    if snapshot.edges:
+        lines.append("    </edges>")
+    lines += ["  </graph>", "</gexf>", ""]
+    return "\n".join(lines)
 
 
 def _local(tag: str) -> str:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from bmu_lab import trainer
-from bmu_lab.cli import main
+from bmu_lab.cli import _build_parser, main
 from bmu_lab.trainer import run_episode
 
 TINY = ["--max-episodes", "5", "--window", "3", "--convergence-reward", "200"]
@@ -55,6 +55,23 @@ class TestTrain:
             run_cli(["train", "--agent", "qtable", "--out", tmp_path / "x",
                      "--frobnicate", "1"])
         assert excinfo.value.code != 0
+
+    def test_parser_is_reused_across_calls(self, tmp_path, capsys, monkeypatch):
+        # one parser per process: a rejected flag must not disturb later calls
+        monkeypatch.delenv("BMU_LAB_SEED", raising=False)
+        assert _build_parser() is _build_parser()
+        assert run_cli(["train", "--agent", "qtable", "--seeds", "1",
+                        "--out", tmp_path / "a"] + TINY) == 0
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(["train", "--agent", "qtable", "--out", tmp_path / "x", "--frobnicate"])
+        assert excinfo.value.code == 2
+        assert run_cli(["train", "--agent", "bmu", "--seeds", "2",
+                        "--out", tmp_path / "b"] + TINY) == 0
+        summary = json.loads(read(tmp_path / "b" / "summary.json"))
+        assert summary["agent"] == "bmu" and summary["seeds"] == [0, 1]
+        assert (tmp_path / "a" / "seed0" / "rewards.csv").is_file()
+        assert not (tmp_path / "x").exists()
+        assert "unrecognized arguments: --frobnicate" in capsys.readouterr().err
 
     def test_existing_run_dir_protected(self, tmp_path, capsys):
         out = tmp_path / "run"

@@ -1,0 +1,63 @@
+"""Run directories pinned byte for byte against a recorded manifest.
+
+Each agent kind trains two seeds for ten episodes with snapshots every
+five, on the settings of the benchmark's `artifacts` workload, and every
+file of the run directory is compared by SHA-256 with
+`tests/run_digests.json`. Only `wall_clock_seconds` in the summary files
+is masked. To record the manifest for the checked-out source:
+
+    PYTHONPATH=src python tests/test_run_digests.py > tests/run_digests.json
+"""
+
+import hashlib
+import json
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from bmu_lab.runio import config_from_entries, execute_train_run
+
+MANIFEST = Path(__file__).with_name("run_digests.json")
+KINDS = ("synaptic", "bmu", "bmu-pool", "qtable")
+
+# bench/configs/artifacts.txt, shortened to ten episodes and two seeds
+SETTINGS = {
+    "gamma": "0.99", "alpha": "0.9", "n_bins": "10", "kappa": "2",
+    "max_steps": "250", "convergence_reward": "200.0", "convergence_window": "50",
+    "max_episodes": "10", "c_gain": "1.0", "epsilon": "0.0", "epsilon_decay": "1.0",
+    "snapshot_every": "5", "q_init": "optimistic", "encoder_init": "optimistic",
+    "pool_capacity": "10000", "qtable_dense": "false", "theta_limit": "0.2095",
+    "x_limit": "2.4", "x_bin_bound": "6.0", "x_dot_bound": "11.0",
+    "theta_dot_bound": "7.0", "step_reward": "1.0", "fail_reward": "-10.0",
+    "seeds": "3,4",
+}
+
+_WALL_CLOCK = re.compile(rb'"wall_clock_seconds": [^,\n]+')
+
+
+def run_digests(kind: str, out_dir: Path) -> dict[str, str]:
+    """SHA-256 of every file of one run directory, by relative path."""
+    execute_train_run(config_from_entries({**SETTINGS, "agent": kind}), out_dir)
+    digests = {}
+    for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "summary.json":
+            data = _WALL_CLOCK.sub(b'"wall_clock_seconds": 0', data)
+        digests[path.relative_to(out_dir).as_posix()] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_run_directory_matches_manifest(kind, tmp_path):
+    expected = json.loads(MANIFEST.read_text())[kind]
+    assert run_digests(kind, tmp_path / kind) == expected
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch:
+        manifest = {kind: run_digests(kind, Path(scratch) / kind) for kind in KINDS}
+    json.dump(manifest, sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")
