@@ -1,7 +1,7 @@
 """Reinforcement-learning lab: synaptic Q-learning and Bellman memory units
 on an evolving network topology, balancing a cartpole."""
 
-from .cartpole import CartPoleEnv, CartState, EnvParams, StepOutcome, is_terminal, step
+from .cartpole import CartPoleEnv, CartState, EnvParams
 from .discretize import BinSpec, discretize, key_of, parse_key
 from .synaptic import SynapticAgent, gamma_to_tau, synaptic_filter, tau_to_gamma
 from .bmu import BmuAgent, PoolAgent, PoolCapacityError

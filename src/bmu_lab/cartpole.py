@@ -29,23 +29,23 @@ class CartState:
     theta_dot: float
     t: int = 0
 
-    def components(self) -> tuple[float, float, float, float]:
-        return (self.x, self.x_dot, self.theta, self.theta_dot)
-
 
 @dataclass(frozen=True)
 class EnvParams:
+    """Episode limits and rewards, which come from `TrainConfig.env_params()`,
+    and the fixed physics constants."""
+
+    max_steps: int
+    theta_limit: float
+    x_limit: float
+    step_reward: float
+    fail_reward: float
     gravity: float = 9.8
     mass_cart: float = 1.0
     mass_pole: float = 0.1
     pole_half_length: float = 0.5
     force_mag: float = 10.0
     dt: float = 0.02
-    max_steps: int = 250
-    theta_limit: float = 0.418
-    x_limit: float = 2.4
-    fail_reward: float = -10.0
-    step_reward: float = 1.0
 
     def __post_init__(self) -> None:
         for name in ("gravity", "mass_cart", "mass_pole", "pole_half_length",
@@ -54,34 +54,6 @@ class EnvParams:
                 raise ValueError(f"{name} must be strictly positive, got {getattr(self, name)}")
         if self.max_steps < 200:
             raise ValueError(f"max_steps must be >= 200, got {self.max_steps}")
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    next_state: CartState
-    reward: float
-    terminated: bool
-    truncated: bool
-
-
-def is_terminal(state: CartState, params: EnvParams | None = None) -> bool:
-    params = params or EnvParams()
-    return abs(state.theta) > params.theta_limit or abs(state.x) > params.x_limit
-
-
-def euler_step(state: CartState, force: float, params: EnvParams) -> CartState:
-    """One explicit Euler step of the equations of motion (position first)."""
-    nxt = CartPoleEnv(params).integrate(state.components(), force)
-    return CartState(*nxt, t=state.t + 1)
-
-
-def step(state: CartState, action: int, params: EnvParams | None = None) -> StepOutcome:
-    """One `CartPoleEnv.step` from `state`; action 1 pushes right (+F), action 0
-    pushes left (-F)."""
-    env = CartPoleEnv(params)
-    env.place(state.components(), state.t)
-    nxt, reward, terminated, truncated = env.step(action)
-    return StepOutcome(CartState(*nxt, t=env.t), reward, terminated, truncated)
 
 
 class CartPoleEnv:
@@ -93,8 +65,8 @@ class CartPoleEnv:
     sequence of initial conditions.
     """
 
-    def __init__(self, params: EnvParams | None = None):
-        self.params = p = params or EnvParams()
+    def __init__(self, params: EnvParams):
+        self.params = p = params
         total_mass = p.mass_cart + p.mass_pole
         self._constants = (p.gravity, p.mass_pole, p.pole_half_length, p.dt,
                            total_mass, p.mass_pole * p.pole_half_length)
@@ -157,9 +129,6 @@ class CartPoleEnv:
         if terminated:
             return nxt, params.fail_reward, True, False
         return nxt, params.step_reward, False, self.t >= params.max_steps
-
-    def is_terminal(self) -> bool:
-        return self.terminated
 
 
 TRAJECTORY_HEADER = "t,x,x_dot,theta,theta_dot,action,reward,terminated"

@@ -23,7 +23,7 @@ from .runio import (
     write_snapshot,
     write_text,
 )
-from .trainer import ConfigError, evaluate, train
+from .trainer import AGENT_KINDS, ConfigError, evaluate, train
 
 SEED_ENV_VAR = "BMU_LAB_SEED"
 
@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train an agent across seeds")
     p_train.add_argument("--agent", default=None,
-                         choices=("synaptic", "bmu", "bmu-pool", "qtable"))
+                         choices=AGENT_KINDS)
     p_train.add_argument("--out", required=True, help="run output directory")
     p_train.add_argument("--config", default=None, help="flat key=value config file")
     p_train.add_argument("--seeds", type=int, default=None,
@@ -64,8 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ("--convergence-reward", "convergence_reward"),
         ("--window", "convergence_window"), ("--epsilon", "epsilon"),
         ("--epsilon-decay", "epsilon_decay"), ("--c-gain", "c_gain"),
-        ("--snapshot-every", "snapshot_every"), ("--q-init", "q_init"),
-        ("--encoder-init", "encoder_init"), ("--pool-capacity", "pool_capacity"),
+        ("--snapshot-every", "snapshot_every"), ("--init", "init"),
+        ("--pool-capacity", "pool_capacity"),
         ("--theta-limit", "theta_limit"), ("--x-limit", "x_limit"),
         ("--x-bin-bound", "x_bin_bound"), ("--x-dot-bound", "x_dot_bound"),
         ("--theta-dot-bound", "theta_dot_bound"),
@@ -136,13 +136,18 @@ def _handle_train(args) -> int:
     total = len(summary["seeds"])
     print(f"agent={config.agent} seeds={total} converged={converged}/{total}")
     for entry in summary["per_seed"]:
-        episode = entry["episodes_to_convergence"]
-        label = f"converged at episode {episode}" if entry["converged"] \
-            else f"not converged in {entry['episodes_run']} episodes"
+        if entry["failed"] is not None:
+            label = f"failed after {entry['episodes_run']} episodes: {entry['failed']}"
+        elif entry["converged"]:
+            label = f"converged at episode {entry['episodes_to_convergence']}"
+        else:
+            label = f"not converged in {entry['episodes_run']} episodes"
         stats = entry["final_stats"]
         print(f"  seed {entry['seed']}: {label}; "
               f"neurons={stats['neurons']} params={stats['parameter_count']}")
     print(f"run written to {args.out}")
+    if len(summary["failed_seeds"]) == total:
+        raise RuntimeError(f"every seed failed: {summary['per_seed'][0]['failed']}")
     return 0
 
 
@@ -218,6 +223,9 @@ def _handle_table2(args) -> int:
         fan_ins = [s["avg_fan_in"] for s in finals if s["avg_fan_in"] is not None]
         rows.append({
             "agent": summary["agent"],
+            "init": load_run_config(Path(run)).init,
+            # runs written before per-seed failures had none
+            "failed": len(summary.get("failed_seeds", ())),
             "episodes_to_convergence": _median(episodes),
             "neurons": _median([s["neurons"] for s in finals]),
             "avg_fan_in": _median(fan_ins),

@@ -5,8 +5,8 @@ run the same Bellman iteration over the same data: one row of kappa action
 values per discretized state, and, for the graph agents, which state each
 (state, action) transition last led to. `BellmanCore` holds exactly that,
 under row ids given out in first-seen order, and the four agent classes are
-thin adapters over it that differ only in how they initialise rows and how
-they render their state to files.
+thin adapters over it that differ only in how they render their state to
+files (and the range of their uniform row init).
 
 Agents are driven with the packed cell ids of `discretize`. The string key
 of a cell is rendered once, when its row is added, and is what the files
@@ -17,9 +17,25 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .discretize import cell_of, key_of, unpack
 from .graphio import GraphSnapshot
 from .metrics import NetworkStats, parameter_count
+
+INIT_MODES = ("optimistic", "zeros", "uniform")
+
+
+def optimistic_q(step_reward: float, gamma: float) -> float:
+    """Fixed point of an endless step-reward stream, r/(1 - gamma).
+
+    Rows spawned at exactly this value keep unexplored corridors
+    self-consistently optimistic (a transition into a fresh state maps the
+    value onto itself), so greedy selection systematically tries untested
+    actions until their real values emerge. Any other starting value decays
+    toward this one and injects ordering noise between untried actions.
+    """
+    return step_reward / (1.0 - gamma)
 
 
 def argmax(row) -> int:
@@ -35,14 +51,27 @@ class BellmanCore:
     the target id of the latest transition, in first-pointed order, and
     `fan_in[i]` counts the edges pointing at id i. Every edge adds exactly
     one unit of fan-in, so the fan-in total always equals the edge count.
+
+    A new row starts at `init`: the optimistic fixed point, zeros, or kappa
+    draws from `rng` uniform over the class's `uniform_range`.
     """
 
-    def __init__(self, kappa: int, alpha: float, gamma: float):
+    uniform_range = (0.0, 1e-3)
+
+    def __init__(self, kappa: int, alpha: float, gamma: float, init: str,
+                 rng: np.random.Generator | None = None, step_reward: float = 1.0):
         if kappa < 1:
             raise ValueError(f"kappa must be >= 1, got {kappa}")
+        if init not in INIT_MODES:
+            raise ValueError(f"init must be one of {INIT_MODES}, got {init!r}")
+        if init == "uniform" and rng is None:
+            raise ValueError("uniform init needs an rng")
         self.kappa = kappa
         self.alpha = alpha
         self.gamma = gamma
+        self.init = init
+        self.rng = rng
+        self.step_reward = step_reward
         self.keys: list[str] = []
         self.ids: dict[int, int] = {}
         self.rows: list[list[float]] = []
@@ -53,7 +82,11 @@ class BellmanCore:
 
     def new_row(self) -> list[float]:
         """Initial action values of a newly seen state."""
-        return [0.0] * self.kappa
+        if self.init == "uniform":
+            # one sized draw equals kappa scalar draws, value for value
+            return self.rng.uniform(*self.uniform_range, size=self.kappa).tolist()
+        q = optimistic_q(self.step_reward, self.gamma) if self.init == "optimistic" else 0.0
+        return [q] * self.kappa
 
     def add(self, cell: int, row: list[float]) -> None:
         self.ids[cell] = len(self.keys)

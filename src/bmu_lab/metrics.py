@@ -60,7 +60,8 @@ def degree_hist_csv(hist: DegreeHistogram) -> str:
     return "\n".join(lines) + "\n"
 
 
-SUMMARY_COLUMNS = ("agent", "episodes_to_convergence", "neurons", "avg_fan_in", "parameters")
+SUMMARY_COLUMNS = ("agent", "init", "episodes_to_convergence", "neurons", "avg_fan_in",
+                   "parameters", "failed")
 
 
 def _cell(value) -> str:

@@ -14,33 +14,27 @@ from __future__ import annotations
 
 from itertools import product
 
+import numpy as np
+
 from .core import BellmanCore
 from .discretize import cell_of, pack
 from .graphio import GraphSnapshot
 from .metrics import NetworkStats, parameter_count
-from .synaptic import optimistic_q
 
 
 class QTableAgent(BellmanCore):
     kind = "qtable"
 
     def __init__(self, kappa: int = 2, alpha: float = 0.9, gamma: float = 0.99,
-                 dense: bool = False, n_bins: int = 10, q_init: str = "zeros",
-                 step_reward: float = 1.0):
-        if q_init not in ("zeros", "optimistic"):
-            raise ValueError(f"q_init must be 'zeros' or 'optimistic', got {q_init!r}")
-        super().__init__(kappa, alpha, gamma)
+                 dense: bool = False, n_bins: int = 10, *, init: str,
+                 rng: np.random.Generator | None = None, step_reward: float = 1.0):
+        super().__init__(kappa, alpha, gamma, init, rng, step_reward)
         self.dense = dense
         self.n_bins = n_bins
-        self.q_init = q_init
-        self.init_value = optimistic_q(step_reward, gamma) if q_init == "optimistic" else 0.0
         self.visits: dict[str, int] = {}
         if dense:
             for bins in product(range(n_bins), repeat=4):
                 self.add(pack(bins), self.new_row())
-
-    def new_row(self) -> list[float]:
-        return [self.init_value] * self.kappa
 
     def row(self, cell: int) -> list[float]:
         """Stored row, or a zero view for unseen states (no insertion)."""
@@ -83,16 +77,18 @@ class QTableAgent(BellmanCore):
             "gamma": self.gamma,
             "dense": self.dense,
             "n_bins": self.n_bins,
-            "q_init": self.q_init,
+            "q_init": self.init,
             "rows": dict(self.sorted_rows()),
             "visits": dict(sorted(self.visits.items())),
         }
 
     @classmethod
     def deserialize(cls, payload: dict) -> "QTableAgent":
+        # a loaded table that adds rows draws uniform ones from seed 0
         agent = cls(kappa=payload["kappa"], alpha=payload["alpha"],
                     gamma=payload["gamma"], dense=payload["dense"],
-                    n_bins=payload["n_bins"], q_init=payload.get("q_init", "zeros"))
+                    n_bins=payload["n_bins"], init=payload.get("q_init", "zeros"),
+                    rng=np.random.default_rng(0))
         for key, row in payload["rows"].items():
             row = [float(v) for v in row]
             cell = cell_of(key)

@@ -23,11 +23,12 @@ import json
 import os
 import shutil
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .bmu import BmuAgent, PoolAgent
 from .cartpole import trajectory_csv
+from .core import INIT_MODES
 from .graphio import GraphSnapshot, to_dot, to_gexf
 from .metrics import degree_hist_csv, degree_distribution
 from .qtable import QTableAgent
@@ -79,12 +80,35 @@ _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
                "yes": True, "no": False}
 
 
-def config_from_entries(entries: dict[str, str],
-                        base: TrainConfig | None = None) -> TrainConfig:
-    base = base or TrainConfig()
-    known = {f.name: f for f in fields(TrainConfig)}
-    values = {name: getattr(base, name) for name in known}
+def _legacy_init(agent: str, legacy: dict[str, str]) -> str:
+    """The init of a config written before the `init` key: the key that
+    applied to the run's kind decides, with that key's old default."""
+    if agent == "bmu":
+        return legacy.get("encoder_init", "uniform")
+    if agent == "bmu-pool":
+        return "zeros"
+    q_init = legacy.get("q_init", "optimistic")
+    # the Q-table had no uniform init and started such runs at zeros
+    return "zeros" if agent == "qtable" and q_init == "uniform" else q_init
+
+
+def config_from_entries(entries: dict[str, str]) -> TrainConfig:
+    """A config from flat entries over the `TrainConfig` defaults.
+
+    The legacy keys `q_init` and `encoder_init` still parse: when `init` is
+    absent they decide it as they did for the run's kind, so old run
+    directories and config files replay unchanged.
+    """
+    base = TrainConfig()
+    known = {f.name for f in fields(TrainConfig)}
+    values: dict = {}
+    legacy: dict[str, str] = {}
     for key, raw in entries.items():
+        if key in ("q_init", "encoder_init"):
+            if raw not in INIT_MODES:
+                raise ConfigError(f"{key} must be one of {INIT_MODES}, got {raw!r}")
+            legacy[key] = raw
+            continue
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
         if key == "seeds":
@@ -105,7 +129,9 @@ def config_from_entries(entries: dict[str, str],
                 values[key] = raw
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"bad value for config key {key!r}: {raw!r}") from exc
-    return TrainConfig(**values)
+    if legacy and "init" not in values:
+        values["init"] = _legacy_init(values.get("agent", base.agent), legacy)
+    return replace(base, **values)
 
 
 def load_run_config(run_dir: Path) -> TrainConfig:
@@ -187,13 +213,15 @@ def _stats_summary(agent) -> dict:
 
 
 def seed_summary(metrics: RunMetrics, agent) -> dict:
+    # a seed that failed in its first episode has no final values
     return {
         "seed": metrics.seed,
         "converged": metrics.converged,
         "episodes_to_convergence": metrics.episodes_to_convergence,
         "episodes_run": metrics.episodes_run,
-        "final_reward": metrics.rewards[-1],
-        "final_moving_avg": metrics.moving_avg[-1],
+        "failed": metrics.failed,
+        "final_reward": metrics.rewards[-1] if metrics.rewards else None,
+        "final_moving_avg": metrics.moving_avg[-1] if metrics.rewards else None,
         "total_spawned": sum(metrics.spawned),
         "final_stats": _stats_summary(agent),
         "wall_clock_seconds": metrics.wall_clock_seconds,
@@ -266,6 +294,7 @@ def _write_train_run(config: TrainConfig, out_dir: Path) -> dict:
         "seeds": list(config.seeds),
         "converged_count": aggregate.converged_count,
         "convergence_episodes": aggregate.convergence_episodes,
+        "failed_seeds": [r.metrics.seed for r in results if r.metrics.failed is not None],
         "episodes": aggregate.episodes,
         "per_seed": per_seed,
         "wall_clock_seconds": sum(r.metrics.wall_clock_seconds for r in results),

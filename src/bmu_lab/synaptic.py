@@ -48,21 +48,6 @@ def synaptic_filter(spike_train, tau: float, t: int) -> float:
     return sum(spike_train[x] * math.exp(-(t - x) / tau) for x in range(t + 1))
 
 
-Q_INIT_MODES = ("optimistic", "zeros", "uniform")
-
-
-def optimistic_q(step_reward: float, gamma: float) -> float:
-    """Fixed point of an endless step-reward stream, r/(1 - gamma).
-
-    Spawning synapses at exactly this value keeps unexplored corridors
-    self-consistently optimistic (a transition into a fresh state maps the
-    value onto itself), so greedy selection systematically tries untested
-    actions until their real values emerge. Any other starting value decays
-    toward this one and injects ordering noise between untried actions.
-    """
-    return step_reward / (1.0 - gamma)
-
-
 class SynapticAgent(BellmanCore):
     """One neuron per state; its kappa synapses carry the Q values.
 
@@ -74,25 +59,12 @@ class SynapticAgent(BellmanCore):
     kind = "synaptic"
 
     def __init__(self, kappa: int = 2, alpha: float = 0.9, gamma: float = 0.99,
-                 c: float = 1.0, q_init: str = "optimistic",
-                 rng: np.random.Generator | None = None, step_reward: float = 1.0):
-        if q_init not in Q_INIT_MODES:
-            raise ValueError(f"q_init must be one of {Q_INIT_MODES}, got {q_init!r}")
-        if q_init == "uniform" and rng is None:
-            raise ValueError("uniform q_init needs an rng")
-        super().__init__(kappa, alpha, gamma)
+                 c: float = 1.0, *, init: str, rng: np.random.Generator | None = None,
+                 step_reward: float = 1.0):
+        super().__init__(kappa, alpha, gamma, init, rng, step_reward)
         self.tau = gamma_to_tau(gamma)
         self.c = c
-        self.q_init = q_init
-        self.rng = rng
-        self.step_reward = step_reward
         self.open_gate: tuple[int, int] | None = None
-
-    def new_row(self) -> list[float]:
-        if self.q_init == "uniform":
-            return [float(self.rng.uniform(0.0, 1e-3)) for _ in range(self.kappa)]
-        q = optimistic_q(self.step_reward, self.gamma) if self.q_init == "optimistic" else 0.0
-        return [q] * self.kappa
 
     def select(self, cell: int, forced: int | None = None) -> int:
         source = self.ids[cell]
@@ -150,7 +122,7 @@ class SynapticAgent(BellmanCore):
     def deserialize(cls, payload: dict) -> "SynapticAgent":
         # stored values overwrite the init, so any deterministic mode works
         agent = cls(kappa=payload["kappa"], alpha=payload["alpha"],
-                    gamma=payload["gamma"], c=payload["c"], q_init="zeros")
+                    gamma=payload["gamma"], c=payload["c"], init="zeros")
         for entry in payload["neurons"]:
             agent.add(cell_of(entry["key"]), [float(syn["q"]) for syn in entry["synapses"]])
         for i, entry in enumerate(payload["neurons"]):

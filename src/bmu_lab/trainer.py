@@ -2,12 +2,13 @@
 
 A run is fully determined by its config and a single integer seed: the
 seed fans out into independent streams for episode initial conditions,
-agent initialization (random encoders) and the optional exploration
+agent initialization (uniform rows) and the optional exploration
 override. The exploration draws are decoded from the stream's raw words
 (`Exploration`) into exactly the values numpy's `Generator` would return.
 Training stops once the trailing window of episodes all meet
 the convergence reward, or at the episode cap; non-convergence is a
-recorded outcome, not an error.
+recorded outcome, not an error, and so is a neuron pool running out of
+neurons, which ends that seed's run early.
 """
 
 from __future__ import annotations
@@ -18,13 +19,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bmu import ENCODER_INIT_MODES, BmuAgent, PoolAgent
+from .bmu import BmuAgent, PoolAgent, PoolCapacityError
 from .cartpole import CartPoleEnv, CartState, EnvParams
-from .core import argmax
+from .core import INIT_MODES, argmax
 from .discretize import BinSpec, discretize
 from .graphio import GraphSnapshot
 from .qtable import QTableAgent
-from .synaptic import Q_INIT_MODES, SynapticAgent
+from .synaptic import SynapticAgent
 
 AGENT_KINDS = ("synaptic", "bmu", "bmu-pool", "qtable")
 
@@ -61,8 +62,7 @@ class TrainConfig:
     epsilon: float = 0.0
     epsilon_decay: float = 1.0
     snapshot_every: int = 0
-    q_init: str = "optimistic"
-    encoder_init: str = "uniform"
+    init: str = "optimistic"
     pool_capacity: int = 300
     qtable_dense: bool = False
     theta_limit: float = 0.2095
@@ -110,12 +110,8 @@ class TrainConfig:
             raise ConfigError(f"snapshot_every must be >= 0, got {self.snapshot_every}")
         if self.pool_capacity < 1:
             raise ConfigError(f"pool_capacity must be >= 1, got {self.pool_capacity}")
-        if self.q_init not in Q_INIT_MODES:
-            raise ConfigError(f"q_init must be one of {Q_INIT_MODES}, got {self.q_init!r}")
-        if self.encoder_init not in ENCODER_INIT_MODES:
-            raise ConfigError(
-                f"encoder_init must be one of {ENCODER_INIT_MODES}, got {self.encoder_init!r}"
-            )
+        if self.init not in INIT_MODES:
+            raise ConfigError(f"init must be one of {INIT_MODES}, got {self.init!r}")
         # env invariants surface here as config errors with the offending key
         try:
             self.env_params()
@@ -151,22 +147,17 @@ class TrainConfig:
 
 
 def make_agent(config: TrainConfig, rng: np.random.Generator):
+    common = {"alpha": config.alpha, "gamma": config.gamma, "init": config.init,
+              "rng": rng, "step_reward": config.step_reward}
     if config.agent == "synaptic":
-        return SynapticAgent(kappa=config.kappa, alpha=config.alpha, gamma=config.gamma,
-                             c=config.c_gain, q_init=config.q_init, rng=rng,
-                             step_reward=config.step_reward)
+        return SynapticAgent(kappa=config.kappa, c=config.c_gain, **common)
     if config.agent == "bmu":
-        return BmuAgent(b=config.kappa, d=1, alpha=config.alpha, gamma=config.gamma,
-                        rng=rng, encoder_init=config.encoder_init,
-                        step_reward=config.step_reward)
+        return BmuAgent(b=config.kappa, d=1, **common)
     if config.agent == "bmu-pool":
-        return PoolAgent(capacity=config.pool_capacity, n_actions=config.kappa,
-                         alpha=config.alpha, gamma=config.gamma)
+        return PoolAgent(capacity=config.pool_capacity, n_actions=config.kappa, **common)
     if config.agent == "qtable":
-        q_init = "optimistic" if config.q_init == "optimistic" else "zeros"
-        return QTableAgent(kappa=config.kappa, alpha=config.alpha, gamma=config.gamma,
-                           dense=config.qtable_dense, n_bins=config.n_bins,
-                           q_init=q_init, step_reward=config.step_reward)
+        return QTableAgent(kappa=config.kappa, dense=config.qtable_dense,
+                           n_bins=config.n_bins, **common)
     raise ConfigError(f"agent must be one of {AGENT_KINDS}, got {config.agent!r}")
 
 
@@ -337,6 +328,8 @@ class RunMetrics:
     converged: bool
     episodes_to_convergence: int | None
     wall_clock_seconds: float
+    # why the run ended before convergence or the cap, if it did
+    failed: str | None = None
 
     @property
     def episodes_run(self) -> int:
@@ -385,8 +378,13 @@ def train(config: TrainConfig, seed: int,
     streak = 0
     epsilon = config.epsilon
     for episode, episode_seed in enumerate(episode_seeds, start=1):
-        record = run_episode(agent, env, config, episode_seed,
-                             explore=explore, epsilon=epsilon, spec=spec)
+        try:
+            record = run_episode(agent, env, config, episode_seed,
+                                 explore=explore, epsilon=epsilon, spec=spec)
+        except PoolCapacityError as exc:
+            # the seed's outcome; the unfinished episode is not recorded
+            metrics.failed = str(exc)
+            break
         epsilon *= config.epsilon_decay
 
         metrics.rewards.append(record.total_reward)
@@ -432,8 +430,10 @@ def aggregate_curves(curves: list[list[float]]) -> tuple[list[float], list[float
 
     Shorter (converged) runs are padded with their final value so the band
     is defined at every episode; sigma is the population spread, so a
-    single seed gives a zero-width band.
+    single seed gives a zero-width band. No curves give empty lists.
     """
+    if not curves:
+        return [], [], []
     length = max(len(curve) for curve in curves)
     padded = np.array([curve + [curve[-1]] * (length - len(curve)) for curve in curves])
     mean = padded.mean(axis=0)
@@ -443,9 +443,11 @@ def aggregate_curves(curves: list[list[float]]) -> tuple[list[float], list[float
 
 def multi_seed(config: TrainConfig,
                snapshot_episodes=None) -> tuple[AggregateMetrics, list[TrainResult]]:
+    """Train every seed; the aggregate curves cover the seeds that did not fail."""
     config.validate()
     results = [train(config, seed, snapshot_episodes) for seed in config.seeds]
-    mean, lo, hi = aggregate_curves([r.metrics.moving_avg for r in results])
+    mean, lo, hi = aggregate_curves([r.metrics.moving_avg for r in results
+                                     if r.metrics.failed is None])
     aggregate = AggregateMetrics(
         episodes=len(mean),
         mean=mean,
@@ -491,7 +493,9 @@ def evaluate(agent, config: TrainConfig, seed: int, n_episodes: int) -> EvalRepo
         raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
     spec = config.bin_spec()
     env = CartPoleEnv(config.env_params())
-    seeder = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    # training draws from the first three children of the seed, so the
+    # fourth gives initial states no training episode of that seed saw
+    seeder = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[3])
     report = EvalReport(rewards=[], steps=[], traces=[], trajectories=[])
     for episode_seed in seeder.integers(0, 2 ** 63, size=n_episodes).tolist():
         state = env.reset(episode_seed)

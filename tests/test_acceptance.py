@@ -37,7 +37,7 @@ def default_runs():
 @pytest.fixture(scope="session")
 def converged_bmu_run():
     """An ensemble-per-state run trained to convergence."""
-    config = TrainConfig(agent="bmu", encoder_init="optimistic", max_episodes=600)
+    config = TrainConfig(agent="bmu", init="optimistic", max_episodes=600)
     result = train(config, 0)
     assert result.metrics.converged
     return result
@@ -45,11 +45,10 @@ def converged_bmu_run():
 
 def matched_zero_agents():
     return [
-        SynapticAgent(kappa=2, alpha=0.9, gamma=0.99, q_init="zeros"),
-        BmuAgent(b=2, d=1, alpha=0.9, gamma=0.99,
-                 rng=np.random.default_rng(0), encoder_init="zeros"),
-        PoolAgent(capacity=128, n_actions=2, alpha=0.9, gamma=0.99),
-        QTableAgent(kappa=2, alpha=0.9, gamma=0.99),
+        SynapticAgent(kappa=2, alpha=0.9, gamma=0.99, init="zeros"),
+        BmuAgent(b=2, d=1, alpha=0.9, gamma=0.99, init="zeros"),
+        PoolAgent(capacity=128, n_actions=2, alpha=0.9, gamma=0.99, init="zeros"),
+        QTableAgent(kappa=2, alpha=0.9, gamma=0.99, init="zeros"),
     ]
 
 
@@ -115,11 +114,10 @@ def test_bellman_fixed_point():
     gamma, alpha = 0.9, 0.9
     q_star = solve_q_star(gamma)
     agents = [
-        SynapticAgent(kappa=2, alpha=alpha, gamma=gamma, q_init="zeros"),
-        BmuAgent(b=2, d=1, alpha=alpha, gamma=gamma,
-                 rng=np.random.default_rng(1), encoder_init="zeros"),
-        PoolAgent(capacity=8, n_actions=2, alpha=alpha, gamma=gamma),
-        QTableAgent(kappa=2, alpha=alpha, gamma=gamma),
+        SynapticAgent(kappa=2, alpha=alpha, gamma=gamma, init="zeros"),
+        BmuAgent(b=2, d=1, alpha=alpha, gamma=gamma, init="zeros"),
+        PoolAgent(capacity=8, n_actions=2, alpha=alpha, gamma=gamma, init="zeros"),
+        QTableAgent(kappa=2, alpha=alpha, gamma=gamma, init="zeros"),
     ]
     started = time.perf_counter()
     for agent in agents:
@@ -187,7 +185,7 @@ def test_parameter_bookkeeping(default_runs):
     for result in results:
         stats = result.agent.stats()
         assert stats.parameter_count == stats.neurons * 4
-    dense = QTableAgent(kappa=2, dense=True, n_bins=10)
+    dense = QTableAgent(kappa=2, dense=True, n_bins=10, init="zeros")
     assert dense.stats().parameter_count == 40_000
     assert dense.stats().neurons == 10_000
     report("parameter bookkeeping (neurons x 4; dense table 40000)")

@@ -50,7 +50,7 @@ def activity(encoders, gain=1.0, bias=0.0, g=lambda current: current):
 class TestSpawnEnsemble:
     def test_seeded_encoders_reproducible_in_range(self):
         def build():
-            agent = BmuAgent(b=2, d=1, rng=np.random.default_rng(7))
+            agent = BmuAgent(b=2, d=1, init="uniform", rng=np.random.default_rng(7))
             agent.ensure(cell_of("5_5_5_5_"))
             return agent.q_values(cell_of("5_5_5_5_"))
 
@@ -59,7 +59,7 @@ class TestSpawnEnsemble:
         assert all(-1.0 <= q <= 1.0 for q in a)
 
     def test_population_grows_by_one(self):
-        agent = BmuAgent(rng=np.random.default_rng(0))
+        agent = BmuAgent(init="uniform", rng=np.random.default_rng(0))
         agent.ensure(cell_of("1_1_1_1_"))
         assert agent.stats().neurons == 1
         agent.ensure(cell_of("2_2_2_2_"))
@@ -67,19 +67,19 @@ class TestSpawnEnsemble:
         assert agent.snapshot().node_ids() == ["1_1_1_1_", "2_2_2_2_"]
 
     def test_q_readback_equals_encoder(self):
-        agent = BmuAgent(rng=np.random.default_rng(3))
+        agent = BmuAgent(init="uniform", rng=np.random.default_rng(3))
         agent.ensure(cell_of("1_1_1_1_"))
         assert agent.q_values(cell_of("1_1_1_1_")) == encoders_of(agent, "1_1_1_1_")
 
     def test_duplicate_key_rejected(self):
-        agent = BmuAgent(rng=np.random.default_rng(0))
+        agent = BmuAgent(init="uniform", rng=np.random.default_rng(0))
         assert agent.ensure(cell_of("1_1_1_1_")) is True
         assert agent.ensure(cell_of("1_1_1_1_")) is False
         assert agent.stats().neurons == 1
 
     def test_bad_init_mode_rejected(self):
-        with pytest.raises(ValueError, match="encoder_init"):
-            BmuAgent(rng=np.random.default_rng(0), encoder_init="gaussian")
+        with pytest.raises(ValueError, match="init"):
+            BmuAgent(rng=np.random.default_rng(0), init="gaussian")
 
 
 class TestActivity:
@@ -154,7 +154,7 @@ class TestBmuUpdate:
 
 def test_encoder_q_identity_through_random_updates():
     rng = np.random.default_rng(31)
-    agent = BmuAgent(b=2, d=1, alpha=0.9, gamma=0.99, rng=rng)
+    agent = BmuAgent(b=2, d=1, alpha=0.9, gamma=0.99, init="uniform", rng=rng)
     keys = [f"{i}_{i}_{i}_{i}_" for i in range(15)]
     for key in keys:
         agent.ensure(cell_of(key))
@@ -168,7 +168,7 @@ def test_encoder_q_identity_through_random_updates():
 
 class TestPool:
     def test_assign_claims_sequential_neurons(self):
-        agent = PoolAgent(capacity=300, n_actions=2)
+        agent = PoolAgent(capacity=300, n_actions=2, init="zeros")
         for i in range(250):
             agent.ensure(pack((i, 0, 0, 0)))
         assigned = agent.serialize()["assigned"]
@@ -176,14 +176,14 @@ class TestPool:
         assert agent.stats().neurons == 250
 
     def test_capacity_error_names_size(self):
-        agent = PoolAgent(capacity=2, n_actions=2)
+        agent = PoolAgent(capacity=2, n_actions=2, init="zeros")
         agent.ensure(A)
         agent.ensure(B)
         with pytest.raises(PoolCapacityError, match="2"):
             agent.ensure(C)
 
     def test_duplicate_assignment_rejected(self):
-        agent = PoolAgent(capacity=1)
+        agent = PoolAgent(capacity=1, init="zeros")
         assert agent.ensure(A) is True
         assert agent.ensure(A) is False  # no second neuron, so no capacity error
 
@@ -197,14 +197,14 @@ class TestPool:
         assert agent.q_values(A)[0] == pytest.approx(0.9 * (1.0 + 0.99 * 0.3))
 
     def test_injectivity(self):
-        agent = PoolAgent(capacity=64)
+        agent = PoolAgent(capacity=64, init="zeros")
         for i in range(64):
             agent.ensure(pack((i, 0, 0, 0)))
         indices = [index for _, index in agent.serialize()["assigned"]]
         assert len(set(indices)) == len(indices) == 64
 
     def test_stats_count_assigned_not_capacity(self):
-        agent = PoolAgent(capacity=300, n_actions=2)
+        agent = PoolAgent(capacity=300, n_actions=2, init="zeros")
         for i in range(10):
             agent.ensure(pack((i, 0, 0, 0)))
         stats = agent.stats()
@@ -222,8 +222,8 @@ def test_pool_matches_graph_agent_on_shared_stream():
                        float(rng.choice([1.0, -10.0])), cells[rng.integers(20)],
                        bool(rng.uniform() < 0.05)))
 
-    pool_agent = PoolAgent(capacity=64, n_actions=2, alpha=0.9, gamma=0.99)
-    graph_agent = SynapticAgent(kappa=2, alpha=0.9, gamma=0.99, q_init="zeros")
+    pool_agent = PoolAgent(capacity=64, n_actions=2, alpha=0.9, gamma=0.99, init="zeros")
+    graph_agent = SynapticAgent(kappa=2, alpha=0.9, gamma=0.99, init="zeros")
     for s, action, reward, s2, terminal in stream:
         for agent in (pool_agent, graph_agent):
             agent.ensure(s)
@@ -239,7 +239,7 @@ def test_pool_matches_graph_agent_on_shared_stream():
 
 
 def test_population_stats_parameter_convention():
-    agent = BmuAgent(b=2, d=1, rng=np.random.default_rng(0))
+    agent = BmuAgent(b=2, d=1, init="uniform", rng=np.random.default_rng(0))
     for i in range(7):
         agent.ensure(pack((i, 0, 0, 0)))
     stats = agent.stats()
@@ -248,7 +248,7 @@ def test_population_stats_parameter_convention():
 
 
 def test_encoder_csv_layout():
-    agent = BmuAgent(b=2, d=1, rng=np.random.default_rng(0), encoder_init="zeros")
+    agent = BmuAgent(b=2, d=1, init="zeros")
     agent.ensure(cell_of("1_2_3_4_"))
     name, text = agent.value_table()
     lines = text.strip().split("\n")

@@ -1,18 +1,16 @@
 """Environment tests: dynamics against an independent transcription of the
 reference cartpole equations, termination rules, reward accounting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from bmu_lab.cartpole import (
-    CartPoleEnv,
-    CartState,
-    EnvParams,
-    euler_step,
-    is_terminal,
-    step,
-    trajectory_csv,
-)
+from bmu_lab.cartpole import CartPoleEnv, CartState, EnvParams, trajectory_csv
+from bmu_lab.trainer import TrainConfig
+
+# the package's limits and rewards, which live only in TrainConfig
+PARAMS = TrainConfig().env_params()
 
 # frozen after the first run; regression-guards the seeded sampler
 GOLDEN_RESET_0 = (
@@ -48,106 +46,109 @@ def reference_step(state, force):
     )
 
 
+def placed(state, params=PARAMS, t=0):
+    """An env holding `state` at step `t`."""
+    env = CartPoleEnv(params)
+    env.place(state, t)
+    return env
+
+
 class TestReset:
     def test_deterministic_under_fixed_seed(self):
-        a, b = CartPoleEnv().reset(42), CartPoleEnv().reset(42)
+        a, b = CartPoleEnv(PARAMS).reset(42), CartPoleEnv(PARAMS).reset(42)
         assert a == b
 
     def test_components_within_spread(self):
         for seed in range(200):
-            env = CartPoleEnv()
+            env = CartPoleEnv(PARAMS)
             state = env.reset(seed)
             assert len(state) == 4
             assert all(abs(v) <= 0.05 for v in state)
             assert env.t == 0
 
     def test_golden_seed_zero(self):
-        assert CartPoleEnv().reset(0) == GOLDEN_RESET_0
+        assert CartPoleEnv(PARAMS).reset(0) == GOLDEN_RESET_0
 
 
 class TestTermination:
     def test_position_limit(self):
-        assert is_terminal(CartState(2.5, 0, 0, 0))
+        assert placed((2.5, 0, 0, 0)).terminated
 
     def test_angle_limit(self):
-        assert is_terminal(CartState(0, 0, 0.43, 0))
+        assert placed((0, 0, 0.43, 0)).terminated
 
     def test_origin_interior(self):
-        assert not is_terminal(CartState(0, 0, 0, 0))
+        assert not placed((0, 0, 0, 0)).terminated
 
     def test_limits_follow_params(self):
-        tight = EnvParams(theta_limit=0.2095)
-        assert is_terminal(CartState(0, 0, 0.3, 0), tight)
-        assert not is_terminal(CartState(0, 0, 0.3, 0), EnvParams())
+        tight = replace(PARAMS, theta_limit=0.2095)
+        loose = replace(PARAMS, theta_limit=0.418)
+        assert placed((0, 0, 0.3, 0), tight).terminated
+        assert not placed((0, 0, 0.3, 0), loose).terminated
 
 
 class TestStep:
     def test_right_push_tips_pole_left(self):
-        out = step(CartState(0, 0, 0, 0), action=1)
-        assert out.next_state.theta_dot < 0
-        assert abs(out.next_state.x_dot) > 0
+        next_state, *_ = placed((0, 0, 0, 0)).step(1)
+        assert next_state[3] < 0
+        assert abs(next_state[1]) > 0
 
     def test_reward_is_step_reward_when_alive(self):
-        out = step(CartState(0, 0, 0, 0), action=0)
-        assert out.reward == 1.0
-        assert not out.terminated and not out.truncated
+        _, reward, terminated, truncated = placed((0, 0, 0, 0)).step(0)
+        assert reward == 1.0
+        assert not terminated and not truncated
 
     def test_fail_reward_replaces_step_reward(self):
-        out = step(CartState(2.39, 3.0, 0, 0), action=1)
-        assert out.terminated
-        assert out.reward == -10.0
+        _, reward, terminated, _ = placed((2.39, 3.0, 0, 0)).step(1)
+        assert terminated
+        assert reward == -10.0
 
     def test_terminated_and_truncated_exclusive(self):
-        params = EnvParams()
-        state = CartState(2.39, 3.0, 0, 0, t=params.max_steps - 1)
-        out = step(state, 1, params)
-        assert out.terminated and not out.truncated
+        env = placed((2.39, 3.0, 0, 0), t=PARAMS.max_steps - 1)
+        _, _, terminated, truncated = env.step(1)
+        assert terminated and not truncated
 
     def test_stepping_terminal_state_rejected(self):
         with pytest.raises(ValueError, match="terminal"):
-            step(CartState(0, 0, 0.5, 0), 0)
+            placed((0, 0, 0.5, 0)).step(0)
 
     def test_bad_action_rejected(self):
         with pytest.raises(ValueError, match="action"):
-            step(CartState(0, 0, 0, 0), 2)
+            placed((0, 0, 0, 0)).step(2)
 
     def test_golden_trajectory_matches_reference(self):
         """Ten alternating-action steps against the independent oracle."""
-        params = EnvParams()
-        state = CartState(0.01, 0.0, 0.02, 0.0)
+        env = placed((0.01, 0.0, 0.02, 0.0))
         oracle = (0.01, 0.0, 0.02, 0.0)
         for i in range(10):
             action = i % 2
-            out = step(state, action, params)
+            got, *_ = env.step(action)
             oracle = reference_step(oracle, 10.0 if action == 1 else -10.0)
-            got = out.next_state.components()
             np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-10)
-            state = out.next_state
 
     def test_rest_at_origin_is_fixed_point_of_unforced_dynamics(self):
-        params = EnvParams()
-        state = CartState(0, 0, 0, 0)
+        env = CartPoleEnv(PARAMS)
+        state = (0.0, 0.0, 0.0, 0.0)
         for _ in range(100):
-            state = euler_step(state, 0.0, params)
-        assert state.components() == (0.0, 0.0, 0.0, 0.0)
+            state = env.integrate(state, 0.0)
+        assert state == (0.0, 0.0, 0.0, 0.0)
 
     def test_reflection_symmetry(self):
         rng = np.random.default_rng(7)
-        params = EnvParams()
+        env = CartPoleEnv(PARAMS)
+        force = PARAMS.force_mag
         for _ in range(500):
-            state = CartState(*rng.uniform(-0.3, 0.3, size=4))
-            mirrored = CartState(-state.x, -state.x_dot, -state.theta, -state.theta_dot)
+            state = tuple(rng.uniform(-0.3, 0.3, size=4).tolist())
+            mirrored = tuple(-v for v in state)
             for action in (0, 1):
-                a = step(state, action, params).next_state
-                b = step(mirrored, 1 - action, params).next_state
-                np.testing.assert_allclose(
-                    a.components(), [-v for v in b.components()], rtol=0, atol=1e-12
-                )
+                a = env.integrate(state, force if action == 1 else -force)
+                b = env.integrate(mirrored, -force if action == 1 else force)
+                np.testing.assert_allclose(a, [-v for v in b], rtol=0, atol=1e-12)
 
 
 class TestEnvClass:
     def test_reward_accounting_exact(self):
-        env = CartPoleEnv()
+        env = CartPoleEnv(PARAMS)
         for seed in range(20):
             env.reset(seed)
             total, steps = 0.0, 0
@@ -164,7 +165,7 @@ class TestEnvClass:
 
     def test_bit_identical_trajectories(self):
         def rollout(seed):
-            env = CartPoleEnv()
+            env = CartPoleEnv(PARAMS)
             env.reset(seed)
             states = []
             for i in range(40):
@@ -177,22 +178,25 @@ class TestEnvClass:
         assert rollout(5) == rollout(5)
 
     def test_matches_pure_step_from_every_state(self):
-        env = CartPoleEnv()
+        """A step depends only on (state, t): a fresh env placed at every
+        state of a rollout steps exactly as the rolling env does."""
+        env = CartPoleEnv(PARAMS)
         for seed in range(10):
-            state = CartState(*env.reset(seed), t=env.t)
+            state = env.reset(seed)
             while True:
-                action = int(state.theta_dot > 0)
-                want = step(state, action)
+                action = int(state[3] > 0)
+                fresh = placed(state, t=env.t)
+                want = fresh.step(action)
                 got = env.step(action)
-                assert got == (want.next_state.components(), want.reward,
-                               want.terminated, want.truncated)
-                assert env.t == want.next_state.t
-                if want.terminated or want.truncated:
+                assert got == want
+                assert env.t == fresh.t
+                next_state, _, terminated, truncated = want
+                if terminated or truncated:
                     break
-                state = want.next_state
+                state = next_state
 
     def test_step_checks(self):
-        env = CartPoleEnv()
+        env = CartPoleEnv(PARAMS)
         with pytest.raises(ValueError, match="reset"):
             env.step(0)
         env.reset(0)
@@ -200,20 +204,20 @@ class TestEnvClass:
             env.step(2)
         while not env.step(1)[2]:
             pass
-        assert env.is_terminal()
+        assert env.terminated
         with pytest.raises(ValueError, match="terminal"):
             env.step(0)
 
     def test_unseeded_first_reset_rejected(self):
         with pytest.raises(ValueError, match="seed"):
-            CartPoleEnv().reset()
+            CartPoleEnv(PARAMS).reset()
 
     def test_reset_continues_stream_without_seed(self):
-        env = CartPoleEnv()
+        env = CartPoleEnv(PARAMS)
         first = env.reset(3)
         second = env.reset()
         assert first != second
-        env2 = CartPoleEnv()
+        env2 = CartPoleEnv(PARAMS)
         env2.reset(3)
         assert env2.reset() == second
 
@@ -221,13 +225,21 @@ class TestEnvClass:
 class TestParams:
     def test_positive_quantities_enforced(self):
         with pytest.raises(ValueError, match="force_mag"):
-            EnvParams(force_mag=0.0)
+            replace(PARAMS, force_mag=0.0)
         with pytest.raises(ValueError, match="dt"):
-            EnvParams(dt=-0.01)
+            replace(PARAMS, dt=-0.01)
 
     def test_max_steps_floor(self):
         with pytest.raises(ValueError, match="max_steps"):
-            EnvParams(max_steps=100)
+            replace(PARAMS, max_steps=100)
+
+    def test_limits_and_rewards_have_no_defaults(self):
+        with pytest.raises(TypeError, match="max_steps"):
+            EnvParams()
+        with pytest.raises(TypeError, match="params"):
+            CartPoleEnv()
+        assert (PARAMS.max_steps, PARAMS.theta_limit, PARAMS.x_limit,
+                PARAMS.step_reward, PARAMS.fail_reward) == (250, 0.2095, 2.4, 1.0, -10.0)
 
 
 def test_trajectory_csv_layout():

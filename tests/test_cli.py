@@ -95,6 +95,49 @@ class TestTrain:
         assert code == 1
         assert "2 neurons" in capsys.readouterr().err
 
+    def test_full_pool_recorded_per_seed(self, tmp_path, capsys):
+        out, alone = tmp_path / "run", tmp_path / "alone"
+        args = ["train", "--agent", "bmu-pool", "--pool-capacity", "22",
+                "--max-episodes", "10", "--window", "10"]
+        assert run_cli(args + ["--seed-list", "0,1", "--out", out]) == 0
+        assert "seed 1: failed after 9 episodes: neuron pool exhausted" in capsys.readouterr().out
+        summary = json.loads(read(out / "summary.json"))
+        assert summary["failed_seeds"] == [1]
+        assert summary["convergence_episodes"] == [None, None]
+        assert [e["failed"] for e in summary["per_seed"]] == [
+            None, "neuron pool exhausted: all 22 neurons assigned"]
+        seed1 = json.loads(read(out / "seed1" / "summary.json"))
+        assert seed1["failed"] == summary["per_seed"][1]["failed"]
+        assert seed1["episodes_run"] == 9
+        assert len(read(out / "seed1" / "rewards.csv").splitlines()) == 1 + 9
+        # the bands cover only the seed that did not fail
+        assert run_cli(args + ["--seed-list", "0", "--out", alone]) == 0
+        assert read(out / "aggregate.csv") == read(alone / "aggregate.csv")
+        assert json.loads(read(alone / "summary.json"))["failed_seeds"] == []
+
+    def test_every_seed_failed_exits_1_with_the_run_written(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli(["train", "--agent", "bmu-pool", "--pool-capacity", "5",
+                        "--seed-list", "0,1", "--out", out] + TINY) == 1
+        assert capsys.readouterr().err.startswith("error: every seed failed")
+        summary = json.loads(read(out / "summary.json"))
+        assert summary["failed_seeds"] == [0, 1]
+        assert summary["episodes"] == 0
+        assert read(out / "aggregate.csv") == "episode,mean,lo_band,hi_band\n"
+        for entry in summary["per_seed"]:
+            assert entry["episodes_run"] == 0
+            assert entry["final_reward"] is None and entry["final_moving_avg"] is None
+
+    def test_init_flag(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli(["train", "--agent", "qtable", "--init", "uniform", "--seeds", "1",
+                        "--out", out] + TINY) == 0
+        assert "init = uniform\n" in read(out / "config.txt")
+        assert json.loads(read(out / "seed0" / "agent.json"))["q_init"] == "uniform"
+        for legacy in ("--q-init", "--encoder-init"):
+            with pytest.raises(SystemExit):
+                run_cli(["train", "--agent", "qtable", legacy, "zeros", "--out", tmp_path / "x"])
+
     def test_rewards_csv_bit_identical_across_invocations(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         args = ["train", "--agent", "synaptic", "--seeds", "1",
@@ -203,11 +246,34 @@ class TestTable2:
         table = tmp_path / "table2.csv"
         assert run_cli(["table2", "--runs", run_a, run_b, "--out", table]) == 0
         lines = read(table).strip().split("\n")
-        assert lines[0] == "agent,episodes_to_convergence,neurons,avg_fan_in,parameters"
+        assert lines[0] == ("agent,init,episodes_to_convergence,neurons,avg_fan_in,"
+                            "parameters,failed")
         assert len(lines) == 3
-        assert lines[1].startswith("synaptic,")
-        assert lines[2].startswith("qtable,")
+        assert lines[1].startswith("synaptic,optimistic,")
+        assert lines[2].startswith("qtable,optimistic,")
         assert "n/a" in lines[2]  # fan-in has no meaning for a table
+
+    def test_init_and_failed_columns(self, tmp_path, capsys):
+        pool, legacy = tmp_path / "pool", tmp_path / "legacy"
+        assert run_cli(["train", "--agent", "bmu-pool", "--pool-capacity", "22",
+                        "--max-episodes", "10", "--seed-list", "0,1,3", "--out", pool]) == 0
+        assert run_cli(["train", "--agent", "bmu", "--seeds", "1", "--out", legacy] + TINY) == 0
+        # a run directory written before the `init` key: legacy keys, no failed_seeds
+        config = legacy / "config.txt"
+        config.write_text(read(config).replace(
+            "init = optimistic\n", "q_init = optimistic\nencoder_init = uniform\n"))
+        summary = json.loads(read(legacy / "summary.json"))
+        del summary["failed_seeds"]
+        (legacy / "summary.json").write_text(json.dumps(summary))
+        table = tmp_path / "table2.csv"
+        assert run_cli(["table2", "--runs", pool, legacy, "--out", table]) == 0
+        rows = [line.split(",") for line in read(table).strip().split("\n")]
+        columns = rows[0]
+        by_agent = {row[0]: dict(zip(columns, row)) for row in rows[1:]}
+        assert by_agent["bmu-pool"]["init"] == "optimistic"
+        assert by_agent["bmu-pool"]["failed"] == "2"
+        assert by_agent["bmu"]["init"] == "uniform"
+        assert by_agent["bmu"]["failed"] == "0"
 
     def test_existing_table_left_intact(self, tmp_path, capsys):
         run = tmp_path / "a"

@@ -1,12 +1,14 @@
 """The shared Bellman core: one argmax, one update, and the four agents
 as interchangeable adapters over it."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bmu_lab.bmu import BmuAgent, PoolAgent
-from bmu_lab.core import argmax
+from bmu_lab.core import INIT_MODES, argmax, optimistic_q
 from bmu_lab.discretize import cell_of
 from bmu_lab.qtable import QTableAgent
 from bmu_lab.runio import load_agent, save_agent
@@ -17,12 +19,12 @@ CELLS = [cell_of(f"{i}_{i}_{i}_{i}_") for i in range(6)]
 
 
 def zero_agents(kappa):
-    """The four agents at matched zero init; the pool has no init knob."""
+    """The four agents at matched zero init."""
     return [
-        SynapticAgent(kappa=kappa, q_init="zeros"),
-        BmuAgent(b=kappa, rng=np.random.default_rng(0), encoder_init="zeros"),
-        PoolAgent(capacity=len(CELLS), n_actions=kappa),
-        QTableAgent(kappa=kappa),
+        SynapticAgent(kappa=kappa, init="zeros"),
+        BmuAgent(b=kappa, init="zeros"),
+        PoolAgent(capacity=len(CELLS), n_actions=kappa, init="zeros"),
+        QTableAgent(kappa=kappa, init="zeros"),
     ]
 
 
@@ -75,17 +77,60 @@ def test_matched_zero_agents_agree_on_rows_and_choices(kappa, stream):
 
 @pytest.mark.parametrize("kind", AGENT_KINDS)
 def test_serialize_round_trip(kind):
-    config = TrainConfig(agent=kind, q_init="uniform" if kind == "synaptic" else "optimistic")
-    agent = make_agent(config, np.random.default_rng(5))
-    rng = np.random.default_rng(13)
-    for _ in range(300):
-        s, s2 = CELLS[rng.integers(len(CELLS))], CELLS[rng.integers(len(CELLS))]
-        agent.ensure(s)
-        agent.ensure(s2)
-        forced = int(rng.integers(2)) if rng.uniform() < 0.5 else None
-        action = agent.select(s, forced)
-        reward = float(rng.choice([1.0, -10.0]))
-        agent.update(s, action, reward, s2, reward < 0)
-    agent.select(CELLS[0])  # a synaptic gate left open is part of the state
-    text = save_agent(agent)
-    assert save_agent(load_agent(text)) == text
+    for init in INIT_MODES:
+        agent = make_agent(TrainConfig(agent=kind, init=init), np.random.default_rng(5))
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            s, s2 = CELLS[rng.integers(len(CELLS))], CELLS[rng.integers(len(CELLS))]
+            agent.ensure(s)
+            agent.ensure(s2)
+            forced = int(rng.integers(2)) if rng.uniform() < 0.5 else None
+            action = agent.select(s, forced)
+            reward = float(rng.choice([1.0, -10.0]))
+            agent.update(s, action, reward, s2, reward < 0)
+        agent.select(CELLS[0])  # a synaptic gate left open is part of the state
+        text = save_agent(agent)
+        assert save_agent(load_agent(text)) == text
+
+
+@pytest.mark.parametrize("kind", AGENT_KINDS)
+def test_one_init_for_every_kind(kind):
+    """Every kind spawns rows by the core's one init: the optimistic fixed
+    point, zeros, or a sized draw over the class's uniform range."""
+    config = TrainConfig(agent=kind, gamma=0.9, step_reward=2.0)
+    expected = {"optimistic": [optimistic_q(2.0, 0.9)] * 2, "zeros": [0.0, 0.0]}
+    for init in INIT_MODES:
+        agent = make_agent(replace(config, init=init), np.random.default_rng(8))
+        agent.ensure(CELLS[0])
+        row = agent.q_values(CELLS[0])
+        if init == "uniform":
+            low, high = agent.uniform_range
+            assert row == np.random.default_rng(8).uniform(low, high, size=2).tolist()
+            assert all(low <= q < high for q in row)
+        else:
+            assert row == expected[init]
+    assert SynapticAgent.uniform_range == QTableAgent.uniform_range == (0.0, 1e-3)
+    assert BmuAgent.uniform_range == PoolAgent.uniform_range == (-1.0, 1.0)
+
+
+@pytest.mark.parametrize("kind", AGENT_KINDS)
+def test_init_validated_by_the_core(kind):
+    build = {"synaptic": SynapticAgent, "bmu": BmuAgent, "qtable": QTableAgent,
+             "bmu-pool": lambda **kw: PoolAgent(capacity=4, **kw)}[kind]
+    with pytest.raises(ValueError, match="init must be one of"):
+        build(init="gaussian")
+    with pytest.raises(ValueError, match="uniform init needs an rng"):
+        build(init="uniform")
+    with pytest.raises(TypeError, match="init"):
+        build()
+
+
+def test_sized_uniform_draw_equals_scalar_draws():
+    """Synaptic rows drawn in one sized call keep the values of kappa
+    scalar draws, so runs recorded with per-value draws replay."""
+    for seed in range(50):
+        agent = SynapticAgent(kappa=3, init="uniform", rng=np.random.default_rng(seed))
+        scalar = np.random.default_rng(seed)
+        for cell in CELLS:
+            agent.ensure(cell)
+            assert agent.q_values(cell) == [float(scalar.uniform(0.0, 1e-3)) for _ in range(3)]

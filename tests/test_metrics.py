@@ -70,16 +70,17 @@ class TestDegreeDistribution:
 class TestSummaryTable:
     def test_rows_and_na_cells(self):
         rows = [
-            {"agent": "synaptic", "episodes_to_convergence": 250,
-             "neurons": 250, "avg_fan_in": 1.6, "parameters": 1000},
-            {"agent": "qtable", "episodes_to_convergence": None,
-             "neurons": 10000, "avg_fan_in": None, "parameters": 40000},
+            {"agent": "synaptic", "init": "optimistic", "episodes_to_convergence": 250,
+             "neurons": 250, "avg_fan_in": 1.6, "parameters": 1000, "failed": 0},
+            {"agent": "qtable", "init": "zeros", "episodes_to_convergence": None,
+             "neurons": 10000, "avg_fan_in": None, "parameters": 40000, "failed": 1},
         ]
         csv_text, aligned = summary_table(rows)
         lines = csv_text.strip().split("\n")
-        assert lines[0] == "agent,episodes_to_convergence,neurons,avg_fan_in,parameters"
-        assert lines[1] == "synaptic,250,250,1.6,1000"
-        assert lines[2] == "qtable,n/a,10000,n/a,40000"
+        assert lines[0] == ("agent,init,episodes_to_convergence,neurons,avg_fan_in,"
+                            "parameters,failed")
+        assert lines[1] == "synaptic,optimistic,250,250,1.6,1000,0"
+        assert lines[2] == "qtable,zeros,n/a,10000,n/a,40000,1"
         assert "n/a" in aligned
 
     def test_empty_rejected(self):

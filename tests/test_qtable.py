@@ -23,7 +23,7 @@ def table_with_rows(rows, alpha=0.9, gamma=0.99):
 
 class TestSelect:
     def test_unseen_state_reads_zero_and_ties_low(self):
-        agent = QTableAgent()
+        agent = QTableAgent(init="zeros")
         assert agent.select(cell_of("9_9_9_9_")) == 0
         assert agent.q_values(cell_of("9_9_9_9_")) == [0.0, 0.0]
         assert agent.stats().neurons == 0  # reading never inserts
@@ -46,7 +46,7 @@ class TestSelect:
 
 class TestUpdate:
     def test_hand_value(self):
-        agent = QTableAgent()
+        agent = QTableAgent(init="zeros")
         agent.update(S, 0, 1.0, T, False)
         assert agent.q_values(S)[0] == pytest.approx(0.9, abs=1e-15)
 
@@ -63,19 +63,19 @@ class TestUpdate:
         assert agent.q_values(S)[1] == pytest.approx(4.5)
 
     def test_visit_counts(self):
-        agent = QTableAgent()
+        agent = QTableAgent(init="zeros")
         for _ in range(3):
             agent.update(S, 0, 1.0, T, False)
         assert agent.serialize()["visits"] == {S_KEY: 3}
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            QTableAgent().update(S, 0, float("-inf"), T, False)
+            QTableAgent(init="zeros").update(S, 0, float("-inf"), T, False)
 
 
 class TestModes:
     def test_dense_mode_full_grid(self):
-        agent = QTableAgent(dense=True, n_bins=10)
+        agent = QTableAgent(dense=True, n_bins=10, init="zeros")
         stats = agent.stats()
         assert stats.neurons == 10_000
         assert stats.parameter_count == 40_000
@@ -83,24 +83,24 @@ class TestModes:
         assert stats.edges is None
 
     def test_sparse_default_counts_visited(self):
-        agent = QTableAgent()
+        agent = QTableAgent(init="zeros")
         agent.ensure(cell_of("1_1_1_1_"))
         agent.ensure(cell_of("2_2_2_2_"))
         assert agent.stats().neurons == 2
         assert agent.stats().parameter_count == 8
 
     def test_dense_ensure_never_spawns(self):
-        agent = QTableAgent(dense=True)
+        agent = QTableAgent(dense=True, init="zeros")
         assert agent.ensure(cell_of("5_5_5_5_")) is False
 
     def test_optimistic_init_applies_to_new_rows(self):
-        agent = QTableAgent(q_init="optimistic", gamma=0.99)
+        agent = QTableAgent(init="optimistic", gamma=0.99)
         agent.ensure(S)
         assert agent.q_values(S) == pytest.approx([100.0, 100.0])
 
 
 def test_qtable_csv_layout():
-    agent = QTableAgent()
+    agent = QTableAgent(init="zeros")
     agent.ensure(cell_of("1_1_1_1_"))
     name, text = agent.value_table()
     lines = text.strip().split("\n")
@@ -110,14 +110,14 @@ def test_qtable_csv_layout():
 
 
 def test_stats_of_empty_table():
-    stats = QTableAgent().stats()
+    stats = QTableAgent(init="zeros").stats()
     assert stats.neurons == 0
     assert stats.parameter_count == 0
 
 
 def test_files_sort_rows_by_key_not_by_cell():
     """Cell 9_0_0_0_ packs below 10_0_0_0_, but its key sorts after it."""
-    agent = QTableAgent(n_bins=16)
+    agent = QTableAgent(n_bins=16, init="zeros")
     for key in ("9_0_0_0_", "10_0_0_0_"):
         agent.update(cell_of(key), 0, 1.0, cell_of(key), False)
     _, text = agent.value_table()

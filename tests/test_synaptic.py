@@ -6,14 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from bmu_lab.core import optimistic_q
 from bmu_lab.discretize import cell_of, pack
-from bmu_lab.synaptic import (
-    SynapticAgent,
-    gamma_to_tau,
-    optimistic_q,
-    synaptic_filter,
-    tau_to_gamma,
-)
+from bmu_lab.synaptic import SynapticAgent, gamma_to_tau, synaptic_filter, tau_to_gamma
 
 
 # agents take cell ids; agent.json and snapshots name the same states by key
@@ -22,7 +17,7 @@ A, B, C, Z = (cell_of(key) for key in (A_KEY, B_KEY, C_KEY, Z_KEY))
 
 
 def zero_agent(kappa=2, gamma=0.99, alpha=0.9):
-    return SynapticAgent(kappa=kappa, alpha=alpha, gamma=gamma, q_init="zeros")
+    return SynapticAgent(kappa=kappa, alpha=alpha, gamma=gamma, init="zeros")
 
 
 def agent_with_q(rows, alpha=0.9):
@@ -70,7 +65,7 @@ class TestSpawn:
         assert stats.edges == 0
 
     def test_optimistic_init_is_reward_fixed_point(self):
-        agent = SynapticAgent(gamma=0.99, q_init="optimistic")
+        agent = SynapticAgent(gamma=0.99, init="optimistic")
         agent.ensure(cell_of("5_5_5_5_"))
         agent.ensure(cell_of("6_6_6_6_"))
         assert node_attrs(agent, "5_5_5_5_")["value"] == optimistic_q(1.0, 0.99) \
@@ -320,7 +315,7 @@ def random_stream(n, n_keys=40, seed=0):
 
 def test_trajectory_oracle_equivalence():
     """The graph machinery is semantically a plain tabular learner."""
-    agent = SynapticAgent(kappa=2, alpha=0.9, gamma=0.99, q_init="zeros")
+    agent = SynapticAgent(kappa=2, alpha=0.9, gamma=0.99, init="zeros")
     oracle = PlainTabular(2, 0.9, 0.99)
     for s, action, reward, s2, terminal in random_stream(3000, seed=5):
         agent.ensure(s)
@@ -332,7 +327,7 @@ def test_trajectory_oracle_equivalence():
 
 
 def test_topology_counts_non_decreasing():
-    agent = SynapticAgent(q_init="zeros")
+    agent = SynapticAgent(init="zeros")
     last_neurons = last_edges = 0
     for s, action, reward, s2, terminal in random_stream(1500, seed=9):
         agent.ensure(s)
@@ -347,7 +342,7 @@ def test_topology_counts_non_decreasing():
 
 def test_fan_in_matches_edge_list_recount():
     """Incremental fan-in bookkeeping agrees with a from-scratch recount."""
-    agent = SynapticAgent(q_init="zeros")
+    agent = SynapticAgent(init="zeros")
     for s, action, reward, s2, terminal in random_stream(1200, seed=21):
         agent.ensure(s)
         agent.ensure(s2)
@@ -362,7 +357,7 @@ def test_fan_in_matches_edge_list_recount():
 
 
 def test_snapshot_carries_node_and_edge_attributes():
-    agent = SynapticAgent(q_init="zeros")
+    agent = SynapticAgent(init="zeros")
     agent.ensure(cell_of("1_1_1_1_"))
     agent.ensure(cell_of("2_2_2_2_"))
     agent.select(cell_of("1_1_1_1_"), forced=1)

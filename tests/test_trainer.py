@@ -1,6 +1,7 @@
 """Trainer tests: config validation, episode accounting, convergence
 detection, multi-seed bands, and learning-free evaluation."""
 
+import hashlib
 import math
 import warnings
 from dataclasses import replace
@@ -9,10 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bmu_lab import trainer
 from bmu_lab.cartpole import CartPoleEnv
+from bmu_lab.core import INIT_MODES
 from bmu_lab.discretize import cell_of, unpack
 from bmu_lab.runio import agent_state_hash, config_from_entries, format_config, parse_config_text
 from bmu_lab.trainer import (
+    AGENT_KINDS,
     BLOCK,
     ConfigError,
     Exploration,
@@ -94,6 +98,83 @@ class TestConfig:
     def test_comments_and_blanks_ignored(self):
         entries = parse_config_text("# header\n\nalpha = 0.5  # inline\n")
         assert entries == {"alpha": "0.5"}
+
+    def test_init_validated(self):
+        with pytest.raises(ConfigError, match="init must be one of"):
+            TrainConfig(init="gaussian").validate()
+
+    def test_config_file_writes_only_init(self):
+        text = format_config(TrainConfig(init="zeros"))
+        assert "init = zeros\n" in text
+        assert "q_init" not in text and "encoder_init" not in text
+
+
+def legacy_init(agent, q_init, encoder_init):
+    """The init the agent factory gave each kind before the `init` key, with
+    the old field defaults (q_init optimistic, encoder_init uniform)."""
+    if agent == "bmu":
+        return encoder_init or "uniform"
+    if agent == "bmu-pool":
+        return "zeros"
+    q_init = q_init or "optimistic"
+    return "zeros" if agent == "qtable" and q_init == "uniform" else q_init
+
+
+# (rewards, agent_state_hash) prefixes of train(seed 5, 8 episodes, epsilon
+# 0.2) under each legacy config, recorded with the code that still had the
+# q_init and encoder_init fields
+LEGACY_RUNS = {
+    ("synaptic", "optimistic"): ("5e539fca100cc6df", "cbda1c4ab4c987c2"),
+    ("synaptic", "zeros"): ("c823d1e369362aff", "aca392ee25b66c11"),
+    ("synaptic", "uniform"): ("2b4c161228f4af2a", "cca2ba69eaadd2ef"),
+    ("bmu", "optimistic"): ("5e539fca100cc6df", "b22b68d27dd36c88"),
+    ("bmu", "zeros"): ("c823d1e369362aff", "b3a4f328f1f2d4ca"),
+    ("bmu", "uniform"): ("2b4c161228f4af2a", "9a7754542efe348b"),
+    ("bmu-pool", "zeros"): ("c823d1e369362aff", "f2cb87bd4b86310d"),
+    ("qtable", "optimistic"): ("5e539fca100cc6df", "cd69295bd440485d"),
+    ("qtable", "zeros"): ("c823d1e369362aff", "f16759f9174cc953"),
+}
+
+
+def run_digest(config):
+    result = train(config, 5)
+    rewards = ",".join(repr(r) for r in result.metrics.rewards)
+    return (hashlib.sha256(rewards.encode()).hexdigest()[:16],
+            agent_state_hash(result.agent)[:16])
+
+
+class TestLegacyInitKeys:
+    @pytest.mark.parametrize("encoder_init", (None, *INIT_MODES))
+    @pytest.mark.parametrize("q_init", (None, *INIT_MODES))
+    @pytest.mark.parametrize("agent", AGENT_KINDS)
+    def test_legacy_keys_replay(self, agent, q_init, encoder_init):
+        entries = {"agent": agent, "max_episodes": "8", "epsilon": "0.2"}
+        for key, value in (("q_init", q_init), ("encoder_init", encoder_init)):
+            if value is not None:
+                entries[key] = value
+        config = config_from_entries(entries)
+        if q_init is None and encoder_init is None:
+            # not a legacy config: the one package default
+            assert config.init == TrainConfig().init == "optimistic"
+            return
+        mapped = legacy_init(agent, q_init, encoder_init)
+        assert config.init == mapped
+        digest = run_digest(config)
+        assert digest == run_digest(replace(config, init=mapped))
+        assert digest == LEGACY_RUNS[agent, mapped]
+
+    @pytest.mark.parametrize("agent", AGENT_KINDS)
+    def test_init_wins_over_legacy_keys(self, agent):
+        entries = {"agent": agent, "q_init": "uniform", "encoder_init": "uniform"}
+        for init in INIT_MODES:
+            assert config_from_entries({**entries, "init": init}).init == init
+
+    @pytest.mark.parametrize("key", ("q_init", "encoder_init"))
+    def test_bad_legacy_value_named(self, key):
+        with pytest.raises(ConfigError, match=key):
+            config_from_entries({key: "gaussian"})
+        with pytest.raises(ConfigError, match=key):
+            config_from_entries({key: "gaussian", "init": "zeros"})
 
 
 class TestConvergenceDetector:
@@ -233,10 +314,37 @@ class TestTrain:
         assert sum(result.metrics.spawned) == result.agent.stats().neurons
 
     def test_non_convergence_is_recorded_not_raised(self):
-        config = TrainConfig(agent="qtable", q_init="zeros", max_episodes=10)
+        config = TrainConfig(agent="qtable", init="zeros", max_episodes=10)
         metrics = train(config, 0).metrics
         assert metrics.converged is False
         assert metrics.episodes_to_convergence is None
+
+    def test_full_pool_is_the_seeds_outcome(self):
+        """A pool below the run's need ends the seed early with the failure
+        recorded; the episodes before it are the unconstrained run's."""
+        config = TrainConfig(agent="bmu-pool", max_episodes=10, pool_capacity=22)
+        metrics = train(config, 1).metrics
+        free = train(replace(config, pool_capacity=10_000), 1).metrics
+        assert metrics.failed == "neuron pool exhausted: all 22 neurons assigned"
+        assert free.failed is None and free.episodes_run == 10
+        assert metrics.episodes_run == 9
+        assert metrics.rewards == free.rewards[:9]
+        assert metrics.neurons == free.neurons[:9]
+        assert not metrics.converged and metrics.episodes_to_convergence is None
+
+    def test_full_pool_in_first_episode(self):
+        config = TrainConfig(agent="bmu-pool", max_episodes=10, pool_capacity=5)
+        metrics = train(config, 0).metrics
+        assert metrics.failed is not None
+        assert metrics.episodes_run == 0 and metrics.moving_avg == []
+
+    def test_other_errors_still_abort(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("not a full pool")
+
+        monkeypatch.setattr(trainer, "run_episode", broken)
+        with pytest.raises(RuntimeError, match="not a full pool"):
+            train(TrainConfig(agent="bmu-pool", max_episodes=3), 0)
 
     def test_snapshot_cadence(self):
         config = TrainConfig(max_episodes=10, snapshot_every=4)
@@ -277,6 +385,16 @@ class TestMultiSeed:
         by_seed_fwd = {r.metrics.seed: r.metrics.rewards for r in forward}
         by_seed_bwd = {r.metrics.seed: r.metrics.rewards for r in backward}
         assert by_seed_fwd == by_seed_bwd
+
+    def test_failed_seeds_left_out_of_the_bands(self):
+        config = TrainConfig(agent="bmu-pool", max_episodes=10, pool_capacity=22)
+        aggregate, results = multi_seed(config.with_seeds((0, 1)))
+        alone, _ = multi_seed(config.with_seeds((0,)))
+        assert [r.metrics.failed is None for r in results] == [True, False]
+        assert aggregate == replace(alone, convergence_episodes=[None, None])
+        aggregate, _ = multi_seed(replace(config, pool_capacity=5).with_seeds((0, 1)))
+        assert aggregate.episodes == 0 and aggregate.mean == []
+        assert aggregate.convergence_episodes == [None, None]
 
     def test_padding_uses_final_value(self):
         mean, lo, hi = aggregate_curves([[1.0, 2.0], [3.0]])
@@ -393,6 +511,28 @@ class TestEvaluate:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="n_episodes"):
                 evaluate(agent, TrainConfig(), 0, 0)
+
+    @pytest.mark.parametrize("seed", (0, 3, 11))
+    def test_eval_initial_states_held_out_from_training(self, seed, monkeypatch):
+        """Evaluation starts from states no training episode of the same
+        seed started from."""
+        starts = []
+        reset = CartPoleEnv.reset
+
+        def recording_reset(env, episode_seed=None):
+            starts.append(reset(env, episode_seed))
+            return starts[-1]
+
+        monkeypatch.setattr(CartPoleEnv, "reset", recording_reset)
+        config = TrainConfig(agent="qtable", max_episodes=20, convergence_window=20)
+        result = train(config, seed)
+        trained = set(starts[:result.metrics.episodes_run])
+        assert len(trained) == 20
+        starts.clear()
+        report = evaluate(result.agent, config, seed, n_episodes=20)
+        assert [t[0][0].x for t in report.trajectories] == [x for x, *_ in starts]
+        assert len(set(starts)) == 20
+        assert trained.isdisjoint(starts)
 
     def test_summary_stats(self):
         config, agent = self._trained()
