@@ -1,12 +1,12 @@
 """Reinforcement-learning lab: synaptic Q-learning and Bellman memory units
 on an evolving network topology, balancing a cartpole."""
 
-from .cartpole import CartPoleEnv, CartState, EnvParams
+from .cartpole import CartPoleEnv, EnvParams
 from .discretize import BinSpec, discretize, key_of, parse_key
-from .synaptic import SynapticAgent, gamma_to_tau, synaptic_filter, tau_to_gamma
+from .synaptic import SynapticAgent, gamma_to_tau, synaptic_filter
 from .bmu import BmuAgent, PoolAgent, PoolCapacityError
 from .qtable import QTableAgent
-from .graphio import GraphSnapshot, read_dot, read_gexf, to_dot, to_gexf
+from .graphio import GraphSnapshot, read_gexf, to_dot, to_gexf
 from .metrics import DegreeHistogram, NetworkStats, degree_distribution, summary_table
 from .trainer import (
     AggregateMetrics,

@@ -20,17 +20,6 @@ RESET_SPREAD = 0.05
 
 
 @dataclass(frozen=True)
-class CartState:
-    """Cart position/velocity, pole angle/angular velocity, step counter."""
-
-    x: float
-    x_dot: float
-    theta: float
-    theta_dot: float
-    t: int = 0
-
-
-@dataclass(frozen=True)
 class EnvParams:
     """Episode limits and rewards, which come from `TrainConfig.env_params()`,
     and the fixed physics constants."""
@@ -130,16 +119,3 @@ class CartPoleEnv:
             return nxt, params.fail_reward, True, False
         return nxt, params.step_reward, False, self.t >= params.max_steps
 
-
-TRAJECTORY_HEADER = "t,x,x_dot,theta,theta_dot,action,reward,terminated"
-
-
-def trajectory_csv(rows: list[tuple[CartState, int, float, bool]]) -> str:
-    """Render (pre-step state, action, reward, terminated) rows as CSV."""
-    lines = [TRAJECTORY_HEADER]
-    for state, action, reward, terminated in rows:
-        lines.append(
-            f"{state.t},{state.x!r},{state.x_dot!r},{state.theta!r},"
-            f"{state.theta_dot!r},{action},{reward!r},{str(terminated).lower()}"
-        )
-    return "\n".join(lines) + "\n"

@@ -127,8 +127,7 @@ def _handle_train(args) -> int:
         entries["agent"] = args.agent
     if args.qtable_dense:
         entries["qtable_dense"] = "true"
-    config = config_from_entries(entries)
-    config = config.with_seeds(_resolve_seeds(args))
+    config = replace(config_from_entries(entries), seeds=_resolve_seeds(args))
     config.validate()
 
     summary = execute_train_run(config, Path(args.out))
@@ -183,16 +182,17 @@ def _handle_export_graph(args) -> int:
     if args.episode < 1:
         raise ValueError(f"--episode must be >= 1, got {args.episode}")
     # deterministic replay of the recorded run, stopped at the requested episode
-    replay = replace(config, max_episodes=min(config.max_episodes, args.episode))
-    result = train(replay, chosen, snapshot_episodes={args.episode})
-    if args.episode not in result.snapshots:
+    replay = replace(config, max_episodes=min(config.max_episodes, args.episode),
+                     snapshot_every=0)
+    result = train(replay, chosen)
+    if result.metrics.episodes_run != args.episode:
         raise ValueError(
             f"run for seed {chosen} ended after {result.metrics.episodes_run} "
             f"episodes, before episode {args.episode}"
         )
     out_dir = Path(args.out) if args.out else run_dir / "export"
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_snapshot(out_dir, f"graph_ep{args.episode}", result.snapshots[args.episode])
+    write_snapshot(out_dir, f"graph_ep{args.episode}", result.agent.snapshot())
     print(f"graph at episode {args.episode} written to {out_dir}")
     return 0
 
@@ -219,7 +219,9 @@ def _handle_table2(args) -> int:
             raise FileNotFoundError(f"no summary.json under run directory {run}")
         summary = json.loads(summary_path.read_text())
         episodes = [e for e in summary["convergence_episodes"] if e is not None]
-        finals = [entry["final_stats"] for entry in summary["per_seed"]]
+        # a failed seed's size is where it stopped, not where it converged
+        finals = [entry["final_stats"] for entry in summary["per_seed"]
+                  if entry.get("failed") is None]
         fan_ins = [s["avg_fan_in"] for s in finals if s["avg_fan_in"] is not None]
         rows.append({
             "agent": summary["agent"],

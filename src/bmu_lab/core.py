@@ -98,17 +98,16 @@ class BellmanCore:
         return self.rows[self.ids[cell]]
 
     def learn(self, source: int, action: int, reward: float,
-              target: int | None, terminal: bool) -> None:
+              target: int, terminal: bool) -> None:
         """Q += alpha * (-Q + r + gamma * V') on one action of `source`.
 
         V' is 0 on terminal transitions and otherwise the max of the target
-        row, read before the write (so a self-loop sees its old value). A
-        `target` of None is a state without a row, which reads as zeros.
+        row, read before the write (so a self-loop sees its old value).
         """
         if not math.isfinite(reward):
             raise ValueError(f"reward must be finite, got {reward}")
         row = self.rows[source]
-        v_next = 0.0 if terminal or target is None else max(self.rows[target])
+        v_next = 0.0 if terminal else max(self.rows[target])
         row[action] += self.alpha * (-row[action] + reward + self.gamma * v_next)
 
     def point(self, source: int, action: int, target: int) -> None:

@@ -1,9 +1,10 @@
-"""Directed-graph snapshots of agent topology, with DOT and GEXF round-trip.
+"""Directed-graph snapshots of agent topology: DOT and GEXF export, GEXF
+parsing.
 
 Snapshots are plain node/edge lists with typed attributes (str, int, float
-or bool). The writers emit a small, predictable dialect; the readers parse
-exactly that dialect, which is enough for the analytics pipeline and for
-external layout tools (Gephi reads the GEXF files directly).
+or bool). The writers emit a small, predictable dialect that FORMATS.md
+spells out byte for byte. Only GEXF is read back (by `bmu-lab stats`);
+the DOT files are for Graphviz, and Gephi reads the GEXF files directly.
 """
 
 from __future__ import annotations
@@ -20,9 +21,6 @@ class GraphSnapshot:
     name: str = "bmu_lab"
     nodes: list[tuple[str, Attrs]] = field(default_factory=list)
     edges: list[tuple[str, str, Attrs]] = field(default_factory=list)
-
-    def node_ids(self) -> list[str]:
-        return [node_id for node_id, _ in self.nodes]
 
 
 def _dot_escape(text: str) -> str:
@@ -49,58 +47,6 @@ def to_dot(snapshot: GraphSnapshot) -> str:
         lines.append(f'  "{_dot_escape(source)}" -> "{_dot_escape(target)}"{suffix};')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-_DOT_NODE = re.compile(r'^\s*"((?:[^"\\]|\\.)*)"(?:\s*\[(.*)\])?;\s*$')
-_DOT_EDGE = re.compile(r'^\s*"((?:[^"\\]|\\.)*)"\s*->\s*"((?:[^"\\]|\\.)*)"(?:\s*\[(.*)\])?;\s*$')
-_DOT_ATTR = re.compile(r'(\w+)=(?:"((?:[^"\\]|\\.)*)"|([^,\]]+))')
-
-
-def _dot_unescape(text: str) -> str:
-    return text.replace('\\"', '"').replace("\\\\", "\\")
-
-
-def _parse_dot_attrs(text: str | None) -> Attrs:
-    attrs: Attrs = {}
-    if not text:
-        return attrs
-    for match in _DOT_ATTR.finditer(text):
-        key, quoted, bare = match.groups()
-        if quoted is not None:
-            attrs[key] = _dot_unescape(quoted)
-        else:
-            attrs[key] = _coerce_scalar(bare.strip())
-    return attrs
-
-
-def _coerce_scalar(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-def read_dot(text: str) -> GraphSnapshot:
-    """Parse the dialect produced by to_dot."""
-    header = re.search(r'digraph\s+"((?:[^"\\]|\\.)*)"', text)
-    snapshot = GraphSnapshot(name=_dot_unescape(header.group(1)) if header else "graph")
-    for line in text.splitlines():
-        edge = _DOT_EDGE.match(line)
-        if edge:
-            source, target, attr_text = edge.groups()
-            snapshot.edges.append(
-                (_dot_unescape(source), _dot_unescape(target), _parse_dot_attrs(attr_text))
-            )
-            continue
-        node = _DOT_NODE.match(line)
-        if node:
-            node_id, attr_text = node.groups()
-            snapshot.nodes.append((_dot_unescape(node_id), _parse_dot_attrs(attr_text)))
-    return snapshot
 
 
 _GEXF_NS = "http://www.gexf.net/1.2draft"

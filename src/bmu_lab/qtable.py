@@ -4,10 +4,11 @@ Serves two purposes: the comparison row in the summary table, and the
 reference semantics for the graph agents (all of them must produce the
 same Q values on the same transition stream). Sparse-on-demand storage is
 the default; dense mode preallocates every n_bins^4 state row to reproduce
-the full-table parameter bookkeeping. Unseen states read as a zero row
-without being inserted, and the table records no transition edges. Visit
-counts and the row order of `qtable.csv` and `agent.json` follow the
-string keys, so the files sort as keys, not as cell ids.
+the full-table parameter bookkeeping. As for every agent, a state is read
+and updated only after `ensure` has added its row, and the table records
+no transition edges. Visit counts and the row order of `qtable.csv` and
+`agent.json` follow the string keys, so the files sort as keys, not as
+cell ids.
 """
 
 from __future__ import annotations
@@ -36,17 +37,10 @@ class QTableAgent(BellmanCore):
             for bins in product(range(n_bins), repeat=4):
                 self.add(pack(bins), self.new_row())
 
-    def row(self, cell: int) -> list[float]:
-        """Stored row, or a zero view for unseen states (no insertion)."""
-        index = self.ids.get(cell)
-        return [0.0] * self.kappa if index is None else self.rows[index]
-
     def update(self, cell: int, action: int, reward: float,
                next_cell: int, terminal: bool) -> None:
-        # a row inserted by an update is not an agent-level ensure (no spawn)
-        BellmanCore.ensure(self, cell)
         source = self.ids[cell]
-        self.learn(source, action, reward, self.ids.get(next_cell), terminal)
+        self.learn(source, action, reward, self.ids[next_cell], terminal)
         key = self.keys[source]
         self.visits[key] = self.visits.get(key, 0) + 1
 

@@ -27,7 +27,6 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from .bmu import BmuAgent, PoolAgent
-from .cartpole import trajectory_csv
 from .core import INIT_MODES
 from .graphio import GraphSnapshot, to_dot, to_gexf
 from .metrics import degree_hist_csv, degree_distribution
@@ -180,9 +179,18 @@ def aggregate_csv(aggregate: AggregateMetrics) -> str:
 
 def phase_csv(report: EvalReport) -> str:
     lines = ["episode,t,x,theta"]
-    for episode, trace in enumerate(report.traces, start=1):
-        for t, x, theta in trace:
+    for episode, trajectory in enumerate(report.trajectories, start=1):
+        for t, x, _, theta, *_ in trajectory:
             lines.append(f"{episode},{t},{x!r},{theta!r}")
+    return "\n".join(lines) + "\n"
+
+
+def trajectory_csv(trajectory) -> str:
+    """One evaluation episode's rows of `EvalReport.trajectories`."""
+    lines = ["t,x,x_dot,theta,theta_dot,action,reward,terminated"]
+    for t, x, x_dot, theta, theta_dot, action, reward, terminated in trajectory:
+        lines.append(f"{t},{x!r},{x_dot!r},{theta!r},{theta_dot!r},{action},{reward!r},"
+                     f"{'true' if terminated else 'false'}")
     return "\n".join(lines) + "\n"
 
 

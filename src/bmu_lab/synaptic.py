@@ -32,12 +32,6 @@ def gamma_to_tau(gamma: float) -> float:
     return -1.0 / math.log(gamma)
 
 
-def tau_to_gamma(tau: float) -> float:
-    if tau <= 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    return math.exp(-1.0 / tau)
-
-
 def synaptic_filter(spike_train, tau: float, t: int) -> float:
     """Post-synaptic current at step t: causal exponential convolution
     sum_{x<=t} I_in(x) * e^(-(t-x)/tau)."""

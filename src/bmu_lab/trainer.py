@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bmu import BmuAgent, PoolAgent, PoolCapacityError
-from .cartpole import CartPoleEnv, CartState, EnvParams
+from .cartpole import CartPoleEnv, EnvParams
 from .core import INIT_MODES, argmax
 from .discretize import BinSpec, discretize
 from .graphio import GraphSnapshot
@@ -102,6 +102,9 @@ class TrainConfig:
             raise ConfigError(f"max_episodes must be >= 1, got {self.max_episodes}")
         if not self.seeds:
             raise ConfigError("seeds must contain at least one seed")
+        if min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError(f"seeds must be distinct and non-negative, got "
+                              f"{','.join(map(str, self.seeds))}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ConfigError(f"epsilon must be in [0, 1], got {self.epsilon}")
         if not 0.0 < self.epsilon_decay <= 1.0:
@@ -141,9 +144,6 @@ class TrainConfig:
             theta_dot_bound=self.theta_dot_bound,
             n_bins=self.n_bins,
         )
-
-    def with_seeds(self, seeds) -> "TrainConfig":
-        return replace(self, seeds=tuple(seeds))
 
 
 def make_agent(config: TrainConfig, rng: np.random.Generator):
@@ -352,8 +352,7 @@ def _seed_streams(seed: int):
     )
 
 
-def train(config: TrainConfig, seed: int,
-          snapshot_episodes=None) -> TrainResult:
+def train(config: TrainConfig, seed: int) -> TrainResult:
     config.validate()
     started = time.perf_counter()
     env_seeder, agent_rng, explore_rng = _seed_streams(seed)
@@ -364,11 +363,6 @@ def train(config: TrainConfig, seed: int,
     # one call draws what a scalar call per episode would: numpy's 64-bit
     # bounded draw keeps no buffer between calls
     episode_seeds = env_seeder.integers(0, 2 ** 63, size=config.max_episodes).tolist()
-
-    wanted_snapshots = set(snapshot_episodes or ())
-    if config.snapshot_every > 0:
-        wanted_snapshots.update(range(config.snapshot_every, config.max_episodes + 1,
-                                      config.snapshot_every))
 
     metrics = RunMetrics(seed=seed, rewards=[], moving_avg=[], moving_std=[],
                          neurons=[], avg_fan_in=[], parameters=[], steps=[],
@@ -399,7 +393,7 @@ def train(config: TrainConfig, seed: int,
         metrics.steps.append(record.steps)
         metrics.spawned.append(record.spawned)
 
-        if episode in wanted_snapshots:
+        if config.snapshot_every and episode % config.snapshot_every == 0:
             snapshots[episode] = agent.snapshot()
 
         streak = streak + 1 if record.total_reward >= config.convergence_reward else 0
@@ -441,11 +435,10 @@ def aggregate_curves(curves: list[list[float]]) -> tuple[list[float], list[float
     return list(mean), list(mean - 2.0 * sd), list(mean + 2.0 * sd)
 
 
-def multi_seed(config: TrainConfig,
-               snapshot_episodes=None) -> tuple[AggregateMetrics, list[TrainResult]]:
+def multi_seed(config: TrainConfig) -> tuple[AggregateMetrics, list[TrainResult]]:
     """Train every seed; the aggregate curves cover the seeds that did not fail."""
     config.validate()
-    results = [train(config, seed, snapshot_episodes) for seed in config.seeds]
+    results = [train(config, seed) for seed in config.seeds]
     mean, lo, hi = aggregate_curves([r.metrics.moving_avg for r in results
                                      if r.metrics.failed is None])
     aggregate = AggregateMetrics(
@@ -460,10 +453,16 @@ def multi_seed(config: TrainConfig,
 
 @dataclass
 class EvalReport:
+    """Per episode, the total reward and one row per step:
+    (t, x, x_dot, theta, theta_dot, action, reward, terminated), where the
+    state is the one the action was chosen in."""
+
     rewards: list[float]
-    steps: list[int]
-    traces: list[list[tuple[int, float, float]]]
-    trajectories: list[list[tuple[CartState, int, float, bool]]]
+    trajectories: list[list[tuple[int, float, float, float, float, int, float, bool]]]
+
+    @property
+    def steps(self) -> list[int]:
+        return [len(trajectory) for trajectory in self.trajectories]
 
     @property
     def mean_reward(self) -> float:
@@ -496,27 +495,19 @@ def evaluate(agent, config: TrainConfig, seed: int, n_episodes: int) -> EvalRepo
     # training draws from the first three children of the seed, so the
     # fourth gives initial states no training episode of that seed saw
     seeder = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[3])
-    report = EvalReport(rewards=[], steps=[], traces=[], trajectories=[])
+    report = EvalReport(rewards=[], trajectories=[])
     for episode_seed in seeder.integers(0, 2 ** 63, size=n_episodes).tolist():
         state = env.reset(episode_seed)
         total = 0.0
-        steps = 0
-        trace: list[tuple[int, float, float]] = []
-        trajectory: list[tuple[CartState, int, float, bool]] = []
+        trajectory = []
         while True:
             action = greedy_action(agent, discretize(state, spec))
             next_state, reward, terminated, truncated = env.step(action)
-            x, x_dot, theta, theta_dot = state
-            trace.append((steps, x, theta))
-            trajectory.append((CartState(x, x_dot, theta, theta_dot, steps), action,
-                               reward, terminated))
+            trajectory.append((len(trajectory), *state, action, reward, terminated))
             total += reward
-            steps += 1
             if terminated or truncated:
                 break
             state = next_state
         report.rewards.append(total)
-        report.steps.append(steps)
-        report.traces.append(trace)
         report.trajectories.append(trajectory)
     return report

@@ -64,7 +64,7 @@ class TestSpawnEnsemble:
         assert agent.stats().neurons == 1
         agent.ensure(cell_of("2_2_2_2_"))
         assert agent.stats().neurons == 2
-        assert agent.snapshot().node_ids() == ["1_1_1_1_", "2_2_2_2_"]
+        assert [key for key, _ in agent.snapshot().nodes] == ["1_1_1_1_", "2_2_2_2_"]
 
     def test_q_readback_equals_encoder(self):
         agent = BmuAgent(init="uniform", rng=np.random.default_rng(3))

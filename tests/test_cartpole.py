@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bmu_lab.cartpole import CartPoleEnv, CartState, EnvParams, trajectory_csv
+from bmu_lab.cartpole import CartPoleEnv, EnvParams
 from bmu_lab.trainer import TrainConfig
 
 # the package's limits and rewards, which live only in TrainConfig
@@ -240,11 +240,3 @@ class TestParams:
             CartPoleEnv()
         assert (PARAMS.max_steps, PARAMS.theta_limit, PARAMS.x_limit,
                 PARAMS.step_reward, PARAMS.fail_reward) == (250, 0.2095, 2.4, 1.0, -10.0)
-
-
-def test_trajectory_csv_layout():
-    state = CartState(0.1, 0.2, 0.03, 0.04, t=0)
-    text = trajectory_csv([(state, 1, 1.0, False)])
-    lines = text.strip().split("\n")
-    assert lines[0] == "t,x,x_dot,theta,theta_dot,action,reward,terminated"
-    assert lines[1] == "0,0.1,0.2,0.03,0.04,1,1.0,false"

@@ -6,6 +6,7 @@ import pytest
 
 from bmu_lab import trainer
 from bmu_lab.cli import _build_parser, main
+from bmu_lab.synaptic import SynapticAgent
 from bmu_lab.trainer import run_episode
 
 TINY = ["--max-episodes", "5", "--window", "3", "--convergence-reward", "200"]
@@ -49,6 +50,19 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "fail_reward" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt"]
+
+    @pytest.mark.parametrize("seed_list", ["1,1", "0,-1"])
+    def test_duplicate_or_negative_seed_rejected_before_training(self, tmp_path, capsys,
+                                                                   monkeypatch, seed_list):
+        trained = []
+        monkeypatch.setattr(trainer, "train", lambda *args: trained.append(args))
+        code = run_cli(["train", "--agent", "qtable", "--seed-list", seed_list,
+                        "--out", tmp_path / "run"] + TINY)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seeds" in err
+        assert trained == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_flag_is_an_error(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -205,18 +219,30 @@ class TestExportGraph:
         assert run_cli(["train", "--agent", "synaptic", "--seeds", "1", "--max-episodes", "12",
                         "--window", "12", "--snapshot-every", "4", "--out", out]) == 0
         assert json.loads(read(out / "summary.json"))["converged_count"] == 0
-        episodes = []
+        episodes, snapshots = [], []
 
         def counted(*args, **kwargs):
             episodes.append(1)
             return run_episode(*args, **kwargs)
 
+        def counted_snapshot(agent):
+            snapshots.append(1)
+            return snapshot(agent)
+
+        snapshot = SynapticAgent.snapshot
         monkeypatch.setattr(trainer, "run_episode", counted)
-        assert run_cli(["export-graph", "--run", out, "--episode", "4"]) == 0
-        assert len(episodes) == 4
-        for suffix in ("dot", "gexf"):
-            name = f"graph_ep4.{suffix}"
-            assert (out / "export" / name).read_bytes() == (out / "seed0" / name).read_bytes()
+        monkeypatch.setattr(SynapticAgent, "snapshot", counted_snapshot)
+        for episode in (4, 12):
+            episodes.clear()
+            snapshots.clear()
+            export = tmp_path / f"export{episode}"
+            assert run_cli(["export-graph", "--run", out, "--episode", episode,
+                            "--out", export]) == 0
+            assert len(episodes) == episode
+            assert len(snapshots) == 1  # the replay builds no cadence snapshots
+            for suffix in ("dot", "gexf"):
+                name = f"graph_ep{episode}.{suffix}"
+                assert (export / name).read_bytes() == (out / "seed0" / name).read_bytes()
 
     def test_episode_below_one_errors(self, trained_run, capsys):
         assert run_cli(["export-graph", "--run", trained_run, "--episode", "0"]) == 1
@@ -265,15 +291,27 @@ class TestTable2:
         summary = json.loads(read(legacy / "summary.json"))
         del summary["failed_seeds"]
         (legacy / "summary.json").write_text(json.dumps(summary))
+        all_failed = tmp_path / "all_failed"
+        assert run_cli(["train", "--agent", "bmu-pool", "--pool-capacity", "5",
+                        "--seed-list", "0,1", "--out", all_failed] + TINY) == 1
         table = tmp_path / "table2.csv"
-        assert run_cli(["table2", "--runs", pool, legacy, "--out", table]) == 0
+        assert run_cli(["table2", "--runs", pool, legacy, all_failed, "--out", table]) == 0
         rows = [line.split(",") for line in read(table).strip().split("\n")]
         columns = rows[0]
-        by_agent = {row[0]: dict(zip(columns, row)) for row in rows[1:]}
-        assert by_agent["bmu-pool"]["init"] == "optimistic"
-        assert by_agent["bmu-pool"]["failed"] == "2"
-        assert by_agent["bmu"]["init"] == "uniform"
-        assert by_agent["bmu"]["failed"] == "0"
+        pool_row, bmu_row, failed_row = (dict(zip(columns, row)) for row in rows[1:])
+        assert pool_row["init"] == "optimistic"
+        assert pool_row["failed"] == "2"
+        assert bmu_row["init"] == "uniform"
+        assert bmu_row["failed"] == "0"
+        # the size medians cover only the seed that did not fail
+        (kept,) = [e for e in json.loads(read(pool / "summary.json"))["per_seed"]
+                   if e["failed"] is None]
+        stats = kept["final_stats"]
+        assert (pool_row["neurons"], pool_row["avg_fan_in"], pool_row["parameters"]) == (
+            str(stats["neurons"]), f"{stats['avg_fan_in']:.4g}", str(stats["parameter_count"]))
+        assert failed_row["failed"] == "2"
+        assert (failed_row["neurons"], failed_row["avg_fan_in"],
+                failed_row["parameters"]) == ("n/a", "n/a", "n/a")
 
     def test_existing_table_left_intact(self, tmp_path, capsys):
         run = tmp_path / "a"

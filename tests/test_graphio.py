@@ -1,5 +1,5 @@
-"""Round-trip tests for the DOT and GEXF snapshot formats, and a byte oracle
-for the GEXF writer."""
+"""Byte expectations for the DOT writer, round-trip tests for GEXF, and a
+byte oracle for the GEXF writer."""
 
 import math
 import xml.etree.ElementTree as ET
@@ -13,7 +13,6 @@ from bmu_lab.graphio import (
     Attrs,
     GraphSnapshot,
     _collect_attr_schema,
-    read_dot,
     read_gexf,
     to_dot,
     to_gexf,
@@ -32,12 +31,17 @@ def sample_snapshot():
     return snap
 
 
-def test_dot_round_trip():
-    snap = sample_snapshot()
-    back = read_dot(to_dot(snap))
-    assert back.name == "sample"
-    assert back.nodes == snap.nodes
-    assert back.edges == snap.edges
+def test_dot_bytes():
+    assert to_dot(sample_snapshot()) == (
+        'digraph "sample" {\n'
+        '  "3_4_6_5_" [value=1.25, fan_in=3];\n'
+        '  "3_3_6_5_" [value=-0.5, fan_in=1];\n'
+        '  "lonely";\n'
+        '  "3_4_6_5_" -> "3_3_6_5_" [action=0, q=0.75, gate="closed"];\n'
+        '  "3_3_6_5_" -> "3_4_6_5_" [action=1, q=-2.0, gate="open"];\n'
+        '  "3_4_6_5_" -> "3_4_6_5_" [action=1, q=0.0, gate="closed"];\n'
+        '}\n'
+    )
 
 
 def test_gexf_round_trip():
@@ -48,10 +52,18 @@ def test_gexf_round_trip():
 
 
 def test_dot_escapes_quotes_in_identifiers():
-    snap = GraphSnapshot(name="q")
+    # backslashes are doubled first, then each quote gets one backslash
+    snap = GraphSnapshot(name='say "q"')
     snap.nodes.append(('odd"name', {"label": 'say "hi"'}))
-    back = read_dot(to_dot(snap))
-    assert back.nodes == snap.nodes
+    snap.nodes.append(("back\\slash", {"path": 'C:\\x\\"y"'}))
+    snap.edges.append(('odd"name', "back\\slash", {}))
+    assert to_dot(snap) == (
+        r'digraph "say \"q\"" {' "\n"
+        r'  "odd\"name" [label="say \"hi\""];' "\n"
+        r'  "back\\slash" [path="C:\\x\\\"y\""];' "\n"
+        r'  "odd\"name" -> "back\\slash";' "\n"
+        "}\n"
+    )
 
 
 def test_gexf_declares_directed_edges():
@@ -63,14 +75,18 @@ def test_gexf_declares_directed_edges():
 def test_bool_attributes_survive_gexf():
     snap = GraphSnapshot()
     snap.nodes.append(("n", {"active": True, "count": 2}))
+    snap.nodes.append(("m", {"active": False}))
     assert read_gexf(to_gexf(snap)).nodes == snap.nodes
-    # DOT has no attribute types; booleans come back as quoted words
-    assert read_dot(to_dot(snap)).nodes == [("n", {"active": "true", "count": 2})]
+    # DOT has no attribute types; booleans are written as quoted words
+    assert to_dot(snap) == ('digraph "bmu_lab" {\n'
+                            '  "n" [active="true", count=2];\n'
+                            '  "m" [active="false"];\n'
+                            '}\n')
 
 
 def test_empty_snapshot():
     snap = GraphSnapshot(name="empty")
-    assert read_dot(to_dot(snap)).nodes == []
+    assert to_dot(snap) == 'digraph "empty" {\n}\n'
     assert read_gexf(to_gexf(snap)).edges == []
 
 

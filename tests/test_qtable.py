@@ -6,10 +6,18 @@ import pytest
 from bmu_lab.discretize import cell_of
 from bmu_lab.qtable import QTableAgent
 from bmu_lab.synaptic import SynapticAgent
+from bmu_lab.trainer import greedy_action
 
 # agents take cell ids; agent.json names the same states by key
 S_KEY, T_KEY = "1_1_1_1_", "2_2_2_2_"
 S, T = cell_of(S_KEY), cell_of(T_KEY)
+
+
+def ensured(agent, *cells):
+    """The agent with a row for each cell, as the trainer ensures before updating."""
+    for cell in cells:
+        agent.ensure(cell)
+    return agent
 
 
 def table_with_rows(rows, alpha=0.9, gamma=0.99):
@@ -23,9 +31,13 @@ def table_with_rows(rows, alpha=0.9, gamma=0.99):
 
 class TestSelect:
     def test_unseen_state_reads_zero_and_ties_low(self):
+        # the greedy readout takes an unseen state as the all-zero tie
         agent = QTableAgent(init="zeros")
-        assert agent.select(cell_of("9_9_9_9_")) == 0
-        assert agent.q_values(cell_of("9_9_9_9_")) == [0.0, 0.0]
+        assert greedy_action(agent, cell_of("9_9_9_9_")) == 0
+        with pytest.raises(KeyError):
+            agent.q_values(cell_of("9_9_9_9_"))
+        with pytest.raises(KeyError):
+            agent.update(S, 0, 1.0, T, False)  # the trainer ensures both cells first
         assert agent.stats().neurons == 0  # reading never inserts
 
     def test_argmax(self):
@@ -46,31 +58,31 @@ class TestSelect:
 
 class TestUpdate:
     def test_hand_value(self):
-        agent = QTableAgent(init="zeros")
+        agent = ensured(QTableAgent(init="zeros"), S, T)
         agent.update(S, 0, 1.0, T, False)
         assert agent.q_values(S)[0] == pytest.approx(0.9, abs=1e-15)
 
     def test_terminal_penalty(self):
-        agent = table_with_rows({T_KEY: [5.0, 5.0]})  # must be ignored when terminal
+        agent = ensured(table_with_rows({T_KEY: [5.0, 5.0]}), S)  # T ignored when terminal
         agent.update(S, 0, -10.0, T, True)
         assert agent.q_values(S)[0] == pytest.approx(-9.0, abs=1e-15)
 
     def test_alpha_one_reaches_fixed_point_in_one_step(self):
-        agent = table_with_rows({T_KEY: [2.0, 7.0]}, alpha=1.0, gamma=0.5)
+        agent = ensured(table_with_rows({T_KEY: [2.0, 7.0]}, alpha=1.0, gamma=0.5), S)
         agent.update(S, 1, 1.0, T, False)
         assert agent.q_values(S)[1] == pytest.approx(1.0 + 0.5 * 7.0)
         agent.update(S, 1, 1.0, T, False)
         assert agent.q_values(S)[1] == pytest.approx(4.5)
 
     def test_visit_counts(self):
-        agent = QTableAgent(init="zeros")
+        agent = ensured(QTableAgent(init="zeros"), S, T)
         for _ in range(3):
             agent.update(S, 0, 1.0, T, False)
         assert agent.serialize()["visits"] == {S_KEY: 3}
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            QTableAgent(init="zeros").update(S, 0, float("-inf"), T, False)
+            ensured(QTableAgent(init="zeros"), S, T).update(S, 0, float("-inf"), T, False)
 
 
 class TestModes:
@@ -119,6 +131,7 @@ def test_files_sort_rows_by_key_not_by_cell():
     """Cell 9_0_0_0_ packs below 10_0_0_0_, but its key sorts after it."""
     agent = QTableAgent(n_bins=16, init="zeros")
     for key in ("9_0_0_0_", "10_0_0_0_"):
+        agent.ensure(cell_of(key))
         agent.update(cell_of(key), 0, 1.0, cell_of(key), False)
     _, text = agent.value_table()
     assert [line.split(",")[0] for line in text.strip().split("\n")[1::2]] \

@@ -1,15 +1,18 @@
 """Run directories pinned byte for byte against a recorded manifest.
 
 Each agent kind trains two seeds for ten episodes with snapshots every
-five, on the settings of the benchmark's `artifacts` workload, and every
-file of the run directory is compared by SHA-256 with
+five, on the settings of the benchmark's `artifacts` workload. Then
+`eval --episodes 3`, `export-graph --episode 5` and `stats` run on the
+run directory, and every file in it is compared by SHA-256 with
 `tests/run_digests.json`. Only `wall_clock_seconds` in the summary files
 is masked. To record the manifest for the checked-out source:
 
     PYTHONPATH=src python tests/test_run_digests.py > tests/run_digests.json
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import re
 import sys
@@ -18,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from bmu_lab.cli import main
 from bmu_lab.runio import config_from_entries, execute_train_run
 
 MANIFEST = Path(__file__).with_name("run_digests.json")
@@ -41,6 +45,10 @@ _WALL_CLOCK = re.compile(rb'"wall_clock_seconds": [^,\n]+')
 def run_digests(kind: str, out_dir: Path) -> dict[str, str]:
     """SHA-256 of every file of one run directory, by relative path."""
     execute_train_run(config_from_entries({**SETTINGS, "agent": kind}), out_dir)
+    for argv in (["eval", "--episodes", "3"], ["export-graph", "--episode", "5"], ["stats"]):
+        # the commands' console lines would corrupt the manifest on stdout
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--run", str(out_dir)]) == 0
     digests = {}
     for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
         data = path.read_bytes()

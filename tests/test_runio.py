@@ -1,9 +1,10 @@
-"""Run-directory persistence: write-once files, atomic run directories."""
+"""Run-directory persistence: write-once files, atomic run directories,
+evaluation CSVs."""
 
 import pytest
 
 from bmu_lab import runio
-from bmu_lab.runio import execute_train_run, write_text
+from bmu_lab.runio import execute_train_run, trajectory_csv, write_text
 from bmu_lab.trainer import TrainConfig
 
 TINY = TrainConfig(agent="qtable", max_episodes=3, seeds=(0, 1))
@@ -75,3 +76,12 @@ def test_run_dir_filled_during_training_is_refused(tmp_path, monkeypatch):
         execute_train_run(TINY, out)
     assert [p.name for p in out.iterdir()] == ["notes.txt"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
+
+
+def test_trajectory_csv_layout():
+    text = trajectory_csv([(0, 0.1, 0.2, 0.03, 0.04, 1, 1.0, False),
+                           (1, 0.5, 0.25, -0.75, 2.5, 0, -10.0, True)])
+    lines = text.strip().split("\n")
+    assert lines[0] == "t,x,x_dot,theta,theta_dot,action,reward,terminated"
+    assert lines[1] == "0,0.1,0.2,0.03,0.04,1,1.0,false"
+    assert lines[2] == "1,0.5,0.25,-0.75,2.5,0,-10.0,true"

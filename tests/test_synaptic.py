@@ -8,7 +8,7 @@ import pytest
 
 from bmu_lab.core import optimistic_q
 from bmu_lab.discretize import cell_of, pack
-from bmu_lab.synaptic import SynapticAgent, gamma_to_tau, synaptic_filter, tau_to_gamma
+from bmu_lab.synaptic import SynapticAgent, gamma_to_tau, synaptic_filter
 
 
 # agents take cell ids; agent.json and snapshots name the same states by key
@@ -219,17 +219,10 @@ class TestDiscountKernel:
     def test_exact_inverse_point(self):
         assert gamma_to_tau(math.exp(-1.0)) == pytest.approx(1.0, rel=1e-12)
 
-    def test_round_trip(self):
-        rng = np.random.default_rng(11)
-        for gamma in rng.uniform(1e-6, 1 - 1e-6, size=200):
-            assert tau_to_gamma(gamma_to_tau(gamma)) == pytest.approx(gamma, rel=1e-12)
-
     def test_domain_errors(self):
         for bad in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(ValueError):
                 gamma_to_tau(bad)
-        with pytest.raises(ValueError):
-            tau_to_gamma(0.0)
 
     def test_unit_impulse_lag_one_equals_gamma(self):
         tau = gamma_to_tau(0.99)
@@ -349,7 +342,7 @@ def test_fan_in_matches_edge_list_recount():
         agent.select(s, forced=action)
         agent.update(s, action, reward, s2, terminal)
     snapshot = agent.snapshot()
-    recount = {key: 0 for key in snapshot.node_ids()}
+    recount = {key: 0 for key, _ in snapshot.nodes}
     for _, target, _ in snapshot.edges:
         recount[target] += 1
     assert {key: attrs["fan_in"] for key, attrs in snapshot.nodes} == recount

@@ -60,6 +60,11 @@ class TestConfig:
             with pytest.raises(ConfigError, match="kappa"):
                 TrainConfig(kappa=kappa).validate()
 
+    @pytest.mark.parametrize("seeds", [(1, 1), (0, -1), (-3,), (2, 0, 2)])
+    def test_duplicate_or_negative_seeds_named(self, seeds):
+        with pytest.raises(ConfigError, match="seeds"):
+            TrainConfig(seeds=seeds).validate()
+
     def test_env_invariants_surface_by_key(self):
         with pytest.raises(ConfigError, match="max_steps"):
             TrainConfig(max_steps=150).validate()
@@ -351,11 +356,6 @@ class TestTrain:
         result = train(config, 0)
         assert sorted(result.snapshots) == [4, 8]
 
-    def test_requested_snapshot_episodes(self):
-        config = TrainConfig(max_episodes=6)
-        result = train(config, 0, snapshot_episodes={2, 5})
-        assert sorted(result.snapshots) == [2, 5]
-
 
 class TestMultiSeed:
     def test_single_seed_band_width_zero(self):
@@ -364,9 +364,10 @@ class TestMultiSeed:
         assert aggregate.lo_band == aggregate.mean == aggregate.hi_band
 
     def test_identical_seeds_band_width_zero(self):
-        config = TrainConfig(agent="qtable", max_episodes=8, seeds=(4, 4, 4))
-        aggregate, _ = multi_seed(config)
-        np.testing.assert_allclose(aggregate.lo_band, aggregate.hi_band)
+        # a config lists each seed once, so the curves of one seed are repeated
+        _, (result,) = multi_seed(TrainConfig(agent="qtable", max_episodes=8, seeds=(4,)))
+        _, lo, hi = aggregate_curves([result.metrics.moving_avg] * 3)
+        np.testing.assert_allclose(lo, hi)
 
     def test_band_is_mean_plus_minus_two_sigma(self):
         config = TrainConfig(agent="qtable", max_episodes=10, seeds=(0, 1, 2))
@@ -380,19 +381,19 @@ class TestMultiSeed:
 
     def test_seed_isolation_under_permutation(self):
         config = TrainConfig(agent="qtable", max_episodes=8)
-        _, forward = multi_seed(config.with_seeds((1, 2)))
-        _, backward = multi_seed(config.with_seeds((2, 1)))
+        _, forward = multi_seed(replace(config, seeds=(1, 2)))
+        _, backward = multi_seed(replace(config, seeds=(2, 1)))
         by_seed_fwd = {r.metrics.seed: r.metrics.rewards for r in forward}
         by_seed_bwd = {r.metrics.seed: r.metrics.rewards for r in backward}
         assert by_seed_fwd == by_seed_bwd
 
     def test_failed_seeds_left_out_of_the_bands(self):
         config = TrainConfig(agent="bmu-pool", max_episodes=10, pool_capacity=22)
-        aggregate, results = multi_seed(config.with_seeds((0, 1)))
-        alone, _ = multi_seed(config.with_seeds((0,)))
+        aggregate, results = multi_seed(replace(config, seeds=(0, 1)))
+        alone, _ = multi_seed(replace(config, seeds=(0,)))
         assert [r.metrics.failed is None for r in results] == [True, False]
         assert aggregate == replace(alone, convergence_episodes=[None, None])
-        aggregate, _ = multi_seed(replace(config, pool_capacity=5).with_seeds((0, 1)))
+        aggregate, _ = multi_seed(replace(config, pool_capacity=5, seeds=(0, 1)))
         assert aggregate.episodes == 0 and aggregate.mean == []
         assert aggregate.convergence_episodes == [None, None]
 
@@ -491,14 +492,16 @@ class TestEvaluate:
         config, agent = self._trained()
         a = evaluate(agent, config, seed=5, n_episodes=2)
         b = evaluate(agent, config, seed=5, n_episodes=2)
-        assert a.traces == b.traces
+        assert a.trajectories == b.trajectories
         assert a.rewards == b.rewards
 
     def test_trace_rows_equal_steps(self):
         config, agent = self._trained()
         report = evaluate(agent, config, seed=5, n_episodes=3)
-        for trace, steps in zip(report.traces, report.steps):
-            assert len(trace) == steps
+        for trajectory, steps, total in zip(report.trajectories, report.steps, report.rewards):
+            assert [row[0] for row in trajectory] == list(range(steps))
+            assert sum(row[6] for row in trajectory) == total  # whole-valued rewards
+            assert [row[7] for row in trajectory[:-1]] == [False] * (steps - 1)
 
     def test_unseen_state_falls_back_to_action_zero(self):
         config = TrainConfig()
@@ -530,7 +533,7 @@ class TestEvaluate:
         assert len(trained) == 20
         starts.clear()
         report = evaluate(result.agent, config, seed, n_episodes=20)
-        assert [t[0][0].x for t in report.trajectories] == [x for x, *_ in starts]
+        assert [t[0][1] for t in report.trajectories] == [x for x, *_ in starts]
         assert len(set(starts)) == 20
         assert trained.isdisjoint(starts)
 
