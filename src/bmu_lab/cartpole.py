@@ -11,38 +11,23 @@ the pole angle or the cart position leaves its limit; it succeeds
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import cos, sin
 
 import numpy as np
 
 RESET_SPREAD = 0.05
 
-
-@dataclass(frozen=True)
-class EnvParams:
-    """Episode limits and rewards, which come from `TrainConfig.env_params()`,
-    and the fixed physics constants."""
-
-    max_steps: int
-    theta_limit: float
-    x_limit: float
-    step_reward: float
-    fail_reward: float
-    gravity: float = 9.8
-    mass_cart: float = 1.0
-    mass_pole: float = 0.1
-    pole_half_length: float = 0.5
-    force_mag: float = 10.0
-    dt: float = 0.02
-
-    def __post_init__(self) -> None:
-        for name in ("gravity", "mass_cart", "mass_pole", "pole_half_length",
-                     "force_mag", "dt", "theta_limit", "x_limit"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive, got {getattr(self, name)}")
-        if self.max_steps < 200:
-            raise ValueError(f"max_steps must be >= 200, got {self.max_steps}")
+# CartPole-v1's physics
+GRAVITY = 9.8
+MASS_CART = 1.0
+MASS_POLE = 0.1
+POLE_HALF_LENGTH = 0.5
+FORCE_MAG = 10.0
+DT = 0.02
+TOTAL_MASS = MASS_CART + MASS_POLE
+POLEMASS_LENGTH = MASS_POLE * POLE_HALF_LENGTH
+# unpacked into locals by `integrate`, which runs on every step
+_PHYSICS = (GRAVITY, MASS_POLE, POLE_HALF_LENGTH, DT, TOTAL_MASS, POLEMASS_LENGTH)
 
 
 class CartPoleEnv:
@@ -51,14 +36,12 @@ class CartPoleEnv:
     The state is a tuple (x, x_dot, theta, theta_dot) plus the step counter
     `t`. ``reset(seed)`` seeds an internal generator; ``reset()`` with no
     seed continues the same stream, so a single seed fixes the whole
-    sequence of initial conditions.
+    sequence of initial conditions. The episode limits and rewards are read
+    from `config`, a `TrainConfig`.
     """
 
-    def __init__(self, params: EnvParams):
-        self.params = p = params
-        total_mass = p.mass_cart + p.mass_pole
-        self._constants = (p.gravity, p.mass_pole, p.pole_half_length, p.dt,
-                           total_mass, p.mass_pole * p.pole_half_length)
+    def __init__(self, config):
+        self.config = config
         self.state: tuple[float, float, float, float] | None = None
         self.t = 0
         self.terminated = False
@@ -69,7 +52,7 @@ class CartPoleEnv:
         self.state = state
         self.t = t
         x, _, theta, _ = state
-        self.terminated = abs(theta) > self.params.theta_limit or abs(x) > self.params.x_limit
+        self.terminated = abs(theta) > self.config.theta_limit or abs(x) > self.config.x_limit
 
     def reset(self, seed: int | None = None) -> tuple[float, float, float, float]:
         """Sample an initial state with all components uniform in [-0.05, 0.05]."""
@@ -84,7 +67,7 @@ class CartPoleEnv:
                   force: float) -> tuple[float, float, float, float]:
         """The equations of motion under a signed force, one Euler step."""
         x, x_dot, theta, theta_dot = state
-        gravity, mass_pole, half_length, dt, total_mass, polemass_length = self._constants
+        gravity, mass_pole, half_length, dt, total_mass, polemass_length = _PHYSICS
         cos_t = cos(theta)
         sin_t = sin(theta)
         temp = (force + polemass_length * theta_dot ** 2 * sin_t) / total_mass
@@ -102,11 +85,11 @@ class CartPoleEnv:
         """
         if self.state is None:
             raise ValueError("reset the environment before stepping")
-        params = self.params
+        config = self.config
         if action == 1:
-            force = params.force_mag
+            force = FORCE_MAG
         elif action == 0:
-            force = -params.force_mag
+            force = -FORCE_MAG
         else:
             raise ValueError(f"action must be 0 or 1, got {action!r}")
         if self.terminated:
@@ -114,8 +97,8 @@ class CartPoleEnv:
         self.state = nxt = self.integrate(self.state, force)
         self.t += 1
         x, _, theta, _ = nxt
-        self.terminated = terminated = abs(theta) > params.theta_limit or abs(x) > params.x_limit
+        self.terminated = terminated = abs(theta) > config.theta_limit or abs(x) > config.x_limit
         if terminated:
-            return nxt, params.fail_reward, True, False
-        return nxt, params.step_reward, False, self.t >= params.max_steps
+            return nxt, config.fail_reward, True, False
+        return nxt, config.step_reward, False, self.t >= config.max_steps
 

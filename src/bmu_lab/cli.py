@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -25,18 +24,6 @@ from .runio import (
 )
 from .trainer import AGENT_KINDS, ConfigError, evaluate, train
 
-SEED_ENV_VAR = "BMU_LAB_SEED"
-
-
-def _default_seed_base() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
-
 
 @functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,19 +40,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", default=None, help="flat key=value config file")
     p_train.add_argument("--seeds", type=int, default=None,
                          help="number of seeds, counted up from the seed base")
-    p_train.add_argument("--seed-base", type=int, default=None,
-                         help=f"first seed (default: ${SEED_ENV_VAR} or 0)")
+    p_train.add_argument("--seed-base", type=int, default=0, help="first seed")
     p_train.add_argument("--seed-list", default=None,
                          help="explicit comma-separated seeds, overrides --seeds")
     for flag, key in (
         ("--gamma", "gamma"), ("--alpha", "alpha"), ("--bins", "n_bins"),
-        ("--kappa", "kappa"), ("--max-steps", "max_steps"),
-        ("--max-episodes", "max_episodes"),
+        ("--max-steps", "max_steps"), ("--max-episodes", "max_episodes"),
         ("--convergence-reward", "convergence_reward"),
         ("--window", "convergence_window"), ("--epsilon", "epsilon"),
-        ("--epsilon-decay", "epsilon_decay"), ("--c-gain", "c_gain"),
-        ("--snapshot-every", "snapshot_every"), ("--init", "init"),
-        ("--pool-capacity", "pool_capacity"),
+        ("--epsilon-decay", "epsilon_decay"), ("--snapshot-every", "snapshot_every"),
+        ("--init", "init"), ("--pool-capacity", "pool_capacity"),
         ("--theta-limit", "theta_limit"), ("--x-limit", "x_limit"),
         ("--x-bin-bound", "x_bin_bound"), ("--x-dot-bound", "x_dot_bound"),
         ("--theta-dot-bound", "theta_dot_bound"),
@@ -108,14 +92,15 @@ def _collect_overrides(args) -> dict[str, str]:
     return overrides
 
 
-def _resolve_seeds(args) -> tuple[int, ...]:
+def _seeds_entry(args) -> str:
+    """The `seeds` entry: `--seed-list` as given, else `--seeds` seeds
+    counted up from `--seed-base`."""
     if args.seed_list:
-        return tuple(int(tok) for tok in args.seed_list.split(",") if tok.strip())
-    base = args.seed_base if args.seed_base is not None else _default_seed_base()
+        return args.seed_list
     count = args.seeds if args.seeds is not None else 1
     if count < 1:
         raise ConfigError(f"seeds count must be >= 1, got {count}")
-    return tuple(range(base, base + count))
+    return ",".join(str(seed) for seed in range(args.seed_base, args.seed_base + count))
 
 
 def _handle_train(args) -> int:
@@ -127,7 +112,8 @@ def _handle_train(args) -> int:
         entries["agent"] = args.agent
     if args.qtable_dense:
         entries["qtable_dense"] = "true"
-    config = replace(config_from_entries(entries), seeds=_resolve_seeds(args))
+    entries["seeds"] = _seeds_entry(args)
+    config = config_from_entries(entries)
     config.validate()
 
     summary = execute_train_run(config, Path(args.out))
@@ -161,6 +147,8 @@ def _seed_dir(run_dir: Path, config, seed: int | None) -> tuple[Path, int]:
 
 
 def _handle_eval(args) -> int:
+    if args.eval_seed is not None and args.eval_seed < 0:
+        raise ValueError(f"--eval-seed must be >= 0, got {args.eval_seed}")
     run_dir = Path(args.run)
     config = load_run_config(run_dir)
     seed_dir, chosen = _seed_dir(run_dir, config, args.seed)

@@ -1,9 +1,9 @@
 """The one Q store every agent keeps its learning in.
 
 The synaptic graph, the BMU ensembles, the neuron pool and the Q-table all
-run the same Bellman iteration over the same data: one row of kappa action
-values per discretized state, and, for the graph agents, which state each
-(state, action) transition last led to. `BellmanCore` holds exactly that,
+run the same Bellman iteration over the same data: one row of `KAPPA`
+action values per discretized state, and, for the graph agents, which state
+each (state, action) transition last led to. `BellmanCore` holds exactly that,
 under row ids given out in first-seen order, and the four agent classes are
 thin adapters over it that differ only in how they render their state to
 files (and the range of their uniform row init).
@@ -21,9 +21,18 @@ import numpy as np
 
 from .discretize import cell_of, key_of, unpack
 from .graphio import GraphSnapshot
-from .metrics import NetworkStats, parameter_count
+from .metrics import NetworkStats
 
 INIT_MODES = ("optimistic", "zeros", "uniform")
+
+# actions per state: the cartpole's two pushes, left and right
+KAPPA = 2
+
+
+def parameter_count(units: int) -> int:
+    """The parameter column's convention: each state cell carries its KAPPA
+    action values, one stored value function and one gate/selector word."""
+    return units * (KAPPA + 2)
 
 
 def optimistic_q(step_reward: float, gamma: float) -> float:
@@ -52,21 +61,21 @@ class BellmanCore:
     `fan_in[i]` counts the edges pointing at id i. Every edge adds exactly
     one unit of fan-in, so the fan-in total always equals the edge count.
 
-    A new row starts at `init`: the optimistic fixed point, zeros, or kappa
+    A new row starts at `init`: the optimistic fixed point, zeros, or KAPPA
     draws from `rng` uniform over the class's `uniform_range`.
     """
 
     uniform_range = (0.0, 1e-3)
+    # agent.json's shape fields and the one value each can take; a file with
+    # any other value is rejected on load
+    fixed_fields = {"kappa": KAPPA}
 
-    def __init__(self, kappa: int, alpha: float, gamma: float, init: str,
+    def __init__(self, alpha: float = 0.9, gamma: float = 0.99, *, init: str,
                  rng: np.random.Generator | None = None, step_reward: float = 1.0):
-        if kappa < 1:
-            raise ValueError(f"kappa must be >= 1, got {kappa}")
         if init not in INIT_MODES:
             raise ValueError(f"init must be one of {INIT_MODES}, got {init!r}")
         if init == "uniform" and rng is None:
             raise ValueError("uniform init needs an rng")
-        self.kappa = kappa
         self.alpha = alpha
         self.gamma = gamma
         self.init = init
@@ -83,10 +92,10 @@ class BellmanCore:
     def new_row(self) -> list[float]:
         """Initial action values of a newly seen state."""
         if self.init == "uniform":
-            # one sized draw equals kappa scalar draws, value for value
-            return self.rng.uniform(*self.uniform_range, size=self.kappa).tolist()
+            # one sized draw equals KAPPA scalar draws, value for value
+            return self.rng.uniform(*self.uniform_range, size=KAPPA).tolist()
         q = optimistic_q(self.step_reward, self.gamma) if self.init == "optimistic" else 0.0
-        return [q] * self.kappa
+        return [q] * KAPPA
 
     def add(self, cell: int, row: list[float]) -> None:
         self.ids[cell] = len(self.keys)
@@ -159,7 +168,7 @@ class BellmanCore:
             neurons=n,
             edges=edges,
             avg_fan_in=edges / n if n else 0.0,
-            parameter_count=parameter_count(n, self.kappa),
+            parameter_count=parameter_count(n),
         )
 
     # -- renderings ------------------------------------------------------

@@ -6,10 +6,6 @@ from dataclasses import dataclass
 
 from .graphio import GraphSnapshot
 
-# Bookkeeping convention for the parameter column: each state cell carries
-# its action values, one stored value function and one gate/selector word.
-PARAMS_PER_UNIT_EXTRA = 2
-
 
 @dataclass(frozen=True)
 class NetworkStats:
@@ -19,10 +15,6 @@ class NetworkStats:
     edges: int | None
     avg_fan_in: float | None
     parameter_count: int
-
-
-def parameter_count(units: int, kappa: int) -> int:
-    return units * (kappa + PARAMS_PER_UNIT_EXTRA)
 
 
 @dataclass(frozen=True)

@@ -17,19 +17,19 @@ from itertools import product
 
 import numpy as np
 
-from .core import BellmanCore
+from .core import BellmanCore, parameter_count
 from .discretize import cell_of, pack
 from .graphio import GraphSnapshot
-from .metrics import NetworkStats, parameter_count
+from .metrics import NetworkStats
 
 
 class QTableAgent(BellmanCore):
     kind = "qtable"
 
-    def __init__(self, kappa: int = 2, alpha: float = 0.9, gamma: float = 0.99,
-                 dense: bool = False, n_bins: int = 10, *, init: str,
-                 rng: np.random.Generator | None = None, step_reward: float = 1.0):
-        super().__init__(kappa, alpha, gamma, init, rng, step_reward)
+    def __init__(self, alpha: float = 0.9, gamma: float = 0.99, dense: bool = False,
+                 n_bins: int = 10, *, init: str, rng: np.random.Generator | None = None,
+                 step_reward: float = 1.0):
+        super().__init__(alpha, gamma, init=init, rng=rng, step_reward=step_reward)
         self.dense = dense
         self.n_bins = n_bins
         self.visits: dict[str, int] = {}
@@ -48,7 +48,7 @@ class QTableAgent(BellmanCore):
         # fan-in has no natural meaning for a lookup table; reported as n/a
         n = len(self.keys)
         return NetworkStats(neurons=n, edges=None, avg_fan_in=None,
-                            parameter_count=parameter_count(n, self.kappa))
+                            parameter_count=parameter_count(n))
 
     def sorted_rows(self) -> list[tuple[str, list[float]]]:
         return sorted(zip(self.keys, self.rows))
@@ -66,7 +66,7 @@ class QTableAgent(BellmanCore):
     def serialize(self) -> dict:
         return {
             "kind": self.kind,
-            "kappa": self.kappa,
+            **self.fixed_fields,
             "alpha": self.alpha,
             "gamma": self.gamma,
             "dense": self.dense,
@@ -79,8 +79,7 @@ class QTableAgent(BellmanCore):
     @classmethod
     def deserialize(cls, payload: dict) -> "QTableAgent":
         # a loaded table that adds rows draws uniform ones from seed 0
-        agent = cls(kappa=payload["kappa"], alpha=payload["alpha"],
-                    gamma=payload["gamma"], dense=payload["dense"],
+        agent = cls(alpha=payload["alpha"], gamma=payload["gamma"], dense=payload["dense"],
                     n_bins=payload["n_bins"], init=payload.get("q_init", "zeros"),
                     rng=np.random.default_rng(0))
         for key, row in payload["rows"].items():

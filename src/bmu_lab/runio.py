@@ -27,7 +27,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from .bmu import BmuAgent, PoolAgent
-from .core import INIT_MODES
+from .core import INIT_MODES, KAPPA
 from .graphio import GraphSnapshot, to_dot, to_gexf
 from .metrics import degree_hist_csv, degree_distribution
 from .qtable import QTableAgent
@@ -96,7 +96,9 @@ def config_from_entries(entries: dict[str, str]) -> TrainConfig:
 
     The legacy keys `q_init` and `encoder_init` still parse: when `init` is
     absent they decide it as they did for the run's kind, so old run
-    directories and config files replay unchanged.
+    directories and config files replay unchanged. The retired keys `kappa`
+    (which could only be 2) and `c_gain` (which changed no choice) are
+    skipped.
     """
     base = TrainConfig()
     known = {f.name for f in fields(TrainConfig)}
@@ -107,6 +109,10 @@ def config_from_entries(entries: dict[str, str]) -> TrainConfig:
             if raw not in INIT_MODES:
                 raise ConfigError(f"{key} must be one of {INIT_MODES}, got {raw!r}")
             legacy[key] = raw
+            continue
+        if key == "kappa" and raw != str(KAPPA):
+            raise ConfigError(f"kappa must be {KAPPA}, the cartpole's two actions, got {raw!r}")
+        if key in ("kappa", "c_gain"):
             continue
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
@@ -203,7 +209,12 @@ def load_agent(text: str):
     kind = payload.get("kind")
     if kind not in AGENT_CLASSES:
         raise ValueError(f"unknown agent kind {kind!r} in agent file")
-    return AGENT_CLASSES[kind].deserialize(payload)
+    cls = AGENT_CLASSES[kind]
+    for key, value in cls.fixed_fields.items():
+        if payload.get(key) != value:
+            raise ValueError(f"{key} must be {value} in a {kind} agent file, "
+                             f"got {payload.get(key)!r}")
+    return cls.deserialize(payload)
 
 
 def agent_state_hash(agent) -> str:

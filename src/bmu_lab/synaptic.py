@@ -1,7 +1,7 @@
 """Synaptic Q-learning on an evolving neuron/synapse/gate graph.
 
 One neuron per discretized state holds the value function; each of its
-kappa synapses holds the Q value of one action plus an exponential-kernel
+KAPPA synapses holds the Q value of one action plus an exponential-kernel
 time constant tau that encodes the discount factor (gamma = e^(-1/tau)).
 A normally-closed gate sits on every synapse output: action selection
 opens exactly one gate, the step outcome drives the Bellman update through
@@ -10,9 +10,9 @@ first time a discretized state is seen, so the network topology grows with
 the explored region of state space and saturates as the policy converges.
 
 Selection fires the synapse with the highest spike frequency c * Q_j,
-which for any gain c > 0 is the synapse with the highest Q; the gain c is
-kept only as a stored parameter. The neurons and synapses are rows of the
-shared `BellmanCore`.
+which for any gain c > 0 is the synapse with the highest Q. So the gain is
+no setting; agent.json records it as a fixed `"c": 1.0`. The neurons and
+synapses are rows of the shared `BellmanCore`.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ def synaptic_filter(spike_train, tau: float, t: int) -> float:
 
 
 class SynapticAgent(BellmanCore):
-    """One neuron per state; its kappa synapses carry the Q values.
+    """One neuron per state; its KAPPA synapses carry the Q values.
 
     Selection opens the gate of one synapse and the update goes through
     that open gate, which then closes. Between steps every gate is closed,
@@ -52,12 +52,9 @@ class SynapticAgent(BellmanCore):
 
     kind = "synaptic"
 
-    def __init__(self, kappa: int = 2, alpha: float = 0.9, gamma: float = 0.99,
-                 c: float = 1.0, *, init: str, rng: np.random.Generator | None = None,
-                 step_reward: float = 1.0):
-        super().__init__(kappa, alpha, gamma, init, rng, step_reward)
-        self.tau = gamma_to_tau(gamma)
-        self.c = c
+    def __init__(self, alpha: float = 0.9, gamma: float = 0.99, *, init: str,
+                 rng: np.random.Generator | None = None, step_reward: float = 1.0):
+        super().__init__(alpha, gamma, init=init, rng=rng, step_reward=step_reward)
         self.open_gate: tuple[int, int] | None = None
 
     def select(self, cell: int, forced: int | None = None) -> int:
@@ -92,10 +89,10 @@ class SynapticAgent(BellmanCore):
         keys = self.keys
         return {
             "kind": self.kind,
-            "kappa": self.kappa,
+            **self.fixed_fields,
             "alpha": self.alpha,
             "gamma": self.gamma,
-            "c": self.c,
+            "c": 1.0,
             "neurons": [
                 {
                     "key": key,
@@ -115,8 +112,7 @@ class SynapticAgent(BellmanCore):
     @classmethod
     def deserialize(cls, payload: dict) -> "SynapticAgent":
         # stored values overwrite the init, so any deterministic mode works
-        agent = cls(kappa=payload["kappa"], alpha=payload["alpha"],
-                    gamma=payload["gamma"], c=payload["c"], init="zeros")
+        agent = cls(alpha=payload["alpha"], gamma=payload["gamma"], init="zeros")
         for entry in payload["neurons"]:
             agent.add(cell_of(entry["key"]), [float(syn["q"]) for syn in entry["synapses"]])
         for i, entry in enumerate(payload["neurons"]):

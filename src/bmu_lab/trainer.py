@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bmu import BmuAgent, PoolAgent, PoolCapacityError
-from .cartpole import CartPoleEnv, EnvParams
+from .cartpole import CartPoleEnv
 from .core import INIT_MODES, argmax
 from .discretize import BinSpec, discretize
 from .graphio import GraphSnapshot
@@ -52,13 +52,11 @@ class TrainConfig:
     gamma: float = 0.99
     alpha: float = 0.9
     n_bins: int = 10
-    kappa: int = 2
     max_steps: int = 250
     convergence_reward: float = 200.0
     convergence_window: int = 20
     max_episodes: int = 1000
     seeds: tuple[int, ...] = (0,)
-    c_gain: float = 1.0
     epsilon: float = 0.0
     epsilon_decay: float = 1.0
     snapshot_every: int = 0
@@ -87,8 +85,6 @@ class TrainConfig:
                     "x_bin_bound", "x_dot_bound", "theta_dot_bound"):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
-        if not 0.0 < self.c_gain < math.inf:
-            raise ConfigError(f"c_gain must be finite and > 0, got {self.c_gain}")
         if self.convergence_reward > self.max_steps * self.step_reward:
             raise ConfigError(
                 f"convergence_reward {self.convergence_reward} is unattainable with "
@@ -96,8 +92,6 @@ class TrainConfig:
             )
         if self.n_bins < 2:
             raise ConfigError(f"n_bins must be >= 2, got {self.n_bins}")
-        if self.kappa != 2:
-            raise ConfigError(f"kappa must be 2, the cartpole's two actions, got {self.kappa}")
         if self.max_episodes < 1:
             raise ConfigError(f"max_episodes must be >= 1, got {self.max_episodes}")
         if not self.seeds:
@@ -115,24 +109,15 @@ class TrainConfig:
             raise ConfigError(f"pool_capacity must be >= 1, got {self.pool_capacity}")
         if self.init not in INIT_MODES:
             raise ConfigError(f"init must be one of {INIT_MODES}, got {self.init!r}")
-        # env invariants surface here as config errors with the offending key
-        try:
-            self.env_params()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        for key in ("theta_limit", "x_limit"):
+            if getattr(self, key) <= 0:
+                raise ConfigError(f"{key} must be strictly positive, got {getattr(self, key)}")
+        if self.max_steps < 200:
+            raise ConfigError(f"max_steps must be >= 200, got {self.max_steps}")
         try:
             self.bin_spec()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-
-    def env_params(self) -> EnvParams:
-        return EnvParams(
-            max_steps=self.max_steps,
-            theta_limit=self.theta_limit,
-            x_limit=self.x_limit,
-            step_reward=self.step_reward,
-            fail_reward=self.fail_reward,
-        )
 
     def bin_spec(self) -> BinSpec:
         # angle bins track the termination limit; position bins span a wider
@@ -150,14 +135,13 @@ def make_agent(config: TrainConfig, rng: np.random.Generator):
     common = {"alpha": config.alpha, "gamma": config.gamma, "init": config.init,
               "rng": rng, "step_reward": config.step_reward}
     if config.agent == "synaptic":
-        return SynapticAgent(kappa=config.kappa, c=config.c_gain, **common)
+        return SynapticAgent(**common)
     if config.agent == "bmu":
-        return BmuAgent(b=config.kappa, d=1, **common)
+        return BmuAgent(**common)
     if config.agent == "bmu-pool":
-        return PoolAgent(capacity=config.pool_capacity, n_actions=config.kappa, **common)
+        return PoolAgent(capacity=config.pool_capacity, **common)
     if config.agent == "qtable":
-        return QTableAgent(kappa=config.kappa, dense=config.qtable_dense,
-                           n_bins=config.n_bins, **common)
+        return QTableAgent(dense=config.qtable_dense, n_bins=config.n_bins, **common)
     raise ConfigError(f"agent must be one of {AGENT_KINDS}, got {config.agent!r}")
 
 
@@ -169,17 +153,18 @@ class EpisodeRecord:
 
 
 class Exploration:
-    """numpy's `Generator.random()` and `Generator.integers(kappa)` over one
+    """numpy's `Generator.random()` and `Generator.integers(2)` over one
     PCG64 stream, decoded from raw 64-bit words fetched `BLOCK` at a time.
 
     The coin is numpy's `next_double`, the top 53 bits of a word. The
-    forced action is numpy's bounded draw: Lemire's multiply-and-reject
-    over `next_uint32`, which hands out the low half of a fresh word and
-    keeps the high half for the next 32-bit draw. One instance serves a
-    whole run, so the word buffer and the kept half carry across episodes
-    as the generator's own state would; nothing is fetched before the
-    first draw. The bit generator must not be drawn from directly
-    afterwards.
+    forced action is numpy's bounded draw, Lemire's multiply-and-reject over
+    `next_uint32`, which hands out the low half of a fresh word and keeps the
+    high half for the next 32-bit draw. For two values the draw is the top
+    bit of that 32-bit value, and the rejection threshold (2**32 - 2) % 2 is
+    0, so nothing is ever rejected. One instance serves a whole run, so the
+    word buffer and the kept half carry across episodes as the generator's
+    own state would; nothing is fetched before the first draw. The bit
+    generator must not be drawn from directly afterwards.
     """
 
     def __init__(self, bit_generator: np.random.BitGenerator):
@@ -198,27 +183,15 @@ class Exploration:
     def random(self) -> float:
         return (next(self._words) >> 11) * (1.0 / 9007199254740992.0)
 
-    def _uint32(self) -> int:
+    def action(self) -> int:
+        """A uniform action, 0 or 1."""
         half = self._half
         if half is not None:
             self._half = None
-            return half
+            return half >> 31
         word = next(self._words)
         self._half = word >> 32
-        return word & 0xFFFFFFFF
-
-    def integers(self, kappa: int) -> int:
-        """Uniform on [0, kappa) for 1 <= kappa <= 2**32; kappa 1 draws nothing."""
-        if not 1 < kappa <= 0x100000000:
-            if kappa == 1:
-                return 0
-            raise ValueError(f"kappa must be in [1, 2**32], got {kappa}")
-        m = self._uint32() * kappa
-        if m & 0xFFFFFFFF < kappa:
-            threshold = (0x100000000 - kappa) % kappa
-            while m & 0xFFFFFFFF < threshold:
-                m = self._uint32() * kappa
-        return m >> 32
+        return (word >> 31) & 1
 
 
 def run_episode(agent, env: CartPoleEnv, config: TrainConfig, episode_seed: int,
@@ -236,8 +209,7 @@ def run_episode(agent, env: CartPoleEnv, config: TrainConfig, episode_seed: int,
         spec = config.bin_spec()
     exploring = explore is not None and epsilon > 0.0
     if exploring:
-        coin, forced_action = explore.random, explore.integers
-    kappa = config.kappa
+        coin, forced_action = explore.random, explore.action
     ensure, select, update = agent.ensure, agent.select, agent.update
     step = env.step
     cell = discretize(env.reset(episode_seed), spec)
@@ -247,7 +219,7 @@ def run_episode(agent, env: CartPoleEnv, config: TrainConfig, episode_seed: int,
     while True:
         forced = None
         if exploring and coin() < epsilon:
-            forced = forced_action(kappa)
+            forced = forced_action()
         action = select(cell, forced)
         next_state, reward, terminated, truncated = step(action)
         next_cell = discretize(next_state, spec)
@@ -356,7 +328,7 @@ def train(config: TrainConfig, seed: int) -> TrainResult:
     config.validate()
     started = time.perf_counter()
     env_seeder, agent_rng, explore_rng = _seed_streams(seed)
-    env = CartPoleEnv(config.env_params())
+    env = CartPoleEnv(config)
     spec = config.bin_spec()
     agent = make_agent(config, agent_rng)
     explore = Exploration(explore_rng.bit_generator)
@@ -491,7 +463,7 @@ def evaluate(agent, config: TrainConfig, seed: int, n_episodes: int) -> EvalRepo
     if n_episodes < 1:
         raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
     spec = config.bin_spec()
-    env = CartPoleEnv(config.env_params())
+    env = CartPoleEnv(config)
     # training draws from the first three children of the seed, so the
     # fourth gives initial states no training episode of that seed saw
     seeder = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[3])

@@ -45,10 +45,10 @@ def converged_bmu_run():
 
 def matched_zero_agents():
     return [
-        SynapticAgent(kappa=2, alpha=0.9, gamma=0.99, init="zeros"),
-        BmuAgent(b=2, d=1, alpha=0.9, gamma=0.99, init="zeros"),
-        PoolAgent(capacity=128, n_actions=2, alpha=0.9, gamma=0.99, init="zeros"),
-        QTableAgent(kappa=2, alpha=0.9, gamma=0.99, init="zeros"),
+        SynapticAgent(alpha=0.9, gamma=0.99, init="zeros"),
+        BmuAgent(alpha=0.9, gamma=0.99, init="zeros"),
+        PoolAgent(capacity=128, alpha=0.9, gamma=0.99, init="zeros"),
+        QTableAgent(alpha=0.9, gamma=0.99, init="zeros"),
     ]
 
 
@@ -114,10 +114,10 @@ def test_bellman_fixed_point():
     gamma, alpha = 0.9, 0.9
     q_star = solve_q_star(gamma)
     agents = [
-        SynapticAgent(kappa=2, alpha=alpha, gamma=gamma, init="zeros"),
-        BmuAgent(b=2, d=1, alpha=alpha, gamma=gamma, init="zeros"),
-        PoolAgent(capacity=8, n_actions=2, alpha=alpha, gamma=gamma, init="zeros"),
-        QTableAgent(kappa=2, alpha=alpha, gamma=gamma, init="zeros"),
+        SynapticAgent(alpha=alpha, gamma=gamma, init="zeros"),
+        BmuAgent(alpha=alpha, gamma=gamma, init="zeros"),
+        PoolAgent(capacity=8, alpha=alpha, gamma=gamma, init="zeros"),
+        QTableAgent(alpha=alpha, gamma=gamma, init="zeros"),
     ]
     started = time.perf_counter()
     for agent in agents:
@@ -185,7 +185,7 @@ def test_parameter_bookkeeping(default_runs):
     for result in results:
         stats = result.agent.stats()
         assert stats.parameter_count == stats.neurons * 4
-    dense = QTableAgent(kappa=2, dense=True, n_bins=10, init="zeros")
+    dense = QTableAgent(dense=True, n_bins=10, init="zeros")
     assert dense.stats().parameter_count == 40_000
     assert dense.stats().neurons == 10_000
     report("parameter bookkeeping (neurons x 4; dense table 40000)")

@@ -50,7 +50,7 @@ def activity(encoders, gain=1.0, bias=0.0, g=lambda current: current):
 class TestSpawnEnsemble:
     def test_seeded_encoders_reproducible_in_range(self):
         def build():
-            agent = BmuAgent(b=2, d=1, init="uniform", rng=np.random.default_rng(7))
+            agent = BmuAgent(init="uniform", rng=np.random.default_rng(7))
             agent.ensure(cell_of("5_5_5_5_"))
             return agent.q_values(cell_of("5_5_5_5_"))
 
@@ -154,7 +154,7 @@ class TestBmuUpdate:
 
 def test_encoder_q_identity_through_random_updates():
     rng = np.random.default_rng(31)
-    agent = BmuAgent(b=2, d=1, alpha=0.9, gamma=0.99, init="uniform", rng=rng)
+    agent = BmuAgent(alpha=0.9, gamma=0.99, init="uniform", rng=rng)
     keys = [f"{i}_{i}_{i}_{i}_" for i in range(15)]
     for key in keys:
         agent.ensure(cell_of(key))
@@ -168,7 +168,7 @@ def test_encoder_q_identity_through_random_updates():
 
 class TestPool:
     def test_assign_claims_sequential_neurons(self):
-        agent = PoolAgent(capacity=300, n_actions=2, init="zeros")
+        agent = PoolAgent(capacity=300, init="zeros")
         for i in range(250):
             agent.ensure(pack((i, 0, 0, 0)))
         assigned = agent.serialize()["assigned"]
@@ -176,7 +176,7 @@ class TestPool:
         assert agent.stats().neurons == 250
 
     def test_capacity_error_names_size(self):
-        agent = PoolAgent(capacity=2, n_actions=2, init="zeros")
+        agent = PoolAgent(capacity=2, init="zeros")
         agent.ensure(A)
         agent.ensure(B)
         with pytest.raises(PoolCapacityError, match="2"):
@@ -204,7 +204,7 @@ class TestPool:
         assert len(set(indices)) == len(indices) == 64
 
     def test_stats_count_assigned_not_capacity(self):
-        agent = PoolAgent(capacity=300, n_actions=2, init="zeros")
+        agent = PoolAgent(capacity=300, init="zeros")
         for i in range(10):
             agent.ensure(pack((i, 0, 0, 0)))
         stats = agent.stats()
@@ -222,8 +222,8 @@ def test_pool_matches_graph_agent_on_shared_stream():
                        float(rng.choice([1.0, -10.0])), cells[rng.integers(20)],
                        bool(rng.uniform() < 0.05)))
 
-    pool_agent = PoolAgent(capacity=64, n_actions=2, alpha=0.9, gamma=0.99, init="zeros")
-    graph_agent = SynapticAgent(kappa=2, alpha=0.9, gamma=0.99, init="zeros")
+    pool_agent = PoolAgent(capacity=64, alpha=0.9, gamma=0.99, init="zeros")
+    graph_agent = SynapticAgent(alpha=0.9, gamma=0.99, init="zeros")
     for s, action, reward, s2, terminal in stream:
         for agent in (pool_agent, graph_agent):
             agent.ensure(s)
@@ -239,7 +239,7 @@ def test_pool_matches_graph_agent_on_shared_stream():
 
 
 def test_population_stats_parameter_convention():
-    agent = BmuAgent(b=2, d=1, init="uniform", rng=np.random.default_rng(0))
+    agent = BmuAgent(init="uniform", rng=np.random.default_rng(0))
     for i in range(7):
         agent.ensure(pack((i, 0, 0, 0)))
     stats = agent.stats()
@@ -248,7 +248,7 @@ def test_population_stats_parameter_convention():
 
 
 def test_encoder_csv_layout():
-    agent = BmuAgent(b=2, d=1, init="zeros")
+    agent = BmuAgent(init="zeros")
     agent.ensure(cell_of("1_2_3_4_"))
     name, text = agent.value_table()
     lines = text.strip().split("\n")

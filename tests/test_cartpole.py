@@ -6,11 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bmu_lab.cartpole import CartPoleEnv, EnvParams
-from bmu_lab.trainer import TrainConfig
+from bmu_lab.cartpole import FORCE_MAG, CartPoleEnv
+from bmu_lab.trainer import ConfigError, TrainConfig
 
 # the package's limits and rewards, which live only in TrainConfig
-PARAMS = TrainConfig().env_params()
+CONFIG = TrainConfig()
 
 # frozen after the first run; regression-guards the seeded sampler
 GOLDEN_RESET_0 = (
@@ -46,28 +46,28 @@ def reference_step(state, force):
     )
 
 
-def placed(state, params=PARAMS, t=0):
+def placed(state, config=CONFIG, t=0):
     """An env holding `state` at step `t`."""
-    env = CartPoleEnv(params)
+    env = CartPoleEnv(config)
     env.place(state, t)
     return env
 
 
 class TestReset:
     def test_deterministic_under_fixed_seed(self):
-        a, b = CartPoleEnv(PARAMS).reset(42), CartPoleEnv(PARAMS).reset(42)
+        a, b = CartPoleEnv(CONFIG).reset(42), CartPoleEnv(CONFIG).reset(42)
         assert a == b
 
     def test_components_within_spread(self):
         for seed in range(200):
-            env = CartPoleEnv(PARAMS)
+            env = CartPoleEnv(CONFIG)
             state = env.reset(seed)
             assert len(state) == 4
             assert all(abs(v) <= 0.05 for v in state)
             assert env.t == 0
 
     def test_golden_seed_zero(self):
-        assert CartPoleEnv(PARAMS).reset(0) == GOLDEN_RESET_0
+        assert CartPoleEnv(CONFIG).reset(0) == GOLDEN_RESET_0
 
 
 class TestTermination:
@@ -81,8 +81,8 @@ class TestTermination:
         assert not placed((0, 0, 0, 0)).terminated
 
     def test_limits_follow_params(self):
-        tight = replace(PARAMS, theta_limit=0.2095)
-        loose = replace(PARAMS, theta_limit=0.418)
+        tight = replace(CONFIG, theta_limit=0.2095)
+        loose = replace(CONFIG, theta_limit=0.418)
         assert placed((0, 0, 0.3, 0), tight).terminated
         assert not placed((0, 0, 0.3, 0), loose).terminated
 
@@ -104,7 +104,7 @@ class TestStep:
         assert reward == -10.0
 
     def test_terminated_and_truncated_exclusive(self):
-        env = placed((2.39, 3.0, 0, 0), t=PARAMS.max_steps - 1)
+        env = placed((2.39, 3.0, 0, 0), t=CONFIG.max_steps - 1)
         _, _, terminated, truncated = env.step(1)
         assert terminated and not truncated
 
@@ -127,7 +127,7 @@ class TestStep:
             np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-10)
 
     def test_rest_at_origin_is_fixed_point_of_unforced_dynamics(self):
-        env = CartPoleEnv(PARAMS)
+        env = CartPoleEnv(CONFIG)
         state = (0.0, 0.0, 0.0, 0.0)
         for _ in range(100):
             state = env.integrate(state, 0.0)
@@ -135,8 +135,8 @@ class TestStep:
 
     def test_reflection_symmetry(self):
         rng = np.random.default_rng(7)
-        env = CartPoleEnv(PARAMS)
-        force = PARAMS.force_mag
+        env = CartPoleEnv(CONFIG)
+        force = FORCE_MAG
         for _ in range(500):
             state = tuple(rng.uniform(-0.3, 0.3, size=4).tolist())
             mirrored = tuple(-v for v in state)
@@ -148,7 +148,7 @@ class TestStep:
 
 class TestEnvClass:
     def test_reward_accounting_exact(self):
-        env = CartPoleEnv(PARAMS)
+        env = CartPoleEnv(CONFIG)
         for seed in range(20):
             env.reset(seed)
             total, steps = 0.0, 0
@@ -165,7 +165,7 @@ class TestEnvClass:
 
     def test_bit_identical_trajectories(self):
         def rollout(seed):
-            env = CartPoleEnv(PARAMS)
+            env = CartPoleEnv(CONFIG)
             env.reset(seed)
             states = []
             for i in range(40):
@@ -180,7 +180,7 @@ class TestEnvClass:
     def test_matches_pure_step_from_every_state(self):
         """A step depends only on (state, t): a fresh env placed at every
         state of a rollout steps exactly as the rolling env does."""
-        env = CartPoleEnv(PARAMS)
+        env = CartPoleEnv(CONFIG)
         for seed in range(10):
             state = env.reset(seed)
             while True:
@@ -196,7 +196,7 @@ class TestEnvClass:
                 state = next_state
 
     def test_step_checks(self):
-        env = CartPoleEnv(PARAMS)
+        env = CartPoleEnv(CONFIG)
         with pytest.raises(ValueError, match="reset"):
             env.step(0)
         env.reset(0)
@@ -210,33 +210,32 @@ class TestEnvClass:
 
     def test_unseeded_first_reset_rejected(self):
         with pytest.raises(ValueError, match="seed"):
-            CartPoleEnv(PARAMS).reset()
+            CartPoleEnv(CONFIG).reset()
 
     def test_reset_continues_stream_without_seed(self):
-        env = CartPoleEnv(PARAMS)
+        env = CartPoleEnv(CONFIG)
         first = env.reset(3)
         second = env.reset()
         assert first != second
-        env2 = CartPoleEnv(PARAMS)
+        env2 = CartPoleEnv(CONFIG)
         env2.reset(3)
         assert env2.reset() == second
 
 
 class TestParams:
     def test_positive_quantities_enforced(self):
-        with pytest.raises(ValueError, match="force_mag"):
-            replace(PARAMS, force_mag=0.0)
-        with pytest.raises(ValueError, match="dt"):
-            replace(PARAMS, dt=-0.01)
+        for key in ("theta_limit", "x_limit"):
+            for value in (0.0, -0.5):
+                with pytest.raises(ConfigError, match=key):
+                    replace(CONFIG, **{key: value}).validate()
 
     def test_max_steps_floor(self):
-        with pytest.raises(ValueError, match="max_steps"):
-            replace(PARAMS, max_steps=100)
+        # a reachable convergence reward, so the floor itself is what fails
+        with pytest.raises(ConfigError, match="max_steps must be >= 200"):
+            replace(CONFIG, max_steps=100, convergence_reward=50.0).validate()
 
     def test_limits_and_rewards_have_no_defaults(self):
-        with pytest.raises(TypeError, match="max_steps"):
-            EnvParams()
-        with pytest.raises(TypeError, match="params"):
+        with pytest.raises(TypeError, match="config"):
             CartPoleEnv()
-        assert (PARAMS.max_steps, PARAMS.theta_limit, PARAMS.x_limit,
-                PARAMS.step_reward, PARAMS.fail_reward) == (250, 0.2095, 2.4, 1.0, -10.0)
+        assert (CONFIG.max_steps, CONFIG.theta_limit, CONFIG.x_limit,
+                CONFIG.step_reward, CONFIG.fail_reward) == (250, 0.2095, 2.4, 1.0, -10.0)

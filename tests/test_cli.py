@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from bmu_lab import trainer
+from bmu_lab import cli, trainer
 from bmu_lab.cli import _build_parser, main
 from bmu_lab.synaptic import SynapticAgent
 from bmu_lab.trainer import run_episode
@@ -51,7 +51,7 @@ class TestTrain:
         assert err.startswith("error:") and "fail_reward" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt"]
 
-    @pytest.mark.parametrize("seed_list", ["1,1", "0,-1"])
+    @pytest.mark.parametrize("seed_list", ["1,1", "0,-1", "1,a"])
     def test_duplicate_or_negative_seed_rejected_before_training(self, tmp_path, capsys,
                                                                    monkeypatch, seed_list):
         trained = []
@@ -72,7 +72,6 @@ class TestTrain:
 
     def test_parser_is_reused_across_calls(self, tmp_path, capsys, monkeypatch):
         # one parser per process: a rejected flag must not disturb later calls
-        monkeypatch.delenv("BMU_LAB_SEED", raising=False)
         assert _build_parser() is _build_parser()
         assert run_cli(["train", "--agent", "qtable", "--seeds", "1",
                         "--out", tmp_path / "a"] + TINY) == 0
@@ -96,12 +95,24 @@ class TestTrain:
         assert "already exists" in capsys.readouterr().err
 
     def test_seed_list_and_env_base(self, tmp_path, monkeypatch):
-        out = tmp_path / "run"
+        # BMU_LAB_SEED is retired: the environment no longer sets the seed base
         monkeypatch.setenv("BMU_LAB_SEED", "40")
         assert run_cli(["train", "--agent", "qtable", "--seeds", "2",
-                        "--out", out] + TINY) == 0
-        summary = json.loads(read(out / "summary.json"))
-        assert summary["seeds"] == [40, 41]
+                        "--out", tmp_path / "a"] + TINY) == 0
+        assert json.loads(read(tmp_path / "a" / "summary.json"))["seeds"] == [0, 1]
+        assert run_cli(["train", "--agent", "qtable", "--seeds", "2", "--seed-base", "40",
+                        "--out", tmp_path / "b"] + TINY) == 0
+        assert json.loads(read(tmp_path / "b" / "summary.json"))["seeds"] == [40, 41]
+        assert run_cli(["train", "--agent", "qtable", "--seed-list", "7,3", "--seeds", "4",
+                        "--out", tmp_path / "c"] + TINY) == 0
+        assert json.loads(read(tmp_path / "c" / "summary.json"))["seeds"] == [7, 3]
+
+    def test_retired_flags_are_unknown(self, tmp_path):
+        for flag, value in (("--kappa", "2"), ("--c-gain", "1.0")):
+            with pytest.raises(SystemExit) as excinfo:
+                run_cli(["train", "--agent", "qtable", "--out", tmp_path / "x", flag, value])
+            assert excinfo.value.code == 2
+        assert not (tmp_path / "x").exists()
 
     def test_pool_capacity_error_names_size(self, tmp_path, capsys):
         code = run_cli(["train", "--agent", "bmu-pool", "--seeds", "1",
@@ -204,6 +215,27 @@ class TestEval:
     def test_missing_run_dir(self, tmp_path, capsys):
         assert run_cli(["eval", "--run", tmp_path / "nope"]) == 1
         assert "config.txt" in capsys.readouterr().err
+
+    def test_negative_eval_seed_rejected_before_loading(self, trained_run, capsys,
+                                                       monkeypatch):
+        loaded = []
+        monkeypatch.setattr(cli, "load_agent", lambda text: loaded.append(text))
+        assert run_cli(["eval", "--run", trained_run, "--eval-seed", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("error: --eval-seed")
+        assert loaded == []
+        assert not (trained_run / "eval_seed0").exists()
+
+    def test_agent_file_with_three_actions_named(self, trained_run, capsys):
+        agent_path = trained_run / "seed0" / "agent.json"
+        payload = json.loads(read(agent_path))
+        payload["kappa"] = 3
+        for neuron in payload["neurons"]:
+            neuron["synapses"].append({"q": 0.0, "target": None, "gate": "closed"})
+        agent_path.write_text(json.dumps(payload))
+        assert run_cli(["eval", "--run", trained_run]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: kappa must be 2")
+        assert not (trained_run / "eval_seed0").exists()
 
 
 class TestExportGraph:

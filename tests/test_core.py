@@ -1,6 +1,7 @@
 """The shared Bellman core: one argmax, one update, and the four agents
 as interchangeable adapters over it."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bmu_lab.bmu import BmuAgent, PoolAgent
-from bmu_lab.core import INIT_MODES, argmax, optimistic_q
+from bmu_lab.core import INIT_MODES, KAPPA, argmax, optimistic_q
 from bmu_lab.discretize import cell_of
 from bmu_lab.qtable import QTableAgent
 from bmu_lab.runio import load_agent, save_agent
@@ -18,13 +19,13 @@ from bmu_lab.trainer import AGENT_KINDS, TrainConfig, make_agent
 CELLS = [cell_of(f"{i}_{i}_{i}_{i}_") for i in range(6)]
 
 
-def zero_agents(kappa):
+def zero_agents():
     """The four agents at matched zero init."""
     return [
-        SynapticAgent(kappa=kappa, init="zeros"),
-        BmuAgent(b=kappa, init="zeros"),
-        PoolAgent(capacity=len(CELLS), n_actions=kappa, init="zeros"),
-        QTableAgent(kappa=kappa, init="zeros"),
+        SynapticAgent(init="zeros"),
+        BmuAgent(init="zeros"),
+        PoolAgent(capacity=len(CELLS), init="zeros"),
+        QTableAgent(init="zeros"),
     ]
 
 
@@ -40,11 +41,10 @@ class TestArgmax:
         assert argmax([-10.0, -8.9]) == 1
 
 
-# (state, forced action or None for greedy, reward, next state, terminal);
-# a forced action is taken modulo kappa
+# (state, forced action or None for greedy, reward, next state, terminal)
 transitions = st.tuples(
     st.sampled_from(CELLS),
-    st.one_of(st.none(), st.integers(0, 3)),
+    st.one_of(st.none(), st.integers(0, KAPPA - 1)),
     st.sampled_from([1.0, -10.0, 0.5, -1.0, 2.0]),
     st.sampled_from(CELLS),
     st.booleans(),
@@ -52,15 +52,14 @@ transitions = st.tuples(
 
 
 @settings(max_examples=80, deadline=None)
-@given(kappa=st.sampled_from([2, 3, 4]), stream=st.lists(transitions, min_size=1, max_size=80))
-def test_matched_zero_agents_agree_on_rows_and_choices(kappa, stream):
-    agents = zero_agents(kappa)
+@given(stream=st.lists(transitions, min_size=1, max_size=80))
+def test_matched_zero_agents_agree_on_rows_and_choices(stream):
+    agents = zero_agents()
     for s, forced, reward, s2, terminal in stream:
-        action = None if forced is None else forced % kappa
         for agent in agents:
             agent.ensure(s)
             agent.ensure(s2)
-        choices = [agent.select(s, action) for agent in agents]
+        choices = [agent.select(s, forced) for agent in agents]
         assert choices == [choices[0]] * len(agents)
         for agent in agents:
             agent.update(s, choices[0], reward, s2, terminal)
@@ -91,6 +90,22 @@ def test_serialize_round_trip(kind):
         agent.select(CELLS[0])  # a synaptic gate left open is part of the state
         text = save_agent(agent)
         assert save_agent(load_agent(text)) == text
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("synaptic", "kappa", 2), ("bmu", "b", 2), ("bmu", "d", 1),
+    ("bmu-pool", "n_actions", 2), ("qtable", "kappa", 2),
+])
+def test_agent_file_shape_fixed_and_checked_on_load(kind, key, value):
+    """agent.json spells the fixed action count (and bmu's one action
+    dimension); a file with any other value is rejected by key on load."""
+    agent = make_agent(TrainConfig(agent=kind), np.random.default_rng(0))
+    agent.ensure(CELLS[0])
+    payload = json.loads(save_agent(agent))
+    assert payload[key] == value
+    for bad in (value + 1, None):
+        with pytest.raises(ValueError, match=f"{key} must be {value}"):
+            load_agent(json.dumps({**payload, key: bad}))
 
 
 @pytest.mark.parametrize("kind", AGENT_KINDS)
@@ -126,11 +141,12 @@ def test_init_validated_by_the_core(kind):
 
 
 def test_sized_uniform_draw_equals_scalar_draws():
-    """Synaptic rows drawn in one sized call keep the values of kappa
+    """Synaptic rows drawn in one sized call keep the values of KAPPA
     scalar draws, so runs recorded with per-value draws replay."""
     for seed in range(50):
-        agent = SynapticAgent(kappa=3, init="uniform", rng=np.random.default_rng(seed))
+        agent = SynapticAgent(init="uniform", rng=np.random.default_rng(seed))
         scalar = np.random.default_rng(seed)
         for cell in CELLS:
             agent.ensure(cell)
-            assert agent.q_values(cell) == [float(scalar.uniform(0.0, 1e-3)) for _ in range(3)]
+            assert agent.q_values(cell) == [float(scalar.uniform(0.0, 1e-3))
+                                             for _ in range(KAPPA)]

@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
+from bmu_lab.core import parameter_count
 from bmu_lab.graphio import GraphSnapshot
-from bmu_lab.metrics import (
-    degree_distribution,
-    degree_hist_csv,
-    parameter_count,
-    summary_table,
-)
+from bmu_lab.metrics import degree_distribution, degree_hist_csv, summary_table
 
 
 def snap_from(nodes, edges):
@@ -89,5 +85,5 @@ class TestSummaryTable:
 
 
 def test_parameter_convention():
-    assert parameter_count(250, 2) == 1000
-    assert parameter_count(10_000, 2) == 40_000
+    assert parameter_count(250) == 1000
+    assert parameter_count(10_000) == 40_000

@@ -16,14 +16,14 @@ A_KEY, B_KEY, C_KEY, Z_KEY = "1_0_0_0_", "2_0_0_0_", "3_0_0_0_", "0_0_0_9_"
 A, B, C, Z = (cell_of(key) for key in (A_KEY, B_KEY, C_KEY, Z_KEY))
 
 
-def zero_agent(kappa=2, gamma=0.99, alpha=0.9):
-    return SynapticAgent(kappa=kappa, alpha=alpha, gamma=gamma, init="zeros")
+def zero_agent(gamma=0.99, alpha=0.9):
+    return SynapticAgent(alpha=alpha, gamma=gamma, init="zeros")
 
 
 def agent_with_q(rows, alpha=0.9):
     """An agent whose neurons hold the given Q rows, loaded through agent.json."""
     return SynapticAgent.deserialize({
-        "kind": "synaptic", "kappa": len(next(iter(rows.values()))),
+        "kind": "synaptic", "kappa": 2,
         "alpha": alpha, "gamma": 0.99, "c": 1.0,
         "neurons": [
             {"key": key, "value": max(qs), "fan_in": 0,
@@ -75,9 +75,6 @@ class TestSpawn:
         agent.update(cell_of("5_5_5_5_"), 0, 1.0, cell_of("6_6_6_6_"), False)
         assert agent.q_values(cell_of("5_5_5_5_"))[0] == pytest.approx(100.0)
 
-    def test_tau_attached_to_synapses(self):
-        assert zero_agent(gamma=0.9).tau == pytest.approx(gamma_to_tau(0.9))
-
 
 class TestForwardSelect:
     def test_direct_argmax(self):
@@ -96,10 +93,10 @@ class TestForwardSelect:
         assert agent.select(A) == 1
 
     def test_gate_opens_exactly_one(self):
-        agent = zero_agent(kappa=3)
+        agent = zero_agent()
         agent.ensure(A)
-        agent.select(A)
-        assert gates(agent, A_KEY) == ["open", "closed", "closed"]
+        agent.select(A, forced=1)
+        assert gates(agent, A_KEY) == ["closed", "open"]
 
     def test_select_with_open_gate_rejected(self):
         agent = zero_agent()
@@ -200,12 +197,12 @@ class TestBellmanUpdate:
 
     def test_value_is_max_over_synapses(self):
         rng = np.random.default_rng(3)
-        agent = zero_agent(kappa=3)
+        agent = zero_agent()
         keys = [A, B]
         for key in keys:
             agent.ensure(key)
         for _ in range(200):
-            j = int(rng.integers(3))
+            j = int(rng.integers(2))
             agent.select(A, forced=j)
             agent.update(A, j, float(rng.normal()), keys[rng.integers(2)],
                          bool(rng.uniform() < 0.2))
@@ -308,7 +305,7 @@ def random_stream(n, n_keys=40, seed=0):
 
 def test_trajectory_oracle_equivalence():
     """The graph machinery is semantically a plain tabular learner."""
-    agent = SynapticAgent(kappa=2, alpha=0.9, gamma=0.99, init="zeros")
+    agent = SynapticAgent(alpha=0.9, gamma=0.99, init="zeros")
     oracle = PlainTabular(2, 0.9, 0.99)
     for s, action, reward, s2, terminal in random_stream(3000, seed=5):
         agent.ensure(s)
