@@ -40,7 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", default=None, help="flat key=value config file")
     p_train.add_argument("--seeds", type=int, default=None,
                          help="number of seeds, counted up from the seed base")
-    p_train.add_argument("--seed-base", type=int, default=0, help="first seed")
+    p_train.add_argument("--seed-base", type=int, default=None,
+                         help="first seed (default 0)")
     p_train.add_argument("--seed-list", default=None,
                          help="explicit comma-separated seeds, overrides --seeds")
     for flag, key in (
@@ -92,15 +93,19 @@ def _collect_overrides(args) -> dict[str, str]:
     return overrides
 
 
-def _seeds_entry(args) -> str:
-    """The `seeds` entry: `--seed-list` as given, else `--seeds` seeds
-    counted up from `--seed-base`."""
+def _seeds_entry(args) -> str | None:
+    """The `seeds` entry the flags give: `--seed-list` as given, else
+    `--seeds` seeds (default 1) counted up from `--seed-base` (default 0).
+    None when no seed flag is given, so the config file's seeds stand."""
     if args.seed_list:
         return args.seed_list
+    if args.seeds is None and args.seed_base is None:
+        return None
     count = args.seeds if args.seeds is not None else 1
+    base = args.seed_base if args.seed_base is not None else 0
     if count < 1:
         raise ConfigError(f"seeds count must be >= 1, got {count}")
-    return ",".join(str(seed) for seed in range(args.seed_base, args.seed_base + count))
+    return ",".join(str(seed) for seed in range(base, base + count))
 
 
 def _handle_train(args) -> int:
@@ -112,7 +117,9 @@ def _handle_train(args) -> int:
         entries["agent"] = args.agent
     if args.qtable_dense:
         entries["qtable_dense"] = "true"
-    entries["seeds"] = _seeds_entry(args)
+    seeds = _seeds_entry(args)
+    if seeds is not None:
+        entries["seeds"] = seeds
     config = config_from_entries(entries)
     config.validate()
 

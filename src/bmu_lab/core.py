@@ -198,6 +198,11 @@ class BellmanCore:
                 lines.append(f"{key},{action},{prefix}{q!r}")
         return "\n".join(lines) + "\n"
 
+    def serialize(self) -> dict:
+        """agent.json: the head every kind shares, then the kind's `payload()`."""
+        return {"kind": self.kind, **self.fixed_fields, "alpha": self.alpha,
+                "gamma": self.gamma, **self.payload()}
+
     def edge_payload(self) -> list[dict]:
         keys = self.keys
         return [{"source": keys[source], "action": action, "target": keys[target]}

@@ -63,12 +63,8 @@ class QTableAgent(BellmanCore):
     def value_table(self) -> tuple[str, str]:
         return "qtable.csv", self.rows_csv("state_key,action,q", self.sorted_rows())
 
-    def serialize(self) -> dict:
+    def payload(self) -> dict:
         return {
-            "kind": self.kind,
-            **self.fixed_fields,
-            "alpha": self.alpha,
-            "gamma": self.gamma,
             "dense": self.dense,
             "n_bins": self.n_bins,
             "q_init": self.init,

@@ -23,16 +23,14 @@ import json
 import os
 import shutil
 import tempfile
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
-from .bmu import BmuAgent, PoolAgent
 from .core import INIT_MODES, KAPPA
 from .graphio import GraphSnapshot, to_dot, to_gexf
 from .metrics import degree_hist_csv, degree_distribution
-from .qtable import QTableAgent
-from .synaptic import SynapticAgent
 from .trainer import (
+    AGENT_CLASSES,
     AggregateMetrics,
     ConfigError,
     EvalReport,
@@ -41,8 +39,6 @@ from .trainer import (
     evaluate,
     multi_seed,
 )
-
-AGENT_CLASSES = {cls.kind: cls for cls in (SynapticAgent, BmuAgent, PoolAgent, QTableAgent)}
 
 
 def format_config(config: TrainConfig) -> str:
@@ -221,16 +217,6 @@ def agent_state_hash(agent) -> str:
     return hashlib.sha256(save_agent(agent).encode()).hexdigest()
 
 
-def _stats_summary(agent) -> dict:
-    stats = agent.stats()
-    return {
-        "neurons": stats.neurons,
-        "edges": stats.edges,
-        "avg_fan_in": stats.avg_fan_in,
-        "parameter_count": stats.parameter_count,
-    }
-
-
 def seed_summary(metrics: RunMetrics, agent) -> dict:
     # a seed that failed in its first episode has no final values
     return {
@@ -242,7 +228,7 @@ def seed_summary(metrics: RunMetrics, agent) -> dict:
         "final_reward": metrics.rewards[-1] if metrics.rewards else None,
         "final_moving_avg": metrics.moving_avg[-1] if metrics.rewards else None,
         "total_spawned": sum(metrics.spawned),
-        "final_stats": _stats_summary(agent),
+        "final_stats": asdict(agent.stats()),
         "wall_clock_seconds": metrics.wall_clock_seconds,
     }
 

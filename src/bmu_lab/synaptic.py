@@ -3,25 +3,26 @@
 One neuron per discretized state holds the value function; each of its
 KAPPA synapses holds the Q value of one action plus an exponential-kernel
 time constant tau that encodes the discount factor (gamma = e^(-1/tau)).
-A normally-closed gate sits on every synapse output: action selection
-opens exactly one gate, the step outcome drives the Bellman update through
-that open gate, and the gate closes again. New neurons are spawned the
-first time a discretized state is seen, so the network topology grows with
-the explored region of state space and saturates as the policy converges.
+In the paper a normally-closed gate sits on every synapse output: action
+selection opens one gate, the Bellman update goes through it, and it
+closes again. Here that open gate is the `action` that `update` receives,
+and nothing is written between selection and update, so every file shows
+every gate closed. New neurons are spawned the first time a discretized
+state is seen, so the network topology grows with the explored region of
+state space and saturates as the policy converges.
 
 Selection fires the synapse with the highest spike frequency c * Q_j,
 which for any gain c > 0 is the synapse with the highest Q. So the gain is
 no setting; agent.json records it as a fixed `"c": 1.0`. The neurons and
-synapses are rows of the shared `BellmanCore`.
+synapses are rows of the shared `BellmanCore`, which selects and updates
+as it does for every kind.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .core import BellmanCore, argmax
+from .core import BellmanCore
 from .discretize import cell_of
 
 
@@ -45,53 +46,23 @@ def synaptic_filter(spike_train, tau: float, t: int) -> float:
 class SynapticAgent(BellmanCore):
     """One neuron per state; its KAPPA synapses carry the Q values.
 
-    Selection opens the gate of one synapse and the update goes through
-    that open gate, which then closes. Between steps every gate is closed,
-    so the open gate is one (state id, action) slot per agent.
+    The gate the paper opens for the selected synapse is the action the
+    update receives; between steps every gate is closed, so files always
+    write `"gate": "closed"` and a file with any other gate is rejected.
     """
 
     kind = "synaptic"
-
-    def __init__(self, alpha: float = 0.9, gamma: float = 0.99, *, init: str,
-                 rng: np.random.Generator | None = None, step_reward: float = 1.0):
-        super().__init__(alpha, gamma, init=init, rng=rng, step_reward=step_reward)
-        self.open_gate: tuple[int, int] | None = None
-
-    def select(self, cell: int, forced: int | None = None) -> int:
-        source = self.ids[cell]
-        if self.open_gate is not None:
-            raise ValueError(f"neuron {self.keys[self.open_gate[0]]} already has an open gate")
-        action = argmax(self.rows[source]) if forced is None else forced
-        self.open_gate = (source, action)
-        return action
-
-    def update(self, cell: int, action: int, reward: float,
-               next_cell: int, terminal: bool) -> None:
-        source = self.ids[cell]
-        if self.open_gate != (source, action):
-            raise ValueError(
-                f"gate {action} of neuron {self.keys[source]} is closed; select before updating"
-            )
-        super().update(cell, action, reward, next_cell, terminal)
-        self.open_gate = None
-
-    def gate(self, source: int, action: int) -> str:
-        return "open" if self.open_gate == (source, action) else "closed"
 
     def edge_list(self) -> list[tuple[int, int, int]]:
         # a neuron lists its synapses in action order, neurons in spawn order
         return sorted(super().edge_list())
 
     def edge_attrs(self, source: int, action: int) -> dict:
-        return {**super().edge_attrs(source, action), "gate": self.gate(source, action)}
+        return {**super().edge_attrs(source, action), "gate": "closed"}
 
-    def serialize(self) -> dict:
+    def payload(self) -> dict:
         keys = self.keys
         return {
-            "kind": self.kind,
-            **self.fixed_fields,
-            "alpha": self.alpha,
-            "gamma": self.gamma,
             "c": 1.0,
             "neurons": [
                 {
@@ -101,7 +72,7 @@ class SynapticAgent(BellmanCore):
                     "synapses": [
                         {"q": q,
                          "target": keys[self.targets[i, j]] if (i, j) in self.targets else None,
-                         "gate": self.gate(i, j)}
+                         "gate": "closed"}
                         for j, q in enumerate(row)
                     ],
                 }
@@ -117,8 +88,9 @@ class SynapticAgent(BellmanCore):
             agent.add(cell_of(entry["key"]), [float(syn["q"]) for syn in entry["synapses"]])
         for i, entry in enumerate(payload["neurons"]):
             for j, syn in enumerate(entry["synapses"]):
+                if syn["gate"] != "closed":
+                    raise ValueError(f"gate must be closed in a synaptic agent file, "
+                                     f"got {syn['gate']!r} on neuron {entry['key']}")
                 if syn["target"] is not None:
                     agent.point(i, j, agent.ids[cell_of(syn["target"])])
-                if syn["gate"] == "open":
-                    agent.open_gate = (i, j)
         return agent

@@ -27,7 +27,8 @@ from .graphio import GraphSnapshot
 from .qtable import QTableAgent
 from .synaptic import SynapticAgent
 
-AGENT_KINDS = ("synaptic", "bmu", "bmu-pool", "qtable")
+AGENT_CLASSES = {cls.kind: cls for cls in (SynapticAgent, BmuAgent, PoolAgent, QTableAgent)}
+AGENT_KINDS = tuple(AGENT_CLASSES)
 
 # raw words fetched from the exploration stream at a time
 BLOCK = 1024
@@ -134,15 +135,11 @@ class TrainConfig:
 def make_agent(config: TrainConfig, rng: np.random.Generator):
     common = {"alpha": config.alpha, "gamma": config.gamma, "init": config.init,
               "rng": rng, "step_reward": config.step_reward}
-    if config.agent == "synaptic":
-        return SynapticAgent(**common)
-    if config.agent == "bmu":
-        return BmuAgent(**common)
     if config.agent == "bmu-pool":
-        return PoolAgent(capacity=config.pool_capacity, **common)
-    if config.agent == "qtable":
-        return QTableAgent(dense=config.qtable_dense, n_bins=config.n_bins, **common)
-    raise ConfigError(f"agent must be one of {AGENT_KINDS}, got {config.agent!r}")
+        common["capacity"] = config.pool_capacity
+    elif config.agent == "qtable":
+        common.update(dense=config.qtable_dense, n_bins=config.n_bins)
+    return AGENT_CLASSES[config.agent](**common)
 
 
 @dataclass

@@ -107,6 +107,28 @@ class TestTrain:
                         "--out", tmp_path / "c"] + TINY) == 0
         assert json.loads(read(tmp_path / "c" / "summary.json"))["seeds"] == [7, 3]
 
+    def test_config_file_replays_its_own_seeds(self, tmp_path):
+        """A run's config.txt fed back through --config trains the same seeds
+        to the same rewards; a seed flag still wins over the file."""
+        run = tmp_path / "run"
+        assert run_cli(["train", "--agent", "synaptic", "--seed-list", "3,4",
+                        "--out", run] + TINY) == 0
+        config = run / "config.txt"
+
+        def replay(name, *flags):
+            assert run_cli(["train", "--config", config, *flags,
+                            "--out", tmp_path / name]) == 0
+            return json.loads(read(tmp_path / name / "summary.json"))["seeds"]
+
+        assert replay("again") == [3, 4]
+        for seed in ("seed3", "seed4"):
+            assert read(tmp_path / "again" / seed / "rewards.csv") \
+                == read(run / seed / "rewards.csv")
+        assert replay("one", "--seeds", "1") == [0]
+        assert replay("base", "--seed-base", "4") == [4]
+        assert read(tmp_path / "base" / "seed4" / "rewards.csv") \
+            == read(run / "seed4" / "rewards.csv")
+
     def test_retired_flags_are_unknown(self, tmp_path):
         for flag, value in (("--kappa", "2"), ("--c-gain", "1.0")):
             with pytest.raises(SystemExit) as excinfo:

@@ -87,9 +87,25 @@ def test_serialize_round_trip(kind):
             action = agent.select(s, forced)
             reward = float(rng.choice([1.0, -10.0]))
             agent.update(s, action, reward, s2, reward < 0)
-        agent.select(CELLS[0])  # a synaptic gate left open is part of the state
         text = save_agent(agent)
         assert save_agent(load_agent(text)) == text
+
+
+@pytest.mark.parametrize("kind", AGENT_KINDS)
+def test_select_leaves_the_files_unchanged(kind):
+    """Selection only reads: no kind keeps state between select and update,
+    so agent.json and the snapshot read the same after it, greedy or forced."""
+    agent = make_agent(TrainConfig(agent=kind), np.random.default_rng(0))
+    for s, s2 in zip(CELLS, CELLS[1:]):
+        agent.ensure(s)
+        agent.ensure(s2)
+        agent.update(s, agent.select(s), 1.0, s2, False)
+    text, snapshot = save_agent(agent), agent.snapshot()
+    for cell in CELLS:
+        for forced in (None, 0, 1):
+            agent.select(cell, forced)
+            assert save_agent(agent) == text
+            assert agent.snapshot() == snapshot
 
 
 @pytest.mark.parametrize("kind, key, value", [

@@ -1,6 +1,7 @@
-"""Graph agent tests: spawn/select/connect/update semantics, gate rules,
+"""Graph agent tests: spawn/select/connect/update semantics, closed gates,
 the discount kernel, and equivalence with a plain tabular learner."""
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from bmu_lab.core import optimistic_q
 from bmu_lab.discretize import cell_of, pack
+from bmu_lab.runio import load_agent, save_agent
 from bmu_lab.synaptic import SynapticAgent, gamma_to_tau, synaptic_filter
 
 
@@ -80,7 +82,6 @@ class TestForwardSelect:
     def test_direct_argmax(self):
         agent = agent_with_q({A_KEY: [0.9, 0.3]})
         assert agent.select(A) == 0
-        assert gates(agent, A_KEY) == ["open", "closed"]
 
     def test_tie_breaks_to_lowest_index(self):
         agent = zero_agent()
@@ -91,19 +92,6 @@ class TestForwardSelect:
         # selection sees the raw Q values, negative ones included
         agent = agent_with_q({A_KEY: [-10.0, -8.9]})
         assert agent.select(A) == 1
-
-    def test_gate_opens_exactly_one(self):
-        agent = zero_agent()
-        agent.ensure(A)
-        agent.select(A, forced=1)
-        assert gates(agent, A_KEY) == ["closed", "open"]
-
-    def test_select_with_open_gate_rejected(self):
-        agent = zero_agent()
-        agent.ensure(A)
-        agent.select(A)
-        with pytest.raises(ValueError, match="open"):
-            agent.select(A)
 
     def test_argmax_fidelity_over_random_vectors(self):
         """The selected synapse is always the first one with the highest Q."""
@@ -149,12 +137,6 @@ class TestConnect:
         assert node_attrs(agent, C_KEY)["fan_in"] == 1
         assert agent.stats().edges == 1
 
-    def test_closed_gate_rejected(self):
-        agent = self._pair()
-        with pytest.raises(ValueError, match="closed"):
-            agent.update(A, 0, 1.0, B, False)
-        assert agent.stats().edges == 0
-
 
 class TestBellmanUpdate:
     def _update(self, agent, action, reward, terminal=False):
@@ -183,13 +165,6 @@ class TestBellmanUpdate:
         agent = zero_agent()
         self._update(agent, 1, 1.0)
         assert gates(agent, A_KEY) == ["closed", "closed"]
-
-    def test_closed_gate_rejected(self):
-        agent = zero_agent()
-        agent.ensure(A)
-        agent.select(A, forced=1)
-        with pytest.raises(ValueError, match="closed"):
-            agent.update(A, 0, 1.0, A, False)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -359,4 +334,18 @@ def test_snapshot_carries_node_and_edge_attributes():
     assert attrs["action"] == 1
     assert attrs["gate"] == "closed"
     assert attrs["q"] == pytest.approx(0.9)
+
+
+def test_open_gate_in_agent_file_rejected():
+    """Files show every gate closed; an agent.json with an open one did not
+    come from the program and is rejected by name."""
+    agent = zero_agent()
+    agent.ensure(A)
+    agent.ensure(B)
+    agent.update(A, 1, 1.0, B, False)
+    payload = json.loads(save_agent(agent))
+    assert load_agent(json.dumps(payload)).q_values(A) == agent.q_values(A)
+    payload["neurons"][0]["synapses"][1]["gate"] = "open"
+    with pytest.raises(ValueError, match="gate must be closed"):
+        load_agent(json.dumps(payload))
 
