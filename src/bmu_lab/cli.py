@@ -12,15 +12,15 @@ from pathlib import Path
 from .graphio import read_gexf
 from .metrics import summary_table
 from .runio import (
+    commit,
     config_from_entries,
+    degree_files,
+    eval_files,
     execute_train_run,
     load_agent,
     load_run_config,
     parse_config_text,
-    write_degree_stats,
-    write_eval_run,
-    write_snapshot,
-    write_text,
+    snapshot_files,
 )
 from .trainer import AGENT_KINDS, ConfigError, evaluate, train
 
@@ -58,39 +58,25 @@ def _build_parser() -> argparse.ArgumentParser:
         p_train.add_argument(flag, dest=f"cfg_{key}", default=None)
     p_train.add_argument("--qtable-dense", action="store_true", default=False)
 
-    p_eval = sub.add_parser("eval", help="greedy rollouts of a trained agent")
-    p_eval.add_argument("--run", required=True)
-    p_eval.add_argument("--episodes", type=int, default=5)
-    p_eval.add_argument("--seed", type=int, default=None,
-                        help="which trained seed to load (default: first in the run)")
-    p_eval.add_argument("--eval-seed", type=int, default=None,
-                        help="seed for evaluation initial conditions")
-    p_eval.add_argument("--out", default=None)
-
-    p_export = sub.add_parser("export-graph", help="export topology at an episode")
-    p_export.add_argument("--run", required=True)
-    p_export.add_argument("--episode", type=int, required=True)
-    p_export.add_argument("--seed", type=int, default=None)
-    p_export.add_argument("--out", default=None)
-
-    p_stats = sub.add_parser("stats", help="degree distribution of a trained graph")
-    p_stats.add_argument("--run", required=True)
-    p_stats.add_argument("--seed", type=int, default=None)
-    p_stats.add_argument("--out", default=None)
+    on_run = {}  # the commands that read one seed of a trained run
+    for name, help_text in (("eval", "greedy rollouts of a trained agent"),
+                            ("export-graph", "export topology at an episode"),
+                            ("stats", "degree distribution of a trained graph")):
+        on_run[name] = sub.add_parser(name, help=help_text)
+        on_run[name].add_argument("--run", required=True)
+        on_run[name].add_argument("--seed", type=int, default=None,
+                                  help="which trained seed (default: first in the run)")
+        on_run[name].add_argument("--out", default=None)
+    on_run["eval"].add_argument("--episodes", type=int, default=5)
+    on_run["eval"].add_argument("--eval-seed", type=int, default=None,
+                                help="seed for evaluation initial conditions")
+    on_run["export-graph"].add_argument("--episode", type=int, required=True)
 
     p_table = sub.add_parser("table2", help="comparison table across runs")
     p_table.add_argument("--runs", nargs="+", required=True)
     p_table.add_argument("--out", default="table2.csv")
 
     return parser
-
-
-def _collect_overrides(args) -> dict[str, str]:
-    overrides = {}
-    for key, value in vars(args).items():
-        if key.startswith("cfg_") and value is not None:
-            overrides[key[4:]] = str(value)
-    return overrides
 
 
 def _seeds_entry(args) -> str | None:
@@ -109,10 +95,9 @@ def _seeds_entry(args) -> str | None:
 
 
 def _handle_train(args) -> int:
-    entries: dict[str, str] = {}
-    if args.config:
-        entries.update(parse_config_text(Path(args.config).read_text()))
-    entries.update(_collect_overrides(args))
+    entries = parse_config_text(Path(args.config).read_text()) if args.config else {}
+    entries.update({key[4:]: str(value) for key, value in vars(args).items()
+                    if key.startswith("cfg_") and value is not None})
     if args.agent is not None:
         entries["agent"] = args.agent
     if args.qtable_dense:
@@ -124,9 +109,8 @@ def _handle_train(args) -> int:
     config.validate()
 
     summary = execute_train_run(config, Path(args.out))
-    converged = summary["converged_count"]
     total = len(summary["seeds"])
-    print(f"agent={config.agent} seeds={total} converged={converged}/{total}")
+    print(f"agent={config.agent} seeds={total} converged={summary['converged_count']}/{total}")
     for entry in summary["per_seed"]:
         if entry["failed"] is not None:
             label = f"failed after {entry['episodes_run']} episodes: {entry['failed']}"
@@ -163,9 +147,9 @@ def _handle_eval(args) -> int:
     eval_seed = args.eval_seed if args.eval_seed is not None else chosen
     report = evaluate(agent, config, eval_seed, args.episodes)
     out_dir = Path(args.out) if args.out else run_dir / f"eval_seed{chosen}"
-    summary = write_eval_run(report, out_dir)
-    print(f"eval over {args.episodes} episodes: mean={summary['mean_reward']} "
-          f"min={summary['min_reward']} max={summary['max_reward']}")
+    commit(out_dir, eval_files(report))
+    print(f"eval over {args.episodes} episodes: mean={report.mean_reward} "
+          f"min={report.min_reward} max={report.max_reward}")
     print(f"traces written to {out_dir}")
     return 0
 
@@ -181,13 +165,10 @@ def _handle_export_graph(args) -> int:
                      snapshot_every=0)
     result = train(replay, chosen)
     if result.metrics.episodes_run != args.episode:
-        raise ValueError(
-            f"run for seed {chosen} ended after {result.metrics.episodes_run} "
-            f"episodes, before episode {args.episode}"
-        )
+        raise ValueError(f"run for seed {chosen} ended after {result.metrics.episodes_run} "
+                         f"episodes, before episode {args.episode}")
     out_dir = Path(args.out) if args.out else run_dir / "export"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_snapshot(out_dir, f"graph_ep{args.episode}", result.agent.snapshot())
+    commit(out_dir, snapshot_files(result.agent.snapshot(), f"graph_ep{args.episode}"))
     print(f"graph at episode {args.episode} written to {out_dir}")
     return 0
 
@@ -198,10 +179,10 @@ def _handle_stats(args) -> int:
     seed_dir, chosen = _seed_dir(run_dir, config, args.seed)
     snapshot = read_gexf((seed_dir / "graph_final.gexf").read_text())
     out_dir = Path(args.out) if args.out else run_dir / f"stats_seed{chosen}"
-    summary = write_degree_stats(snapshot, out_dir)
-    print(f"nodes={summary['nodes']} edges={summary['edges']} "
-          f"avg_degree={summary['average_degree']:.4g} "
-          f"max_degree={summary['max_degree']}")
+    files, hist = degree_files(snapshot)
+    commit(out_dir, files)
+    print(f"nodes={hist.nodes} edges={hist.edges} avg_degree={hist.average:.4g} "
+          f"max_degree={hist.max_degree}")
     print(f"histogram written to {out_dir}")
     return 0
 
@@ -209,10 +190,7 @@ def _handle_stats(args) -> int:
 def _handle_table2(args) -> int:
     rows = []
     for run in args.runs:
-        summary_path = Path(run) / "summary.json"
-        if not summary_path.is_file():
-            raise FileNotFoundError(f"no summary.json under run directory {run}")
-        summary = json.loads(summary_path.read_text())
+        summary = json.loads((Path(run) / "summary.json").read_text())
         episodes = [e for e in summary["convergence_episodes"] if e is not None]
         # a failed seed's size is where it stopped, not where it converged
         finals = [entry["final_stats"] for entry in summary["per_seed"]
@@ -230,8 +208,7 @@ def _handle_table2(args) -> int:
         })
     csv_text, aligned = summary_table(rows)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_text(out, csv_text)
+    commit(out.parent, {out.name: csv_text})
     print(aligned, end="")
     print(f"table written to {out}")
     return 0
@@ -241,13 +218,9 @@ def _median(values):
     if not values:
         return None
     ranked = sorted(values)
-    mid = len(ranked) // 2
-    if len(ranked) % 2 == 1:
-        return ranked[mid]
-    lo, hi = ranked[mid - 1], ranked[mid]
-    if isinstance(lo, int) and isinstance(hi, int) and (lo + hi) % 2 == 0:
-        return (lo + hi) // 2
-    return (lo + hi) / 2
+    lo, hi = ranked[(len(ranked) - 1) // 2], ranked[len(ranked) // 2]
+    # an integer column stays integer where its median is whole
+    return (lo + hi) // 2 if isinstance(lo + hi, int) and (lo + hi) % 2 == 0 else (lo + hi) / 2
 
 
 _HANDLERS = {
@@ -264,7 +237,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (ConfigError, FileNotFoundError, FileExistsError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:  # a ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,9 +1,10 @@
 """Run-directory persistence: config files, CSV emission, agent snapshots.
 
-All files are write-once; re-running a command never overwrites an
-existing artifact. A training run directory is built in a temporary
-sibling and renamed into place when complete, so a failed run leaves
-nothing behind. Layout of a training run directory:
+Every command renders all of its files, then writes them with one `commit`,
+so its output appears whole or not at all and no file is overwritten: a new
+directory is built in a temporary sibling and renamed into place, and files
+added to an existing one are checked absent first and removed on failure.
+Layout of a training run directory:
 
     <out>/config.txt               resolved flat key=value config
     <out>/aggregate.csv            cross-seed mean and +/-2 sigma band
@@ -17,18 +18,16 @@ nothing behind. Layout of a training run directory:
 
 from __future__ import annotations
 
-import errno
+import contextlib
 import hashlib
 import json
 import os
-import shutil
-import tempfile
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from .core import INIT_MODES, KAPPA
 from .graphio import GraphSnapshot, to_dot, to_gexf
-from .metrics import degree_hist_csv, degree_distribution
+from .metrics import DegreeHistogram, degree_hist_csv, degree_distribution
 from .trainer import (
     AGENT_CLASSES,
     AggregateMetrics,
@@ -136,16 +135,19 @@ def config_from_entries(entries: dict[str, str]) -> TrainConfig:
 
 
 def load_run_config(run_dir: Path) -> TrainConfig:
-    config_path = Path(run_dir) / "config.txt"
-    if not config_path.is_file():
-        raise FileNotFoundError(f"no config.txt under run directory {run_dir}")
-    return config_from_entries(parse_config_text(config_path.read_text()))
+    return config_from_entries(parse_config_text((Path(run_dir) / "config.txt").read_text()))
 
 
 def write_text(path: Path, text: str) -> None:
-    """Create `path` with `text`; an existing file is an error and stays intact."""
-    with open(path, "x", encoding="utf-8") as handle:
-        handle.write(text)
+    """Create `path` with `text`; an existing file is an error and stays
+    intact, and a write that fails part-way leaves no file behind."""
+    handle = open(path, "x", encoding="utf-8")
+    try:
+        with handle:
+            handle.write(text)
+    except BaseException:
+        os.unlink(path)
+        raise
 
 
 def _fmt(value) -> str:
@@ -233,66 +235,95 @@ def seed_summary(metrics: RunMetrics, agent) -> dict:
     }
 
 
-def write_snapshot(directory: Path, stem: str, snapshot: GraphSnapshot) -> None:
-    write_text(directory / f"{stem}.dot", to_dot(snapshot))
-    write_text(directory / f"{stem}.gexf", to_gexf(snapshot))
+def snapshot_files(snapshot: GraphSnapshot, stem: str) -> dict[str, str]:
+    return {f"{stem}.dot": to_dot(snapshot), f"{stem}.gexf": to_gexf(snapshot)}
+
+
+def _json(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def commit(directory: Path, files: dict[str, str]) -> None:
+    """Write `files` (path relative to `directory` -> text) whole or not at all.
+
+    An absent `directory` is built in a temporary sibling and renamed into
+    place. Into an existing one the files are added only if none of them
+    exists yet; the directory itself is never replaced, so it keeps its
+    owner and mode. On failure everything the call made is removed again,
+    parent directories included.
+    """
+    directory = Path(directory)
+    made: list[Path] = []  # each directory and file this call creates, in order
+    try:
+        if directory.exists():
+            root = directory
+            taken = [name for name in files if (root / name).exists()]
+            if taken:
+                raise FileExistsError(f"{root / taken[0]} already exists")
+        else:
+            made += _make_dirs(directory.parent)
+            # a plain mkdir gives the usual permissions, where mkdtemp's are 0700
+            root = directory.with_name(f".{directory.name}.{os.urandom(4).hex()}")
+            root.mkdir()
+            made.append(root)
+        for name, text in files.items():
+            path = root / name
+            made += _make_dirs(path.parent)
+            write_text(path, text)
+            made.append(path)
+        if root != directory:
+            os.rename(root, directory)
+    except BaseException:
+        for path in reversed(made):
+            with contextlib.suppress(OSError):
+                path.rmdir() if path.is_dir() else path.unlink()
+        raise
+
+
+def _make_dirs(directory: Path) -> list[Path]:
+    """Make `directory` and its missing parents; returns those made, outermost first."""
+    missing = []
+    while not directory.exists():
+        missing.insert(0, directory)
+        directory = directory.parent
+    for path in missing:
+        path.mkdir()
+    return missing
+
+
+def _refuse_filled(out_dir: Path) -> None:
+    if out_dir.exists() and any(out_dir.iterdir()):
+        raise FileExistsError(f"run directory {out_dir} already exists and is not empty")
 
 
 def execute_train_run(config: TrainConfig, out_dir: Path) -> dict:
-    """Train every configured seed and lay down the full run directory.
+    """Train every configured seed and commit the full run directory.
 
-    The directory is written under a temporary sibling and renamed to
-    `out_dir` only once every file is in it; an existing empty `out_dir`
-    is replaced, a non-empty one is refused.
+    A non-empty `out_dir` is refused, before training and again once the
+    files are rendered; an empty one is filled.
     """
     out_dir = Path(out_dir)
-    refusal = f"run directory {out_dir} already exists and is not empty"
-    if out_dir.exists() and any(out_dir.iterdir()):
-        raise FileExistsError(refusal)
-    out_dir.parent.mkdir(parents=True, exist_ok=True)
-    temp_dir = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
-    try:
-        # a plain mkdir inside the 0700 temporary gives the usual permissions
-        staging = temp_dir / out_dir.name
-        staging.mkdir()
-        summary = _write_train_run(config, staging)
-        try:
-            os.rename(staging, out_dir)
-        except OSError as exc:
-            # out_dir was filled while this run was training
-            if exc.errno not in (errno.EEXIST, errno.ENOTEMPTY):
-                raise
-            raise FileExistsError(refusal) from exc
-    finally:
-        shutil.rmtree(temp_dir, ignore_errors=True)
-    return summary
-
-
-def _write_train_run(config: TrainConfig, out_dir: Path) -> dict:
+    _refuse_filled(out_dir)
     aggregate, results = multi_seed(config)
-    write_text(out_dir / "config.txt", format_config(config))
-    write_text(out_dir / "aggregate.csv", aggregate_csv(aggregate))
-
+    files = {"config.txt": format_config(config), "aggregate.csv": aggregate_csv(aggregate)}
     per_seed = []
     for result in results:
-        metrics = result.metrics
-        seed_dir = out_dir / f"seed{metrics.seed}"
-        seed_dir.mkdir()
-        write_text(seed_dir / "rewards.csv", rewards_csv(metrics))
-        write_text(seed_dir / "agent.json", save_agent(result.agent) + "\n")
-        table = result.agent.value_table()  # encoder tables or Q rows, by kind
+        metrics, agent = result.metrics, result.agent
+        seed_dir = f"seed{metrics.seed}/"
+        files[seed_dir + "rewards.csv"] = rewards_csv(metrics)
+        files[seed_dir + "agent.json"] = save_agent(agent) + "\n"
+        table = agent.value_table()  # encoder tables or Q rows, by kind
         if table is not None:
-            write_text(seed_dir / table[0], table[1])
-        write_snapshot(seed_dir, "graph_final", result.agent.snapshot())
+            files[seed_dir + table[0]] = table[1]
+        files.update(snapshot_files(agent.snapshot(), seed_dir + "graph_final"))
         for episode, snapshot in sorted(result.snapshots.items()):
-            write_snapshot(seed_dir, f"graph_ep{episode}", snapshot)
-        report = evaluate(result.agent, config, metrics.seed, n_episodes=1)
-        write_text(seed_dir / "phase.csv", phase_csv(report))
-        entry = seed_summary(metrics, result.agent)
+            files.update(snapshot_files(snapshot, f"{seed_dir}graph_ep{episode}"))
+        report = evaluate(agent, config, metrics.seed, n_episodes=1)
+        files[seed_dir + "phase.csv"] = phase_csv(report)
+        entry = seed_summary(metrics, agent)
         entry["eval_reward"] = report.rewards[0]
         per_seed.append(entry)
-        write_text(seed_dir / "summary.json",
-                   json.dumps(entry, sort_keys=True, indent=2) + "\n")
+        files[seed_dir + "summary.json"] = _json(entry)
 
     summary = {
         "agent": config.agent,
@@ -304,36 +335,25 @@ def _write_train_run(config: TrainConfig, out_dir: Path) -> dict:
         "per_seed": per_seed,
         "wall_clock_seconds": sum(r.metrics.wall_clock_seconds for r in results),
     }
-    write_text(out_dir / "summary.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    files["summary.json"] = _json(summary)
+    _refuse_filled(out_dir)
+    commit(out_dir, files)
     return summary
 
 
-def write_eval_run(report: EvalReport, out_dir: Path) -> dict:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_text(out_dir / "phase.csv", phase_csv(report))
+def eval_files(report: EvalReport) -> dict[str, str]:
+    """The files of an `eval` directory."""
+    files = {"phase.csv": phase_csv(report)}
     for episode, trajectory in enumerate(report.trajectories, start=1):
-        write_text(out_dir / f"trajectory_ep{episode}.csv", trajectory_csv(trajectory))
-    summary = {
-        "episodes": len(report.rewards),
-        "rewards": report.rewards,
-        "steps": report.steps,
-        "mean_reward": report.mean_reward,
-        "min_reward": report.min_reward,
-        "max_reward": report.max_reward,
-    }
-    write_text(out_dir / "summary.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    return summary
+        files[f"trajectory_ep{episode}.csv"] = trajectory_csv(trajectory)
+    summary = {"episodes": len(report.rewards), **{
+        key: getattr(report, key)
+        for key in ("rewards", "steps", "mean_reward", "min_reward", "max_reward")}}
+    files["summary.json"] = _json(summary)
+    return files
 
 
-def write_degree_stats(snapshot: GraphSnapshot, out_dir: Path) -> dict:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def degree_files(snapshot: GraphSnapshot) -> tuple[dict[str, str], DegreeHistogram]:
+    """The files of a `stats` directory, and the histogram they hold."""
     hist = degree_distribution(snapshot)
-    write_text(out_dir / "degree_hist.csv", degree_hist_csv(hist))
-    return {
-        "nodes": hist.nodes,
-        "edges": hist.edges,
-        "average_degree": hist.average,
-        "max_degree": hist.max_degree,
-    }
+    return {"degree_hist.csv": degree_hist_csv(hist)}, hist

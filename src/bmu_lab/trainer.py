@@ -32,6 +32,8 @@ AGENT_KINDS = tuple(AGENT_CLASSES)
 
 # raw words fetched from the exploration stream at a time
 BLOCK = 1024
+# the most rows a dense Q-table preallocates (n_bins = 16), at about 300 B each
+DENSE_ROW_CAP = 16 ** 4
 
 
 class ConfigError(ValueError):
@@ -93,6 +95,9 @@ class TrainConfig:
             )
         if self.n_bins < 2:
             raise ConfigError(f"n_bins must be >= 2, got {self.n_bins}")
+        if self.agent == "qtable" and self.qtable_dense and self.n_bins ** 4 > DENSE_ROW_CAP:
+            raise ConfigError(f"qtable_dense allocates n_bins**4 rows, at most {DENSE_ROW_CAP}; "
+                              f"got n_bins {self.n_bins}")
         if self.max_episodes < 1:
             raise ConfigError(f"max_episodes must be >= 1, got {self.max_episodes}")
         if not self.seeds:

@@ -1,6 +1,7 @@
 """End-to-end command-line tests on small runs."""
 
 import json
+import time
 
 import pytest
 
@@ -63,6 +64,27 @@ class TestTrain:
         assert err.startswith("error:") and "seeds" in err
         assert trained == []
         assert list(tmp_path.iterdir()) == []
+
+    def test_unreadable_config_is_one_error_line(self, tmp_path, capsys):
+        code = run_cli(["train", "--config", tmp_path, "--out", tmp_path / "run"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    def test_dense_table_over_the_row_cap_refused_at_once(self, tmp_path, capsys,
+                                                          monkeypatch):
+        built = []
+        monkeypatch.setattr(trainer, "make_agent", lambda *args: built.append(args))
+        started = time.perf_counter()
+        code = run_cli(["train", "--agent", "qtable", "--qtable-dense", "--bins", "100",
+                        "--out", tmp_path / "run"])
+        assert time.perf_counter() - started < 1.0
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "qtable_dense" in err and "n_bins 100" in err
+        assert built == []
+        assert list(tmp_path.iterdir()) == []  # no run and no temporary sibling
 
     def test_unknown_flag_is_an_error(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -228,6 +250,14 @@ class TestEval:
         after = dir_contents(trained_run)
         for name, blob in before.items():
             assert after[name] == blob
+
+    def test_second_eval_refused_with_its_files_intact(self, trained_run, capsys):
+        assert run_cli(["eval", "--run", trained_run, "--episodes", "1"]) == 0
+        before = dir_contents(trained_run)
+        assert run_cli(["eval", "--run", trained_run, "--episodes", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "phase.csv already exists" in err
+        assert dir_contents(trained_run) == before
 
     def test_zero_episodes_is_an_error(self, trained_run, capsys):
         assert run_cli(["eval", "--run", trained_run, "--episodes", "0"]) == 1

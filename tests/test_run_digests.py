@@ -42,6 +42,17 @@ SETTINGS = {
 _WALL_CLOCK = re.compile(rb'"wall_clock_seconds": [^,\n]+')
 
 
+def file_digests(root: Path) -> dict[str, str]:
+    """SHA-256 of every file under `root`, by relative path."""
+    digests = {}
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "summary.json":
+            data = _WALL_CLOCK.sub(b'"wall_clock_seconds": 0', data)
+        digests[path.relative_to(root).as_posix()] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
 def run_digests(kind: str, out_dir: Path) -> dict[str, str]:
     """SHA-256 of every file of one run directory, by relative path."""
     execute_train_run(config_from_entries({**SETTINGS, "agent": kind}), out_dir)
@@ -49,13 +60,7 @@ def run_digests(kind: str, out_dir: Path) -> dict[str, str]:
         # the commands' console lines would corrupt the manifest on stdout
         with contextlib.redirect_stdout(io.StringIO()):
             assert main([*argv, "--run", str(out_dir)]) == 0
-    digests = {}
-    for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
-        data = path.read_bytes()
-        if path.name == "summary.json":
-            data = _WALL_CLOCK.sub(b'"wall_clock_seconds": 0', data)
-        digests[path.relative_to(out_dir).as_posix()] = hashlib.sha256(data).hexdigest()
-    return digests
+    return file_digests(out_dir)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -1,10 +1,21 @@
 """Run-directory persistence: write-once files, atomic run directories,
 evaluation CSVs."""
 
+import contextlib
+import errno
+import io
+import json
+import os
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_run_digests import KINDS, MANIFEST, SETTINGS, file_digests
 
 from bmu_lab import runio
-from bmu_lab.runio import execute_train_run, trajectory_csv, write_text
+from bmu_lab.cli import main
+from bmu_lab.runio import config_from_entries, execute_train_run, trajectory_csv, write_text
 from bmu_lab.trainer import TrainConfig
 
 TINY = TrainConfig(agent="qtable", max_episodes=3, seeds=(0, 1))
@@ -85,3 +96,130 @@ def test_trajectory_csv_layout():
     assert lines[0] == "t,x,x_dot,theta,theta_dot,action,reward,terminated"
     assert lines[1] == "0,0.1,0.2,0.03,0.04,1,1.0,false"
     assert lines[2] == "1,0.5,0.25,-0.75,2.5,0,-10.0,true"
+
+
+def test_commit_checks_every_target_before_the_first_write(tmp_path, monkeypatch):
+    shared = tmp_path / "shared"
+    shared.mkdir()
+    (shared / "b.txt").write_text("keep\n")
+    written = []
+    monkeypatch.setattr(runio, "write_text", lambda path, text: written.append(path))
+    with pytest.raises(FileExistsError, match="b.txt already exists"):
+        runio.commit(shared, {"a.txt": "new\n", "b.txt": "new\n"})
+    assert written == []
+    assert [p.name for p in shared.iterdir()] == ["b.txt"]
+
+
+def test_commit_fills_an_existing_empty_directory_in_place(tmp_path, monkeypatch):
+    """A rename onto it would drop its mode, and leave a process whose
+    working directory it is in a deleted directory."""
+    private = tmp_path / "private"
+    private.mkdir(mode=0o700)
+    before = private.stat()
+    runio.commit(private, {"table2.csv": "a,b\n"})
+    assert (private.stat().st_ino, private.stat().st_mode) == (before.st_ino, before.st_mode)
+    monkeypatch.chdir(private)
+    runio.commit(Path("."), {"seed0/rewards.csv": "episode\n"})
+    assert os.stat(".").st_ino == before.st_ino
+    assert sorted(p.name for p in private.rglob("*")) == ["rewards.csv", "seed0", "table2.csv"]
+
+
+def test_failed_write_leaves_no_partial_file(tmp_path):
+    path = tmp_path / "half.csv"
+    with pytest.raises(UnicodeEncodeError):
+        write_text(path, "written\n" + "\ud800")  # a lone surrogate has no UTF-8
+    assert list(tmp_path.iterdir()) == []
+
+
+def tree(root: Path) -> dict[str, bytes | None]:
+    """Every path under `root`, hidden ones included, with a file's bytes."""
+    return {p.relative_to(root).as_posix(): None if p.is_dir() else p.read_bytes()
+            for p in sorted(root.rglob("*"))}
+
+
+def manifest_part(kind: str, command: str) -> dict[str, str]:
+    """The recorded digests of what `command` writes, relative to its output."""
+    recorded = json.loads(MANIFEST.read_text())[kind]
+    if command == "train":
+        return {name: digest for name, digest in recorded.items()
+                if not name.startswith(("eval_", "export/", "stats_"))}
+    prefix = {"eval": "eval_seed3/", "export-graph": "export/", "stats": "stats_seed3/"}[command]
+    return {name[len(prefix):]: digest for name, digest in recorded.items()
+            if name.startswith(prefix)}
+
+
+def command_argv(command: str, root: Path, kind: str, out: Path) -> list[str]:
+    run = str(root / "run")
+    return {
+        "train": ["train", "--config", str(root / "settings.txt"), "--agent", kind],
+        "eval": ["eval", "--run", run, "--episodes", "3"],
+        "export-graph": ["export-graph", "--run", run, "--episode", "5"],
+        "stats": ["stats", "--run", run],
+        "table2": ["table2", "--runs", run],
+    }[command] + ["--out", str(out / "table2.csv" if command == "table2" else out)]
+
+
+def run_main(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "export-graph", "stats", "table2"])
+@settings(max_examples=10, deadline=None)
+@given(kind=st.sampled_from(KINDS), shared=st.booleans(), data=st.data())
+def test_any_failed_write_leaves_the_tree_as_it_was(command, kind, shared, data):
+    """Failing the k-th write of a command, for any k, is one error line and
+    no change under the root; the re-run then writes the recorded files.
+
+    The output goes to a directory whose parents do not exist yet, or to
+    one that exists already: empty for `train`, which refuses a filled one,
+    and holding another file for the rest.
+    """
+    # the manifest pins every file but table2's one table
+    expected = manifest_part(kind, command) if command != "table2" else {}
+    writes = len(expected) if command != "table2" else 1
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch)
+        (root / "settings.txt").write_text(
+            "".join(f"{key} = {value}\n" for key, value in SETTINGS.items()))
+        config = config_from_entries({**SETTINGS, "agent": kind})
+        if command != "train":
+            execute_train_run(config, root / "run")
+        out = root / "shared" if shared else root / "new" / "deeper" / "out"
+        if shared:
+            out.mkdir()
+            if command != "train":
+                (out / "notes.txt").write_text("keep\n")
+        argv = command_argv(command, root, kind, out)
+        before = tree(root)
+
+        k = data.draw(st.integers(1, writes), label="k")
+        calls = []
+        real_write = runio.write_text
+
+        def write_text_failing_on_k(path, text):
+            calls.append(path)
+            if len(calls) == k:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+            real_write(path, text)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(runio, "write_text", write_text_failing_on_k)
+            code, err = run_main(argv)
+        assert len(calls) == k
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert tree(root) == before
+
+        assert run_main(argv) == (0, "")
+        written = {name: digest for name, digest in file_digests(out).items()
+                   if name != "notes.txt"}
+        if command == "table2":
+            header, row = (out / "table2.csv").read_text().splitlines()
+            assert header.startswith("agent,init,") and row.startswith(f"{kind},{config.init},")
+            # the run it read is still the recorded one
+            assert file_digests(root / "run") == manifest_part(kind, "train")
+        else:
+            assert written == expected

@@ -33,6 +33,44 @@ from bmu_lab.trainer import (
 )
 
 
+@st.composite
+def valid_configs(draw):
+    """Any `TrainConfig` that `validate` accepts, floats drawn over their whole domain."""
+    def floats(**bounds):
+        return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+    positive = floats(min_value=0.0, exclude_min=True)
+    agent = draw(st.sampled_from(AGENT_KINDS))
+    dense = draw(st.booleans())
+    max_steps = draw(st.integers(200, 10 ** 6))
+    step_reward = draw(floats(min_value=-1e300, max_value=1e300))
+    return TrainConfig(
+        agent=agent,
+        gamma=draw(floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)),
+        alpha=draw(floats(min_value=0.0, max_value=1.0, exclude_min=True)),
+        n_bins=draw(st.integers(2, 16 if agent == "qtable" and dense else 65536)),
+        max_steps=max_steps,
+        convergence_reward=draw(floats(max_value=max_steps * step_reward)),
+        convergence_window=draw(st.integers(1, 10 ** 6)),
+        max_episodes=draw(st.integers(1, 10 ** 6)),
+        seeds=tuple(draw(st.lists(st.integers(0, 2 ** 63), min_size=1, max_size=4,
+                                  unique=True))),
+        epsilon=draw(floats(min_value=0.0, max_value=1.0)),
+        epsilon_decay=draw(floats(min_value=0.0, max_value=1.0, exclude_min=True)),
+        snapshot_every=draw(st.integers(0, 10 ** 6)),
+        init=draw(st.sampled_from(INIT_MODES)),
+        pool_capacity=draw(st.integers(1, 10 ** 6)),
+        qtable_dense=dense,
+        theta_limit=draw(positive),
+        x_limit=draw(st.floats(min_value=0.0, exclude_min=True)),  # inf is legal
+        x_bin_bound=draw(positive),
+        x_dot_bound=draw(positive),
+        theta_dot_bound=draw(positive),
+        step_reward=step_reward,
+        fail_reward=draw(floats()),
+    )
+
+
 class TestConfig:
     def test_defaults_valid(self):
         TrainConfig().validate()
@@ -88,11 +126,24 @@ class TestConfig:
         config.validate()
         assert train(config, 0).metrics.episodes_run == 3
 
-    def test_kv_round_trip(self):
-        config = TrainConfig(agent="bmu", seeds=(3, 1, 4), epsilon=0.25,
-                             qtable_dense=True, max_episodes=42)
-        parsed = config_from_entries(parse_config_text(format_config(config)))
+    @settings(max_examples=100, deadline=None)
+    @given(config=valid_configs())
+    @example(TrainConfig(agent="bmu", seeds=(3, 1, 4), epsilon=0.25,
+                         qtable_dense=True, max_episodes=42))
+    @example(TrainConfig(x_limit=math.inf))
+    def test_kv_round_trip(self, config):
+        config.validate()
+        text = format_config(config)
+        parsed = config_from_entries(parse_config_text(text))
         assert parsed == config
+        assert format_config(parsed) == text  # -0.0 stays -0.0
+
+    def test_dense_table_rows_capped(self):
+        with pytest.raises(ConfigError, match="qtable_dense.*n_bins 17"):
+            TrainConfig(agent="qtable", qtable_dense=True, n_bins=17).validate()
+        TrainConfig(agent="qtable", qtable_dense=True, n_bins=16).validate()
+        # the flag preallocates nothing for the other kinds
+        TrainConfig(agent="bmu", qtable_dense=True, n_bins=100).validate()
 
     def test_retired_keys_of_older_files_skipped(self):
         # a config.txt written before kappa and c_gain were retired, with the
