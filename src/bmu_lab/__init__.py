@@ -1,7 +1,7 @@
 """Reinforcement-learning lab: synaptic Q-learning and Bellman memory units
 on an evolving network topology, balancing a cartpole."""
 
-from .cartpole import CartPoleEnv
+from .cartpole import CartPoleEnv, initial_states
 from .discretize import BinSpec, discretize, key_of, parse_key
 from .synaptic import SynapticAgent, gamma_to_tau, synaptic_filter
 from .bmu import BmuAgent, PoolAgent, PoolCapacityError

@@ -7,10 +7,15 @@ are comparable with published results. An episode fails (terminates) when
 the pole angle or the cart position leaves its limit; it succeeds
 (truncates) after ``max_steps`` survived steps. Every surviving step earns
 ``step_reward``; the failing step earns ``fail_reward`` instead.
+
+Episodes start from `initial_states`, which draws a whole run's start
+states in one batch, bit for bit the states a fresh numpy Generator per
+episode seed would draw.
 """
 
 from __future__ import annotations
 
+import numbers
 from math import cos, sin
 
 import numpy as np
@@ -29,15 +34,108 @@ POLEMASS_LENGTH = MASS_POLE * POLE_HALF_LENGTH
 # unpacked into locals by `integrate`, which runs on every step
 _PHYSICS = (GRAVITY, MASS_POLE, POLE_HALF_LENGTH, DT, TOTAL_MASS, POLEMASS_LENGTH)
 
+# numpy's SeedSequence (O'Neill's seed_seq mixing into a 4-word pool) and
+# PCG64's seeding, as `initial_states` replays them
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_constants(init: int, mult: int, n: int) -> list[int]:
+    """The n + 1 hash constants a SeedSequence stage steps through; the k-th
+    hash xors constant k and multiplies by constant k + 1. Python ints, so
+    that no numpy scalar overflows."""
+    constants = [init]
+    for _ in range(n):
+        constants.append(constants[-1] * mult & _MASK32)
+    return constants
+
+
+def _column(values: list[int]) -> np.ndarray:
+    return np.array(values, dtype=np.uint32).reshape(-1, 1)
+
+
+# mix_entropy's 16 hashes: one per pool word, then each word into the other three
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_ENTER = (_column(_HASH_A[0:4]), _column(_HASH_A[1:5]))
+_CROSS = [(src, [dst for dst in range(4) if dst != src],
+           _column(_HASH_A[k:k + 3]), _column(_HASH_A[k + 1:k + 4]))
+          for src, k in zip(range(4), range(4, 16, 3))]
+# generate_state's 8 hashes, cycling over the pool twice
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_OUT = (_column(_HASH_B[0:8]), _column(_HASH_B[1:9]))
+_MIX_L = np.uint32(0xCA01F9DD)
+_MIX_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_LOW32 = np.uint64(_MASK32)
+_HIGH32 = np.uint64(32)
+
+
+def _seed_words(seeds: list[int]) -> list[list[int]]:
+    """SeedSequence(seed).generate_state(8, uint32) for every seed at once,
+    one list per word. A seed below 2**32 has one entropy word, and
+    zero-padding it to two gives the same pool."""
+    words = np.array(seeds, dtype=np.uint64)
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    pool[0] = (words & _LOW32).astype(np.uint32)
+    pool[1] = (words >> _HIGH32).astype(np.uint32)
+    xor, mul = _ENTER
+    pool = (pool ^ xor) * mul
+    pool ^= pool >> _XSHIFT
+    for src, dsts, xor, mul in _CROSS:
+        hashed = (pool[src] ^ xor) * mul
+        hashed ^= hashed >> _XSHIFT
+        mixed = _MIX_L * pool[dsts] - _MIX_R * hashed
+        pool[dsts] = mixed ^ (mixed >> _XSHIFT)
+    xor, mul = _OUT
+    state = (np.concatenate((pool, pool)) ^ xor) * mul
+    state ^= state >> _XSHIFT
+    return state.tolist()
+
+
+def initial_states(seeds) -> list[tuple[float, float, float, float]]:
+    """Each seed's start state, all components uniform in [-0.05, 0.05].
+
+    For a seed in [0, 2**64) this is exactly
+    `np.random.default_rng(seed).uniform(-RESET_SPREAD, RESET_SPREAD, size=4)`,
+    without a Generator per seed. The SeedSequence mixing runs for all seeds
+    at once in uint32 arrays; PCG64's seeding and its four XSL-RR outputs run
+    in 128-bit Python ints, and each output is decoded as numpy's
+    `next_double`, the top 53 bits of the word.
+    """
+    seeds = list(seeds)
+    for seed in seeds:
+        if not (isinstance(seed, numbers.Integral) and 0 <= seed <= _MASK64):
+            raise ValueError(f"a seed must be an integer in [0, 2**64), got {seed!r}")
+    low = -RESET_SPREAD
+    span = RESET_SPREAD - low
+    states = []
+    for w0, w1, w2, w3, w4, w5, w6, w7 in zip(*_seed_words(seeds)):
+        # generate_state(4, uint64) pairs the words little-endian; PCG64
+        # takes words 0-1 as its 128-bit seed and 2-3 as its stream, sets
+        # its state to the odd increment, adds the seed and steps once
+        initstate = (w1 << 96) | (w0 << 64) | (w3 << 32) | w2
+        inc = ((w5 << 97) | (w4 << 65) | (w7 << 33) | (w6 << 1) | 1) & _MASK128
+        pcg = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
+        draws = []
+        for _ in range(4):
+            pcg = (pcg * _PCG_MULT + inc) & _MASK128
+            folded = ((pcg >> 64) ^ pcg) & _MASK64
+            rot = pcg >> 122
+            word = ((folded >> rot) | (folded << (64 - rot))) & _MASK64
+            draws.append(low + span * ((word >> 11) * (1.0 / 9007199254740992.0)))
+        states.append(tuple(draws))
+    return states
+
 
 class CartPoleEnv:
     """The cartpole, stepped on plain floats; one instance per worker.
 
     The state is a tuple (x, x_dot, theta, theta_dot) plus the step counter
-    `t`. ``reset(seed)`` seeds an internal generator; ``reset()`` with no
-    seed continues the same stream, so a single seed fixes the whole
-    sequence of initial conditions. The episode limits and rewards are read
-    from `config`, a `TrainConfig`.
+    `t`. ``reset(start)`` begins an episode from `start`, one of the states
+    `initial_states` draws; the env holds no random stream of its own. The
+    episode limits and rewards are read from `config`, a `TrainConfig`.
     """
 
     def __init__(self, config):
@@ -45,7 +143,6 @@ class CartPoleEnv:
         self.state: tuple[float, float, float, float] | None = None
         self.t = 0
         self.terminated = False
-        self._rng: np.random.Generator | None = None
 
     def place(self, state: tuple[float, float, float, float], t: int) -> None:
         """Put the cart in `state` at step `t`."""
@@ -54,14 +151,10 @@ class CartPoleEnv:
         x, _, theta, _ = state
         self.terminated = abs(theta) > self.config.theta_limit or abs(x) > self.config.x_limit
 
-    def reset(self, seed: int | None = None) -> tuple[float, float, float, float]:
-        """Sample an initial state with all components uniform in [-0.05, 0.05]."""
-        if seed is not None:
-            self._rng = np.random.default_rng(seed)
-        if self._rng is None:
-            raise ValueError("first reset needs a seed")
-        self.place(tuple(self._rng.uniform(-RESET_SPREAD, RESET_SPREAD, size=4).tolist()), 0)
-        return self.state
+    def reset(self, start: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
+        """Begin an episode from `start` at step 0."""
+        self.place(start, 0)
+        return start
 
     def integrate(self, state: tuple[float, float, float, float],
                   force: float) -> tuple[float, float, float, float]:

@@ -140,6 +140,8 @@ def _seed_dir(run_dir: Path, config, seed: int | None) -> tuple[Path, int]:
 def _handle_eval(args) -> int:
     if args.eval_seed is not None and args.eval_seed < 0:
         raise ValueError(f"--eval-seed must be >= 0, got {args.eval_seed}")
+    if args.episodes < 1:
+        raise ValueError(f"--episodes must be >= 1, got {args.episodes}")
     run_dir = Path(args.run)
     config = load_run_config(run_dir)
     seed_dir, chosen = _seed_dir(run_dir, config, args.seed)

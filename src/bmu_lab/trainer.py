@@ -4,7 +4,9 @@ A run is fully determined by its config and a single integer seed: the
 seed fans out into independent streams for episode initial conditions,
 agent initialization (uniform rows) and the optional exploration
 override. The exploration draws are decoded from the stream's raw words
-(`Exploration`) into exactly the values numpy's `Generator` would return.
+(`Exploration`), and the start states from the episode seeds
+(`cartpole.initial_states`), into exactly the values numpy's `Generator`
+would return.
 Training stops once the trailing window of episodes all meet
 the convergence reward, or at the episode cap; non-convergence is a
 recorded outcome, not an error, and so is a neuron pool running out of
@@ -13,6 +15,7 @@ neurons, which ends that seed's run early.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bmu import BmuAgent, PoolAgent, PoolCapacityError
-from .cartpole import CartPoleEnv
+from .cartpole import CartPoleEnv, initial_states
 from .core import INIT_MODES, argmax
 from .discretize import BinSpec, discretize
 from .graphio import GraphSnapshot
@@ -175,12 +178,9 @@ class Exploration:
                             f"got {type(bit_generator).__name__}")
         state = bit_generator.state
         self._half = state["uinteger"] if state["has_uint32"] else None
-        self._words = self._stream(bit_generator.random_raw)
-
-    @staticmethod
-    def _stream(random_raw):
-        while True:
-            yield from random_raw(BLOCK).tolist()
+        random_raw = bit_generator.random_raw
+        self._words = itertools.chain.from_iterable(
+            iter(lambda: random_raw(BLOCK).tolist(), None))
 
     def random(self) -> float:
         return (next(self._words) >> 11) * (1.0 / 9007199254740992.0)
@@ -196,11 +196,13 @@ class Exploration:
         return (word >> 31) & 1
 
 
-def run_episode(agent, env: CartPoleEnv, config: TrainConfig, episode_seed: int,
+def run_episode(agent, env: CartPoleEnv, config: TrainConfig,
+                start: tuple[float, float, float, float],
                 explore: Exploration | None = None,
                 epsilon: float = 0.0, spec: BinSpec | None = None) -> EpisodeRecord:
-    """One full episode: discretize, look up or spawn, select, step, connect,
-    Bellman-update, advance, until failure or the step cap.
+    """One full episode from the state `start`: discretize, look up or spawn,
+    select, step, connect, Bellman-update, advance, until failure or the
+    step cap.
 
     With `epsilon` > 0, each step draws a coin from `explore`, the run's one
     `Exploration`, and below `epsilon` forces a uniform action. `spec` is
@@ -214,7 +216,7 @@ def run_episode(agent, env: CartPoleEnv, config: TrainConfig, episode_seed: int,
         coin, forced_action = explore.random, explore.action
     ensure, select, update = agent.ensure, agent.select, agent.update
     step = env.step
-    cell = discretize(env.reset(episode_seed), spec)
+    cell = discretize(env.reset(start), spec)
     spawned = int(ensure(cell))
     total = 0.0
     steps = 0
@@ -335,8 +337,10 @@ def train(config: TrainConfig, seed: int) -> TrainResult:
     agent = make_agent(config, agent_rng)
     explore = Exploration(explore_rng.bit_generator)
     # one call draws what a scalar call per episode would: numpy's 64-bit
-    # bounded draw keeps no buffer between calls
+    # bounded draw keeps no buffer between calls. The start states follow
+    # in one batch, those of episodes a converged run never plays included.
     episode_seeds = env_seeder.integers(0, 2 ** 63, size=config.max_episodes).tolist()
+    starts = initial_states(episode_seeds)
 
     metrics = RunMetrics(seed=seed, rewards=[], moving_avg=[], moving_std=[],
                          neurons=[], avg_fan_in=[], parameters=[], steps=[],
@@ -345,9 +349,9 @@ def train(config: TrainConfig, seed: int) -> TrainResult:
     snapshots: dict[int, GraphSnapshot] = {}
     streak = 0
     epsilon = config.epsilon
-    for episode, episode_seed in enumerate(episode_seeds, start=1):
+    for episode, start in enumerate(starts, start=1):
         try:
-            record = run_episode(agent, env, config, episode_seed,
+            record = run_episode(agent, env, config, start,
                                  explore=explore, epsilon=epsilon, spec=spec)
         except PoolCapacityError as exc:
             # the seed's outcome; the unfinished episode is not recorded
@@ -470,8 +474,8 @@ def evaluate(agent, config: TrainConfig, seed: int, n_episodes: int) -> EvalRepo
     # fourth gives initial states no training episode of that seed saw
     seeder = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[3])
     report = EvalReport(rewards=[], trajectories=[])
-    for episode_seed in seeder.integers(0, 2 ** 63, size=n_episodes).tolist():
-        state = env.reset(episode_seed)
+    for start in initial_states(seeder.integers(0, 2 ** 63, size=n_episodes).tolist()):
+        state = env.reset(start)
         total = 0.0
         trajectory = []
         while True:

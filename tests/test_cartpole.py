@@ -1,18 +1,23 @@
 """Environment tests: dynamics against an independent transcription of the
-reference cartpole equations, termination rules, reward accounting."""
+reference cartpole equations, termination rules, reward accounting, and the
+batched start states against numpy's per-seed draw."""
 
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from bmu_lab.cartpole import FORCE_MAG, CartPoleEnv
+from bmu_lab.cartpole import FORCE_MAG, RESET_SPREAD, CartPoleEnv, initial_states
 from bmu_lab.trainer import ConfigError, TrainConfig
 
 # the package's limits and rewards, which live only in TrainConfig
 CONFIG = TrainConfig()
 
 # frozen after the first run; regression-guards the seeded sampler
+# (initial_states([0])[0])
 GOLDEN_RESET_0 = (
     0.013696168732145436,
     -0.02302132862361297,
@@ -53,21 +58,55 @@ def placed(state, config=CONFIG, t=0):
     return env
 
 
+# one- and two-word seeds on either side of 2**32, and the ends of the
+# 63-bit episode seeds and of the accepted range
+EDGE_SEEDS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1, 2 ** 64 - 1)
+
+
+def numpy_start(seed):
+    """The oracle: a fresh Generator per seed, as numpy draws it."""
+    return tuple(np.random.default_rng(seed).uniform(-RESET_SPREAD, RESET_SPREAD,
+                                                     size=4).tolist())
+
+
 class TestReset:
     def test_deterministic_under_fixed_seed(self):
-        a, b = CartPoleEnv(CONFIG).reset(42), CartPoleEnv(CONFIG).reset(42)
+        assert initial_states([42]) == initial_states([42])
+        a, b = initial_states([42, 42])
         assert a == b
+        assert CartPoleEnv(CONFIG).reset(a) == CartPoleEnv(CONFIG).reset(b) == a
 
     def test_components_within_spread(self):
-        for seed in range(200):
+        for state in initial_states(range(200)):
             env = CartPoleEnv(CONFIG)
-            state = env.reset(seed)
+            assert env.reset(state) == state
             assert len(state) == 4
             assert all(abs(v) <= 0.05 for v in state)
             assert env.t == 0
+            assert env.state == state and not env.terminated
 
     def test_golden_seed_zero(self):
-        assert CartPoleEnv(CONFIG).reset(0) == GOLDEN_RESET_0
+        assert initial_states([0])[0] == GOLDEN_RESET_0
+
+
+class TestInitialStates:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(st.integers(0, 2 ** 64 - 1),
+                              st.integers(2 ** 32 - 8, 2 ** 32 + 8),
+                              st.sampled_from(EDGE_SEEDS)),
+                    max_size=300))
+    @example([])
+    @example(list(EDGE_SEEDS))
+    def test_equals_numpy_per_seed_draw(self, seeds):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = initial_states(seeds)
+        assert got == [numpy_start(seed) for seed in seeds]
+
+    @pytest.mark.parametrize("bad", (-1, -2 ** 63, 2 ** 64, 2 ** 70, 1.0, "3"))
+    def test_out_of_range_seed_named(self, bad):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            initial_states([0, 2 ** 64 - 1, bad])
 
 
 class TestTermination:
@@ -149,8 +188,8 @@ class TestStep:
 class TestEnvClass:
     def test_reward_accounting_exact(self):
         env = CartPoleEnv(CONFIG)
-        for seed in range(20):
-            env.reset(seed)
+        for start in initial_states(range(20)):
+            env.reset(start)
             total, steps = 0.0, 0
             while True:
                 _, reward, terminated, truncated = env.step(steps % 2)
@@ -166,7 +205,7 @@ class TestEnvClass:
     def test_bit_identical_trajectories(self):
         def rollout(seed):
             env = CartPoleEnv(CONFIG)
-            env.reset(seed)
+            env.reset(initial_states([seed])[0])
             states = []
             for i in range(40):
                 state, _, terminated, truncated = env.step(i % 2)
@@ -181,8 +220,8 @@ class TestEnvClass:
         """A step depends only on (state, t): a fresh env placed at every
         state of a rollout steps exactly as the rolling env does."""
         env = CartPoleEnv(CONFIG)
-        for seed in range(10):
-            state = env.reset(seed)
+        for state in initial_states(range(10)):
+            env.reset(state)
             while True:
                 action = int(state[3] > 0)
                 fresh = placed(state, t=env.t)
@@ -199,7 +238,7 @@ class TestEnvClass:
         env = CartPoleEnv(CONFIG)
         with pytest.raises(ValueError, match="reset"):
             env.step(0)
-        env.reset(0)
+        env.reset(GOLDEN_RESET_0)
         with pytest.raises(ValueError, match="action"):
             env.step(2)
         while not env.step(1)[2]:
@@ -208,18 +247,16 @@ class TestEnvClass:
         with pytest.raises(ValueError, match="terminal"):
             env.step(0)
 
-    def test_unseeded_first_reset_rejected(self):
-        with pytest.raises(ValueError, match="seed"):
-            CartPoleEnv(CONFIG).reset()
-
-    def test_reset_continues_stream_without_seed(self):
+    def test_reset_after_terminal_starts_afresh(self):
+        first, second = initial_states([3, 4])
         env = CartPoleEnv(CONFIG)
-        first = env.reset(3)
-        second = env.reset()
-        assert first != second
-        env2 = CartPoleEnv(CONFIG)
-        env2.reset(3)
-        assert env2.reset() == second
+        env.reset(first)
+        while not env.step(1)[2]:
+            pass
+        assert env.terminated and env.t > 0
+        assert env.reset(second) == second
+        assert (env.state, env.t, env.terminated) == (second, 0, False)
+        assert env.step(0)[0] == placed(second).step(0)[0]
 
 
 class TestParams:

@@ -261,7 +261,18 @@ class TestEval:
 
     def test_zero_episodes_is_an_error(self, trained_run, capsys):
         assert run_cli(["eval", "--run", trained_run, "--episodes", "0"]) == 1
-        assert capsys.readouterr().err.startswith("error: n_episodes")
+        assert capsys.readouterr().err.startswith("error: --episodes")
+        assert not (trained_run / "eval_seed0").exists()
+
+    @pytest.mark.parametrize("episodes", ("0", "-3"))
+    def test_bad_episode_count_rejected_before_loading(self, trained_run, capsys,
+                                                       monkeypatch, episodes):
+        loaded = []
+        monkeypatch.setattr(cli, "load_agent", lambda text: loaded.append(text))
+        assert run_cli(["eval", "--run", trained_run, "--episodes", episodes]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --episodes must be >= 1, got {episodes}\n"
+        assert loaded == []
         assert not (trained_run / "eval_seed0").exists()
 
     def test_missing_run_dir(self, tmp_path, capsys):

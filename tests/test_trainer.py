@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bmu_lab import trainer
-from bmu_lab.cartpole import CartPoleEnv
+from bmu_lab.cartpole import RESET_SPREAD, CartPoleEnv, initial_states
 from bmu_lab.core import INIT_MODES
 from bmu_lab.discretize import cell_of, unpack
 from bmu_lab.runio import agent_state_hash, config_from_entries, format_config, parse_config_text
@@ -291,7 +291,7 @@ STUB_CONFIG = TrainConfig(x_dot_bound=1.5, theta_dot_bound=1.5, theta_limit=0.20
 class TestRunEpisode:
     def test_truncated_episode_reward_250(self):
         env = CartPoleEnv(STUB_CONFIG)
-        record = run_episode(PdStub(), env, STUB_CONFIG, episode_seed=1)
+        record = run_episode(PdStub(), env, STUB_CONFIG, start=initial_states([1])[0])
         assert record.steps == 250
         assert record.total_reward == 250.0
 
@@ -299,7 +299,7 @@ class TestRunEpisode:
         config = TrainConfig()
         env = CartPoleEnv(config)
         agent = make_agent(config, np.random.default_rng(0))
-        record = run_episode(agent, env, config, episode_seed=3)
+        record = run_episode(agent, env, config, start=initial_states([3])[0])
         assert record.steps < 250  # an untrained agent fails quickly
         assert record.total_reward == (record.steps - 1) * 1.0 - 10.0
 
@@ -308,7 +308,7 @@ class TestRunEpisode:
             config = TrainConfig()
             env = CartPoleEnv(config)
             agent = make_agent(config, np.random.default_rng(0))
-            rec = run_episode(agent, env, config, episode_seed=17)
+            rec = run_episode(agent, env, config, start=initial_states([17])[0])
             return rec.total_reward, rec.steps, rec.spawned
 
         assert once() == once()
@@ -318,8 +318,8 @@ class TestRunEpisode:
         env = CartPoleEnv(config)
         agent = make_agent(config, np.random.default_rng(0))
         spawned = 0
-        for episode_seed in range(5):
-            spawned += run_episode(agent, env, config, episode_seed).spawned
+        for start in initial_states(range(5)):
+            spawned += run_episode(agent, env, config, start).spawned
         assert spawned == agent.stats().neurons
 
 
@@ -344,8 +344,9 @@ class TestTrain:
 
     def test_matches_per_call_numpy_draws(self):
         """train() against the same loop drawn one numpy call at a time:
-        scalar episode seeds, Generator.random()/integers() for exploration,
-        np.mean/np.std for the moving stats."""
+        scalar episode seeds, a fresh Generator per episode for its start
+        state, Generator.random()/integers() for exploration, np.mean/np.std
+        for the moving stats."""
         config = TrainConfig(n_bins=16, epsilon=0.4, epsilon_decay=0.99,
                              convergence_window=7, max_episodes=40)
         result = train(config, 11)
@@ -366,7 +367,9 @@ class TestTrain:
         epsilon = config.epsilon
         rewards, moving_avg, moving_std = [], [], []
         for _ in range(result.metrics.episodes_run):
-            record = run_episode(agent, env, config, int(env_seeder.integers(0, 2 ** 63)),
+            start_rng = np.random.default_rng(int(env_seeder.integers(0, 2 ** 63)))
+            start = tuple(start_rng.uniform(-RESET_SPREAD, RESET_SPREAD, size=4).tolist())
+            record = run_episode(agent, env, config, start,
                                  explore=PerCall(), epsilon=epsilon)
             epsilon *= config.epsilon_decay
             rewards.append(record.total_reward)
@@ -503,7 +506,7 @@ class TestExactDraws:
         explore = Exploration(bit_generator)
         config = TrainConfig()
         run_episode(make_agent(config, np.random.default_rng(0)),
-                    CartPoleEnv(config), config, 1,
+                    CartPoleEnv(config), config, initial_states([1])[0],
                     explore=explore, epsilon=0.0)
         assert bit_generator.state == untouched
         explore.random()
@@ -580,8 +583,8 @@ class TestEvaluate:
         starts = []
         reset = CartPoleEnv.reset
 
-        def recording_reset(env, episode_seed=None):
-            starts.append(reset(env, episode_seed))
+        def recording_reset(env, start):
+            starts.append(reset(env, start))
             return starts[-1]
 
         monkeypatch.setattr(CartPoleEnv, "reset", recording_reset)
@@ -594,6 +597,11 @@ class TestEvaluate:
         assert [t[0][1] for t in report.trajectories] == [x for x, *_ in starts]
         assert len(set(starts)) == 20
         assert trained.isdisjoint(starts)
+        eval_seeder = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[3])
+        assert starts == [
+            tuple(np.random.default_rng(int(eval_seeder.integers(0, 2 ** 63)))
+                  .uniform(-RESET_SPREAD, RESET_SPREAD, size=4).tolist())
+            for _ in range(20)]
 
     def test_summary_stats(self):
         config, agent = self._trained()
@@ -610,7 +618,8 @@ def test_stub_always_surviving_converges_at_window():
     seeder = np.random.default_rng(np.random.SeedSequence(0).spawn(3)[0])
     streak = 0
     for episode in range(1, 41):
-        record = run_episode(stub, env, config, int(seeder.integers(0, 2 ** 63)))
+        record = run_episode(stub, env, config,
+                             initial_states([int(seeder.integers(0, 2 ** 63))])[0])
         env_rewards.append(record.total_reward)
         streak = streak + 1 if record.total_reward >= 200.0 else 0
         if streak >= 20:
