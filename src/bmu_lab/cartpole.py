@@ -8,9 +8,9 @@ the pole angle or the cart position leaves its limit; it succeeds
 (truncates) after ``max_steps`` survived steps. Every surviving step earns
 ``step_reward``; the failing step earns ``fail_reward`` instead.
 
-Episodes start from `initial_states`, which draws a whole run's start
-states in one batch, bit for bit the states a fresh numpy Generator per
-episode seed would draw.
+Episodes start from `initial_states`, which draws a batch of start states
+at once, bit for bit the states a fresh numpy Generator per episode seed
+would draw.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .graphio import read_gexf
@@ -22,7 +22,7 @@ from .runio import (
     parse_config_text,
     snapshot_files,
 )
-from .trainer import AGENT_KINDS, ConfigError, evaluate, train
+from .trainer import AGENT_KINDS, ConfigError, TrainConfig, evaluate, train
 
 
 @functools.cache  # built once per process; parse_args leaves it unchanged
@@ -44,18 +44,10 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="first seed (default 0)")
     p_train.add_argument("--seed-list", default=None,
                          help="explicit comma-separated seeds, overrides --seeds")
-    for flag, key in (
-        ("--gamma", "gamma"), ("--alpha", "alpha"), ("--bins", "n_bins"),
-        ("--max-steps", "max_steps"), ("--max-episodes", "max_episodes"),
-        ("--convergence-reward", "convergence_reward"),
-        ("--window", "convergence_window"), ("--epsilon", "epsilon"),
-        ("--epsilon-decay", "epsilon_decay"), ("--snapshot-every", "snapshot_every"),
-        ("--init", "init"), ("--pool-capacity", "pool_capacity"),
-        ("--theta-limit", "theta_limit"), ("--x-limit", "x_limit"),
-        ("--x-bin-bound", "x_bin_bound"), ("--x-dot-bound", "x_dot_bound"),
-        ("--theta-dot-bound", "theta_dot_bound"),
-    ):
-        p_train.add_argument(flag, dest=f"cfg_{key}", default=None)
+    for f in fields(TrainConfig):
+        flag = f.metadata.get("flag", "--" + f.name.replace("_", "-"))
+        if flag:
+            p_train.add_argument(flag, dest=f"cfg_{f.name}", default=None)
     p_train.add_argument("--qtable-dense", action="store_true", default=False)
 
     on_run = {}  # the commands that read one seed of a trained run

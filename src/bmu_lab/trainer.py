@@ -18,14 +18,14 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .bmu import BmuAgent, PoolAgent, PoolCapacityError
 from .cartpole import CartPoleEnv, initial_states
 from .core import INIT_MODES, argmax
-from .discretize import BinSpec, discretize
+from .discretize import MASK, BinSpec, discretize
 from .graphio import GraphSnapshot
 from .qtable import QTableAgent
 from .synaptic import SynapticAgent
@@ -43,6 +43,44 @@ class ConfigError(ValueError):
     pass
 
 
+def _domain(declared):
+    """`check(key, value)` for a tuple of choices, a rule already written so,
+    or an interval such as "(0, 1]" or "[200, inf)": an end is inside only
+    where its bracket is closed, so NaN never is and inf only where one is."""
+    if callable(declared):
+        return declared
+    if isinstance(declared, tuple):
+        def check(key, value):
+            if value not in declared:
+                raise ConfigError(f"{key} must be one of {declared}, got {value!r}")
+        return check
+    lo_text, hi_text = declared[1:-1].split(", ")
+    lo, hi = float(lo_text), float(hi_text)
+    lo_closed, hi_closed = declared[0] == "[", declared[-1] == "]"
+    rule = ("finite" if declared == "(-inf, inf)" else f">= {lo_text}"
+            if lo_closed and declared.endswith(", inf)") else f"in {declared}")
+
+    def check(key, value):
+        if not ((lo <= value if lo_closed else lo < value)
+                and (value <= hi if hi_closed else value < hi)):
+            raise ConfigError(f"{key} must be {rule}, got {value}")
+    return check
+
+
+def _seeds_rule(key, seeds):
+    if not seeds:
+        raise ConfigError(f"{key} must contain at least one seed")
+    if min(seeds) < 0 or len(set(seeds)) < len(seeds):
+        raise ConfigError(f"{key} must be distinct and non-negative, got "
+                          f"{','.join(map(str, seeds))}")
+
+
+def _field(default, domain, **flag):
+    """A config field with its domain, parsed once, and as `flag=` its
+    `train` flag where that is not `--name-with-dashes` (None: no flag)."""
+    return field(default=default, metadata={"domain": _domain(domain), **flag})
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Full recipe for a training run.
@@ -52,81 +90,43 @@ class TrainConfig:
     0.418); the binning bounds are deliberately wider than the termination
     limits so that the live state cells are coarse enough for the greedy
     learner to stabilize. Both are plain config fields for experiments.
+    Each field declares its default, its domain and its `train` flag.
     """
 
-    agent: str = "synaptic"
-    gamma: float = 0.99
-    alpha: float = 0.9
-    n_bins: int = 10
-    max_steps: int = 250
-    convergence_reward: float = 200.0
-    convergence_window: int = 20
-    max_episodes: int = 1000
-    seeds: tuple[int, ...] = (0,)
-    epsilon: float = 0.0
-    epsilon_decay: float = 1.0
-    snapshot_every: int = 0
-    init: str = "optimistic"
-    pool_capacity: int = 300
-    qtable_dense: bool = False
-    theta_limit: float = 0.2095
-    x_limit: float = 2.4
-    x_bin_bound: float = 6.0
-    x_dot_bound: float = 11.0
-    theta_dot_bound: float = 7.0
-    step_reward: float = 1.0
-    fail_reward: float = -10.0
+    agent: str = _field("synaptic", AGENT_KINDS, flag=None)
+    gamma: float = _field(0.99, "(0, 1)")
+    alpha: float = _field(0.9, "(0, 1]")
+    n_bins: int = _field(10, f"[2, {MASK + 1}]", flag="--bins")
+    max_steps: int = _field(250, "[200, inf)")
+    convergence_reward: float = _field(200.0, "(-inf, inf)")
+    convergence_window: int = _field(20, "[1, inf)", flag="--window")
+    max_episodes: int = _field(1000, "[1, inf)")
+    seeds: tuple[int, ...] = _field((0,), _seeds_rule, flag=None)
+    epsilon: float = _field(0.0, "[0, 1]")
+    epsilon_decay: float = _field(1.0, "(0, 1]")
+    snapshot_every: int = _field(0, "[0, inf)")
+    init: str = _field("optimistic", INIT_MODES)
+    pool_capacity: int = _field(300, "[1, inf)")
+    qtable_dense: bool = _field(False, (False, True), flag=None)
+    theta_limit: float = _field(0.2095, "(0, inf)")
+    x_limit: float = _field(2.4, "(0, inf]")
+    x_bin_bound: float = _field(6.0, "(0, inf)")
+    x_dot_bound: float = _field(11.0, "(0, inf)")
+    theta_dot_bound: float = _field(7.0, "(0, inf)")
+    step_reward: float = _field(1.0, "(-inf, inf)", flag=None)
+    fail_reward: float = _field(-10.0, "(-inf, inf)", flag=None)
 
     def validate(self) -> None:
-        if self.agent not in AGENT_KINDS:
-            raise ConfigError(f"agent must be one of {AGENT_KINDS}, got {self.agent!r}")
-        if not 0.0 < self.gamma < 1.0:
-            raise ConfigError(f"gamma must be in (0, 1), got {self.gamma}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ConfigError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.convergence_window < 1:
-            raise ConfigError(f"convergence_window must be >= 1, got {self.convergence_window}")
-        # theta_limit is also the angle bin bound; x_limit may be inf
-        for key in ("step_reward", "fail_reward", "convergence_reward", "theta_limit",
-                    "x_bin_bound", "x_dot_bound", "theta_dot_bound"):
-            if not math.isfinite(getattr(self, key)):
-                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
+        for key, check in _CHECKS:
+            check(key, getattr(self, key))
         if self.convergence_reward > self.max_steps * self.step_reward:
             raise ConfigError(
                 f"convergence_reward {self.convergence_reward} is unattainable with "
                 f"max_steps {self.max_steps} and step_reward {self.step_reward}"
             )
-        if self.n_bins < 2:
-            raise ConfigError(f"n_bins must be >= 2, got {self.n_bins}")
         if self.agent == "qtable" and self.qtable_dense and self.n_bins ** 4 > DENSE_ROW_CAP:
             raise ConfigError(f"qtable_dense allocates n_bins**4 rows, at most {DENSE_ROW_CAP}; "
                               f"got n_bins {self.n_bins}")
-        if self.max_episodes < 1:
-            raise ConfigError(f"max_episodes must be >= 1, got {self.max_episodes}")
-        if not self.seeds:
-            raise ConfigError("seeds must contain at least one seed")
-        if min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
-            raise ConfigError(f"seeds must be distinct and non-negative, got "
-                              f"{','.join(map(str, self.seeds))}")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ConfigError(f"epsilon must be in [0, 1], got {self.epsilon}")
-        if not 0.0 < self.epsilon_decay <= 1.0:
-            raise ConfigError(f"epsilon_decay must be in (0, 1], got {self.epsilon_decay}")
-        if self.snapshot_every < 0:
-            raise ConfigError(f"snapshot_every must be >= 0, got {self.snapshot_every}")
-        if self.pool_capacity < 1:
-            raise ConfigError(f"pool_capacity must be >= 1, got {self.pool_capacity}")
-        if self.init not in INIT_MODES:
-            raise ConfigError(f"init must be one of {INIT_MODES}, got {self.init!r}")
-        for key in ("theta_limit", "x_limit"):
-            if getattr(self, key) <= 0:
-                raise ConfigError(f"{key} must be strictly positive, got {getattr(self, key)}")
-        if self.max_steps < 200:
-            raise ConfigError(f"max_steps must be >= 200, got {self.max_steps}")
-        try:
-            self.bin_spec()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
     def bin_spec(self) -> BinSpec:
         # angle bins track the termination limit; position bins span a wider
@@ -138,6 +138,9 @@ class TrainConfig:
             theta_dot_bound=self.theta_dot_bound,
             n_bins=self.n_bins,
         )
+
+
+_CHECKS = [(f.name, f.metadata["domain"]) for f in fields(TrainConfig)]
 
 
 def make_agent(config: TrainConfig, rng: np.random.Generator):
@@ -328,6 +331,15 @@ def _seed_streams(seed: int):
     )
 
 
+def _starts(seeder: np.random.Generator, count: int, block: int = 256):
+    """Start states drawn `block` at a time as the run reaches them; numpy's
+    64-bit bounded draw keeps no buffer, so the seeds equal one call's."""
+    while count > 0:
+        size = min(block, count)
+        yield from initial_states(seeder.integers(0, 2 ** 63, size=size).tolist())
+        count -= size
+
+
 def train(config: TrainConfig, seed: int) -> TrainResult:
     config.validate()
     started = time.perf_counter()
@@ -336,11 +348,6 @@ def train(config: TrainConfig, seed: int) -> TrainResult:
     spec = config.bin_spec()
     agent = make_agent(config, agent_rng)
     explore = Exploration(explore_rng.bit_generator)
-    # one call draws what a scalar call per episode would: numpy's 64-bit
-    # bounded draw keeps no buffer between calls. The start states follow
-    # in one batch, those of episodes a converged run never plays included.
-    episode_seeds = env_seeder.integers(0, 2 ** 63, size=config.max_episodes).tolist()
-    starts = initial_states(episode_seeds)
 
     metrics = RunMetrics(seed=seed, rewards=[], moving_avg=[], moving_std=[],
                          neurons=[], avg_fan_in=[], parameters=[], steps=[],
@@ -349,7 +356,7 @@ def train(config: TrainConfig, seed: int) -> TrainResult:
     snapshots: dict[int, GraphSnapshot] = {}
     streak = 0
     epsilon = config.epsilon
-    for episode, start in enumerate(starts, start=1):
+    for episode, start in enumerate(_starts(env_seeder, config.max_episodes), start=1):
         try:
             record = run_episode(agent, env, config, start,
                                  explore=explore, epsilon=epsilon, spec=spec)
@@ -410,7 +417,7 @@ def aggregate_curves(curves: list[list[float]]) -> tuple[list[float], list[float
     padded = np.array([curve + [curve[-1]] * (length - len(curve)) for curve in curves])
     mean = padded.mean(axis=0)
     sd = padded.std(axis=0)
-    return list(mean), list(mean - 2.0 * sd), list(mean + 2.0 * sd)
+    return mean.tolist(), (mean - 2.0 * sd).tolist(), (mean + 2.0 * sd).tolist()
 
 
 def multi_seed(config: TrainConfig) -> tuple[AggregateMetrics, list[TrainResult]]:
@@ -474,7 +481,7 @@ def evaluate(agent, config: TrainConfig, seed: int, n_episodes: int) -> EvalRepo
     # fourth gives initial states no training episode of that seed saw
     seeder = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[3])
     report = EvalReport(rewards=[], trajectories=[])
-    for start in initial_states(seeder.integers(0, 2 ** 63, size=n_episodes).tolist()):
+    for start in _starts(seeder, n_episodes):
         state = env.reset(start)
         total = 0.0
         trajectory = []

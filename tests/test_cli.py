@@ -21,6 +21,10 @@ def read(path):
     return path.read_text()
 
 
+def train_subparser():
+    return _build_parser()._subparsers._group_actions[0].choices["train"]
+
+
 class TestTrain:
     def test_qtable_five_episodes(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -85,6 +89,68 @@ class TestTrain:
         assert err.startswith("error:") and "qtable_dense" in err and "n_bins 100" in err
         assert built == []
         assert list(tmp_path.iterdir()) == []  # no run and no temporary sibling
+
+    # one value outside each flag's domain
+    OUT_OF_DOMAIN_FLAGS = [
+        ("--gamma", "1", "gamma"), ("--alpha", "nan", "alpha"), ("--bins", "1", "n_bins"),
+        ("--max-steps", "199", "max_steps"),
+        ("--convergence-reward", "inf", "convergence_reward"),
+        ("--window", "0", "convergence_window"), ("--max-episodes", "0", "max_episodes"),
+        ("--epsilon", "-0.5", "epsilon"), ("--epsilon-decay", "0", "epsilon_decay"),
+        ("--snapshot-every", "-1", "snapshot_every"), ("--init", "gaussian", "init"),
+        ("--pool-capacity", "0", "pool_capacity"), ("--theta-limit", "inf", "theta_limit"),
+        ("--x-limit", "nan", "x_limit"), ("--x-bin-bound", "0", "x_bin_bound"),
+        ("--x-dot-bound", "-3", "x_dot_bound"), ("--theta-dot-bound", "-inf", "theta_dot_bound"),
+    ]
+
+    @pytest.mark.parametrize("flag, value, key", OUT_OF_DOMAIN_FLAGS)
+    def test_out_of_domain_flag_refused_before_any_output(self, tmp_path, capsys, monkeypatch,
+                                                          flag, value, key):
+        built, written = [], []
+        monkeypatch.setattr(trainer, "make_agent", lambda *args: built.append(args))
+        monkeypatch.setattr(cli, "execute_train_run", lambda *args: written.append(args))
+        # flag=value, so that argparse takes "-inf" as a value
+        code = run_cli(["train", "--agent", "qtable", f"{flag}={value}", "--out", tmp_path / "run"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must ") and "Traceback" not in err
+        assert built == [] and written == []
+        assert list(tmp_path.iterdir()) == []  # no run and no temporary sibling
+
+    def test_out_of_domain_cases_cover_every_config_flag(self):
+        train_parser = train_subparser()
+        dests = {a.dest[4:] for a in train_parser._actions if a.dest.startswith("cfg_")}
+        assert dests == {key for _, _, key in self.OUT_OF_DOMAIN_FLAGS}
+
+    def test_train_flags_pinned(self):
+        train_parser = train_subparser()
+        flags = sorted((a.option_strings[0], a.dest) for a in train_parser._actions)
+        assert flags == sorted([
+            ("-h", "help"), ("--agent", "agent"), ("--out", "out"), ("--config", "config"),
+            ("--seeds", "seeds"), ("--seed-base", "seed_base"), ("--seed-list", "seed_list"),
+            ("--gamma", "cfg_gamma"), ("--alpha", "cfg_alpha"), ("--bins", "cfg_n_bins"),
+            ("--max-steps", "cfg_max_steps"), ("--max-episodes", "cfg_max_episodes"),
+            ("--convergence-reward", "cfg_convergence_reward"),
+            ("--window", "cfg_convergence_window"), ("--epsilon", "cfg_epsilon"),
+            ("--epsilon-decay", "cfg_epsilon_decay"),
+            ("--snapshot-every", "cfg_snapshot_every"), ("--init", "cfg_init"),
+            ("--pool-capacity", "cfg_pool_capacity"), ("--theta-limit", "cfg_theta_limit"),
+            ("--x-limit", "cfg_x_limit"), ("--x-bin-bound", "cfg_x_bin_bound"),
+            ("--x-dot-bound", "cfg_x_dot_bound"), ("--theta-dot-bound", "cfg_theta_dot_bound"),
+            ("--qtable-dense", "qtable_dense"),
+        ])
+        # rewards are set in a --config file only
+        assert all(len(a.option_strings) == 1 for a in train_parser._actions[1:])
+
+    def test_aggregate_fields_parse_as_floats(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli(["train", "--agent", "qtable", "--seeds", "2", "--out", out] + TINY) == 0
+        header, *rows = read(out / "aggregate.csv").splitlines()
+        assert header == "episode,mean,lo_band,hi_band" and len(rows) == 5
+        for row in rows:
+            episode, *values = row.split(",")
+            int(episode)
+            [float(v) for v in values]
 
     def test_unknown_flag_is_an_error(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:

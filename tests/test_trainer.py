@@ -4,7 +4,7 @@ detection, multi-seed bands, and learning-free evaluation."""
 import hashlib
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -71,6 +71,55 @@ def valid_configs(draw):
     )
 
 
+def _nan_or(*strategies):
+    return st.one_of(st.just(math.nan), *strategies)
+
+
+# every field's values outside its domain, spelled out independently of the
+# declarations: NaN for every real field, inf where no bracket closes on it
+OUT_OF_DOMAIN = {
+    "agent": st.text().filter(lambda s: s not in AGENT_KINDS),
+    "gamma": _nan_or(st.floats(max_value=0.0), st.floats(min_value=1.0)),
+    "alpha": _nan_or(st.floats(max_value=0.0), st.floats(min_value=1.0, exclude_min=True)),
+    "n_bins": _nan_or(st.integers(max_value=1), st.integers(min_value=65537)),
+    "max_steps": _nan_or(st.integers(max_value=199), st.just(math.inf)),
+    "convergence_reward": _nan_or(st.sampled_from([math.inf, -math.inf])),
+    "convergence_window": _nan_or(st.integers(max_value=0), st.just(math.inf)),
+    "max_episodes": _nan_or(st.integers(max_value=0), st.just(math.inf)),
+    "seeds": st.lists(st.integers(-2 ** 63, 2 ** 63), max_size=4).filter(
+        lambda s: not s or min(s) < 0 or len(set(s)) < len(s)).map(tuple),
+    "epsilon": _nan_or(st.floats(max_value=0.0, exclude_max=True),
+                       st.floats(min_value=1.0, exclude_min=True)),
+    "epsilon_decay": _nan_or(st.floats(max_value=0.0),
+                             st.floats(min_value=1.0, exclude_min=True)),
+    "snapshot_every": _nan_or(st.integers(max_value=-1), st.just(math.inf)),
+    "init": st.text().filter(lambda s: s not in INIT_MODES),
+    "pool_capacity": _nan_or(st.integers(max_value=0), st.just(math.inf)),
+    "qtable_dense": st.sampled_from(["true", "false", 2, -1, None]),
+    "theta_limit": _nan_or(st.floats(max_value=0.0), st.just(math.inf)),
+    "x_limit": _nan_or(st.floats(max_value=0.0)),
+    "x_bin_bound": _nan_or(st.floats(max_value=0.0), st.just(math.inf)),
+    "x_dot_bound": _nan_or(st.floats(max_value=0.0), st.just(math.inf)),
+    "theta_dot_bound": _nan_or(st.floats(max_value=0.0), st.just(math.inf)),
+    "step_reward": _nan_or(st.sampled_from([math.inf, -math.inf])),
+    "fail_reward": _nan_or(st.sampled_from([math.inf, -math.inf])),
+}
+
+# the nearest values outside each end of each interval
+ABOVE_1 = math.nextafter(1.0, 2.0)
+JUST_OUTSIDE = [
+    ("gamma", 0.0), ("gamma", 1.0), ("alpha", 0.0), ("alpha", ABOVE_1),
+    ("n_bins", 1), ("n_bins", 65537), ("max_steps", 199), ("convergence_window", 0),
+    ("max_episodes", 0), ("epsilon", math.nextafter(0.0, -1.0)), ("epsilon", ABOVE_1),
+    ("epsilon_decay", 0.0), ("epsilon_decay", ABOVE_1), ("snapshot_every", -1),
+    ("pool_capacity", 0), ("theta_limit", 0.0), ("theta_limit", math.inf),
+    ("x_limit", -0.0), ("x_bin_bound", 0.0), ("x_bin_bound", math.inf),
+    ("x_dot_bound", 0.0), ("x_dot_bound", math.inf), ("theta_dot_bound", 0.0),
+    ("theta_dot_bound", math.inf), ("convergence_reward", -math.inf),
+    ("step_reward", math.inf), ("fail_reward", -math.inf),
+]
+
+
 class TestConfig:
     def test_defaults_valid(self):
         TrainConfig().validate()
@@ -120,6 +169,46 @@ class TestConfig:
     def test_non_finite_or_non_positive_values_named(self, key, value):
         with pytest.raises(ConfigError, match=key):
             replace(TrainConfig(), **{key: value}).validate()
+
+    def test_every_field_declares_a_domain(self):
+        assert [f.name for f in fields(TrainConfig)] == list(OUT_OF_DOMAIN)
+        for f in fields(TrainConfig):
+            assert callable(f.metadata["domain"]), f.name
+
+    @settings(max_examples=300, deadline=None)
+    @given(config=valid_configs(), data=st.data())
+    def test_one_field_out_of_its_domain_is_named(self, config, data):
+        key = data.draw(st.sampled_from(list(OUT_OF_DOMAIN)), label="key")
+        value = data.draw(OUT_OF_DOMAIN[key], label="value")
+        with pytest.raises(ConfigError) as excinfo:
+            replace(config, **{key: value}).validate()
+        assert str(excinfo.value).startswith(f"{key} must ")
+
+    @pytest.mark.parametrize("key, value", JUST_OUTSIDE)
+    def test_nearest_value_outside_an_interval_is_named(self, key, value):
+        with pytest.raises(ConfigError) as excinfo:
+            replace(TrainConfig(), **{key: value}).validate()
+        assert str(excinfo.value).startswith(f"{key} must ")
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("x_limit", math.nan, "x_limit must be in (0, inf], got nan"),
+        ("x_bin_bound", 0.0, "x_bin_bound must be in (0, inf), got 0.0"),
+        ("x_dot_bound", -3.0, "x_dot_bound must be in (0, inf), got -3.0"),
+        ("theta_dot_bound", -0.0, "theta_dot_bound must be in (0, inf), got -0.0"),
+        ("max_steps", 199, "max_steps must be >= 200, got 199"),
+        ("snapshot_every", -1, "snapshot_every must be >= 0, got -1"),
+        ("n_bins", 65537, "n_bins must be in [2, 65536], got 65537"),
+        ("step_reward", math.inf, "step_reward must be finite, got inf"),
+        ("gamma", 1.0, "gamma must be in (0, 1), got 1.0"),
+        ("epsilon", math.nan, "epsilon must be in [0, 1], got nan"),
+        ("init", "gaussian", "init must be one of ('optimistic', 'zeros', 'uniform'), "
+                             "got 'gaussian'"),
+        ("seeds", (), "seeds must contain at least one seed"),
+    ])
+    def test_domain_messages(self, key, value, message):
+        with pytest.raises(ConfigError) as excinfo:
+            replace(TrainConfig(), **{key: value}).validate()
+        assert str(excinfo.value) == message
 
     def test_unbounded_cart_position_trains(self):
         config = TrainConfig(x_limit=math.inf, max_episodes=3)
@@ -380,6 +469,37 @@ class TestTrain:
         assert result.metrics.moving_avg == moving_avg
         assert result.metrics.moving_std == moving_std
         assert agent_state_hash(result.agent) == agent_state_hash(agent)
+
+    def test_start_states_drawn_in_blocks_as_reached(self, monkeypatch):
+        drawn = []
+
+        def recording(seeds):
+            drawn.append(len(seeds))
+            return initial_states(seeds)
+
+        monkeypatch.setattr(trainer, "initial_states", recording)
+        # a window longer than the cap: all 600 episodes are played
+        config = TrainConfig(agent="qtable", epsilon=0.3, convergence_window=700,
+                             max_episodes=600)
+        result = train(config, 9)
+        assert drawn == [256, 256, 88]
+
+        env_ss, agent_ss, explore_ss = np.random.SeedSequence(9).spawn(3)
+        seeds = np.random.default_rng(env_ss).integers(0, 2 ** 63, size=600).tolist()
+        agent = make_agent(config, np.random.default_rng(agent_ss))
+        env = CartPoleEnv(config)
+        explore = Exploration(np.random.default_rng(explore_ss).bit_generator)
+        rewards = [run_episode(agent, env, config, start, explore=explore,
+                               epsilon=config.epsilon).total_reward
+                   for start in initial_states(seeds)]
+        assert result.metrics.rewards == rewards
+        assert agent_state_hash(result.agent) == agent_state_hash(agent)
+
+        # a converged run draws only the blocks it reached, whatever its cap
+        drawn.clear()
+        result = train(TrainConfig(max_episodes=10 ** 7), 0)
+        assert result.metrics.converged
+        assert drawn == [256] * -(-result.metrics.episodes_run // 256)
 
     def test_spawn_conservation_over_training(self):
         config = TrainConfig(max_episodes=15)
