@@ -70,11 +70,10 @@ class PoolAgent(BellmanCore):
     fixed_fields = {"n_actions": KAPPA}
 
     def __init__(self, capacity: int, alpha: float = 0.9, gamma: float = 0.99, *,
-                 init: str, rng: np.random.Generator | None = None,
-                 step_reward: float = 1.0):
+                 init: str, rng: np.random.Generator | None = None):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        super().__init__(alpha, gamma, init=init, rng=rng, step_reward=step_reward)
+        super().__init__(alpha, gamma, init=init, rng=rng)
         self.capacity = capacity
 
     def add(self, cell: int, row: list[float]) -> None:

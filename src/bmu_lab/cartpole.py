@@ -5,8 +5,8 @@ force. The physics constants and the explicit Euler integration scheme
 match the classic CartPole-v1 control benchmark so that trained policies
 are comparable with published results. An episode fails (terminates) when
 the pole angle or the cart position leaves its limit; it succeeds
-(truncates) after ``max_steps`` survived steps. Every surviving step earns
-``step_reward``; the failing step earns ``fail_reward`` instead.
+(truncates) after ``MAX_STEPS`` survived steps. Every surviving step earns
+``STEP_REWARD``; the failing step earns ``FAIL_REWARD`` instead.
 
 Episodes start from `initial_states`, which draws a batch of start states
 at once, bit for bit the states a fresh numpy Generator per episode seed
@@ -33,6 +33,15 @@ TOTAL_MASS = MASS_CART + MASS_POLE
 POLEMASS_LENGTH = MASS_POLE * POLE_HALF_LENGTH
 # unpacked into locals by `integrate`, which runs on every step
 _PHYSICS = (GRAVITY, MASS_POLE, POLE_HALF_LENGTH, DT, TOTAL_MASS, POLEMASS_LENGTH)
+
+# the task: CartPole-v1's failure limits (the pole fails at 0.2095 rad even
+# though its observation range extends to 0.418), a 250-step cap and the
+# shaped rewards
+THETA_LIMIT = 0.2095
+X_LIMIT = 2.4
+MAX_STEPS = 250
+STEP_REWARD = 1.0
+FAIL_REWARD = -10.0
 
 # numpy's SeedSequence (O'Neill's seed_seq mixing into a 4-word pool) and
 # PCG64's seeding, as `initial_states` replays them
@@ -134,12 +143,10 @@ class CartPoleEnv:
 
     The state is a tuple (x, x_dot, theta, theta_dot) plus the step counter
     `t`. ``reset(start)`` begins an episode from `start`, one of the states
-    `initial_states` draws; the env holds no random stream of its own. The
-    episode limits and rewards are read from `config`, a `TrainConfig`.
+    `initial_states` draws; the env holds no random stream of its own.
     """
 
-    def __init__(self, config):
-        self.config = config
+    def __init__(self):
         self.state: tuple[float, float, float, float] | None = None
         self.t = 0
         self.terminated = False
@@ -149,7 +156,7 @@ class CartPoleEnv:
         self.state = state
         self.t = t
         x, _, theta, _ = state
-        self.terminated = abs(theta) > self.config.theta_limit or abs(x) > self.config.x_limit
+        self.terminated = abs(theta) > THETA_LIMIT or abs(x) > X_LIMIT
 
     def reset(self, start: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
         """Begin an episode from `start` at step 0."""
@@ -178,7 +185,6 @@ class CartPoleEnv:
         """
         if self.state is None:
             raise ValueError("reset the environment before stepping")
-        config = self.config
         if action == 1:
             force = FORCE_MAG
         elif action == 0:
@@ -190,8 +196,8 @@ class CartPoleEnv:
         self.state = nxt = self.integrate(self.state, force)
         self.t += 1
         x, _, theta, _ = nxt
-        self.terminated = terminated = abs(theta) > config.theta_limit or abs(x) > config.x_limit
+        self.terminated = terminated = abs(theta) > THETA_LIMIT or abs(x) > X_LIMIT
         if terminated:
-            return nxt, config.fail_reward, True, False
-        return nxt, config.step_reward, False, self.t >= config.max_steps
+            return nxt, FAIL_REWARD, True, False
+        return nxt, STEP_REWARD, False, self.t >= MAX_STEPS
 

@@ -47,8 +47,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for f in fields(TrainConfig):
         flag = f.metadata.get("flag", "--" + f.name.replace("_", "-"))
         if flag:
-            p_train.add_argument(flag, dest=f"cfg_{f.name}", default=None)
-    p_train.add_argument("--qtable-dense", action="store_true", default=False)
+            switch = {"action": "store_true"} if isinstance(f.default, bool) else {}
+            p_train.add_argument(flag, dest=f"cfg_{f.name}", default=None, **switch)
 
     on_run = {}  # the commands that read one seed of a trained run
     for name, help_text in (("eval", "greedy rollouts of a trained agent"),
@@ -92,8 +92,6 @@ def _handle_train(args) -> int:
                     if key.startswith("cfg_") and value is not None})
     if args.agent is not None:
         entries["agent"] = args.agent
-    if args.qtable_dense:
-        entries["qtable_dense"] = "true"
     seeds = _seeds_entry(args)
     if seeds is not None:
         entries["seeds"] = seeds

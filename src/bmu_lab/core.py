@@ -19,6 +19,7 @@ import math
 
 import numpy as np
 
+from .cartpole import STEP_REWARD
 from .discretize import cell_of, key_of, unpack
 from .graphio import GraphSnapshot
 from .metrics import NetworkStats
@@ -35,7 +36,7 @@ def parameter_count(units: int) -> int:
     return units * (KAPPA + 2)
 
 
-def optimistic_q(step_reward: float, gamma: float) -> float:
+def optimistic_q(gamma: float) -> float:
     """Fixed point of an endless step-reward stream, r/(1 - gamma).
 
     Rows spawned at exactly this value keep unexplored corridors
@@ -44,7 +45,7 @@ def optimistic_q(step_reward: float, gamma: float) -> float:
     actions until their real values emerge. Any other starting value decays
     toward this one and injects ordering noise between untried actions.
     """
-    return step_reward / (1.0 - gamma)
+    return STEP_REWARD / (1.0 - gamma)
 
 
 def argmax(row) -> int:
@@ -71,7 +72,7 @@ class BellmanCore:
     fixed_fields = {"kappa": KAPPA}
 
     def __init__(self, alpha: float = 0.9, gamma: float = 0.99, *, init: str,
-                 rng: np.random.Generator | None = None, step_reward: float = 1.0):
+                 rng: np.random.Generator | None = None):
         if init not in INIT_MODES:
             raise ValueError(f"init must be one of {INIT_MODES}, got {init!r}")
         if init == "uniform" and rng is None:
@@ -80,7 +81,6 @@ class BellmanCore:
         self.gamma = gamma
         self.init = init
         self.rng = rng
-        self.step_reward = step_reward
         self.keys: list[str] = []
         self.ids: dict[int, int] = {}
         self.rows: list[list[float]] = []
@@ -94,7 +94,7 @@ class BellmanCore:
         if self.init == "uniform":
             # one sized draw equals KAPPA scalar draws, value for value
             return self.rng.uniform(*self.uniform_range, size=KAPPA).tolist()
-        q = optimistic_q(self.step_reward, self.gamma) if self.init == "optimistic" else 0.0
+        q = optimistic_q(self.gamma) if self.init == "optimistic" else 0.0
         return [q] * KAPPA
 
     def add(self, cell: int, row: list[float]) -> None:

@@ -18,6 +18,13 @@ from math import floor, isfinite
 SHIFT = 16
 MASK = (1 << SHIFT) - 1
 
+# the bins' bounds for position and the two velocities, deliberately wider
+# than the failure limits so that the live cells are coarse enough for the
+# greedy learner to settle; the angle's bound is the failure limit itself
+X_BIN_BOUND = 6.0
+X_DOT_BOUND = 11.0
+THETA_DOT_BOUND = 7.0
+
 
 @dataclass(frozen=True)
 class BinSpec:

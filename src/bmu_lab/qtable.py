@@ -27,9 +27,8 @@ class QTableAgent(BellmanCore):
     kind = "qtable"
 
     def __init__(self, alpha: float = 0.9, gamma: float = 0.99, dense: bool = False,
-                 n_bins: int = 10, *, init: str, rng: np.random.Generator | None = None,
-                 step_reward: float = 1.0):
-        super().__init__(alpha, gamma, init=init, rng=rng, step_reward=step_reward)
+                 n_bins: int = 10, *, init: str, rng: np.random.Generator | None = None):
+        super().__init__(alpha, gamma, init=init, rng=rng)
         self.dense = dense
         self.n_bins = n_bins
         self.visits: dict[str, int] = {}

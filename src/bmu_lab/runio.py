@@ -25,7 +25,9 @@ import os
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
+from .cartpole import FAIL_REWARD, MAX_STEPS, STEP_REWARD, THETA_LIMIT, X_LIMIT
 from .core import INIT_MODES, KAPPA
+from .discretize import THETA_DOT_BOUND, X_BIN_BOUND, X_DOT_BOUND
 from .graphio import GraphSnapshot, to_dot, to_gexf
 from .metrics import DegreeHistogram, degree_hist_csv, degree_distribution
 from .trainer import (
@@ -73,6 +75,13 @@ def parse_config_text(text: str) -> dict[str, str]:
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
                "yes": True, "no": False}
 
+# keys of settings that became constants, with the one value each now has
+RETIRED_KEYS = {
+    "kappa": KAPPA, "max_steps": MAX_STEPS, "theta_limit": THETA_LIMIT, "x_limit": X_LIMIT,
+    "x_bin_bound": X_BIN_BOUND, "x_dot_bound": X_DOT_BOUND, "theta_dot_bound": THETA_DOT_BOUND,
+    "step_reward": STEP_REWARD, "fail_reward": FAIL_REWARD,
+}
+
 
 def _legacy_init(agent: str, legacy: dict[str, str]) -> str:
     """The init of a config written before the `init` key: the key that
@@ -91,12 +100,12 @@ def config_from_entries(entries: dict[str, str]) -> TrainConfig:
 
     The legacy keys `q_init` and `encoder_init` still parse: when `init` is
     absent they decide it as they did for the run's kind, so old run
-    directories and config files replay unchanged. The retired keys `kappa`
-    (which could only be 2) and `c_gain` (which changed no choice) are
-    skipped.
+    directories and config files replay unchanged. A key of `RETIRED_KEYS`
+    is skipped where its value parses equal to its constant and is an error
+    otherwise; `c_gain`, which changed no choice, is skipped at any value.
     """
     base = TrainConfig()
-    known = {f.name for f in fields(TrainConfig)}
+    known = {f.name for f in fields(TrainConfig)}.union(RETIRED_KEYS)
     values: dict = {}
     legacy: dict[str, str] = {}
     for key, raw in entries.items():
@@ -105,9 +114,7 @@ def config_from_entries(entries: dict[str, str]) -> TrainConfig:
                 raise ConfigError(f"{key} must be one of {INIT_MODES}, got {raw!r}")
             legacy[key] = raw
             continue
-        if key == "kappa" and raw != str(KAPPA):
-            raise ConfigError(f"kappa must be {KAPPA}, the cartpole's two actions, got {raw!r}")
-        if key in ("kappa", "c_gain"):
+        if key == "c_gain":
             continue
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
@@ -117,18 +124,17 @@ def config_from_entries(entries: dict[str, str]) -> TrainConfig:
             except ValueError as exc:
                 raise ConfigError(f"seeds must be comma-separated integers, got {raw!r}") from exc
             continue
-        current = getattr(base, key)
+        current = RETIRED_KEYS[key] if key in RETIRED_KEYS else getattr(base, key)
         try:
-            if isinstance(current, bool):
-                values[key] = _BOOL_WORDS[raw.lower()]
-            elif isinstance(current, int):
-                values[key] = int(raw)
-            elif isinstance(current, float):
-                values[key] = float(raw)
-            else:
-                values[key] = raw
+            # an int, float or str key parses by its default's type
+            value = _BOOL_WORDS[raw.lower()] if isinstance(current, bool) else type(current)(raw)
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"bad value for config key {key!r}: {raw!r}") from exc
+        if key not in RETIRED_KEYS:
+            values[key] = value
+        elif value != current:
+            raise ConfigError(f"{key} must be {current!r}, a constant of the cartpole task, "
+                              f"got {raw!r}")
     if legacy and "init" not in values:
         values["init"] = _legacy_init(values.get("agent", base.agent), legacy)
     return replace(base, **values)

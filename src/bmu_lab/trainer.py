@@ -17,15 +17,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .bmu import BmuAgent, PoolAgent, PoolCapacityError
-from .cartpole import CartPoleEnv, initial_states
+from .cartpole import MAX_STEPS, STEP_REWARD, THETA_LIMIT, CartPoleEnv, initial_states
 from .core import INIT_MODES, argmax
-from .discretize import MASK, BinSpec, discretize
+from .discretize import MASK, THETA_DOT_BOUND, X_BIN_BOUND, X_DOT_BOUND, BinSpec, discretize
 from .graphio import GraphSnapshot
 from .qtable import QTableAgent
 from .synaptic import SynapticAgent
@@ -43,24 +44,28 @@ class ConfigError(ValueError):
     pass
 
 
-def _domain(declared):
+def _domain(declared, default):
     """`check(key, value)` for a tuple of choices, a rule already written so,
-    or an interval such as "(0, 1]" or "[200, inf)": an end is inside only
-    where its bracket is closed, so NaN never is and inf only where one is."""
+    or an interval such as "(0, 1]" or "[1, inf)": an end is inside only
+    where its bracket is closed, so NaN never is and inf only where one is.
+    A value must also be of the default's type, where a bool is no number."""
     if callable(declared):
         return declared
     if isinstance(declared, tuple):
         def check(key, value):
-            if value not in declared:
+            if not any(isinstance(value, type(c)) and value == c for c in declared):
                 raise ConfigError(f"{key} must be one of {declared}, got {value!r}")
         return check
     lo_text, hi_text = declared[1:-1].split(", ")
     lo, hi = float(lo_text), float(hi_text)
     lo_closed, hi_closed = declared[0] == "[", declared[-1] == "]"
-    rule = ("finite" if declared == "(-inf, inf)" else f">= {lo_text}"
-            if lo_closed and declared.endswith(", inf)") else f"in {declared}")
+    rule = f">= {lo_text}" if lo_closed and declared.endswith(", inf)") else f"in {declared}"
+    kind, noun = ((numbers.Integral, "an integer") if isinstance(default, int)
+                  else (numbers.Real, "a real number"))
 
     def check(key, value):
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ConfigError(f"{key} must be {noun}, got {value!r}")
         if not ((lo <= value if lo_closed else lo < value)
                 and (value <= hi if hi_closed else value < hi)):
             raise ConfigError(f"{key} must be {rule}, got {value}")
@@ -70,35 +75,33 @@ def _domain(declared):
 def _seeds_rule(key, seeds):
     if not seeds:
         raise ConfigError(f"{key} must contain at least one seed")
-    if min(seeds) < 0 or len(set(seeds)) < len(seeds):
-        raise ConfigError(f"{key} must be distinct and non-negative, got "
+    if (not all(isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in seeds)
+            or min(seeds) < 0 or len(set(seeds)) < len(seeds)):
+        raise ConfigError(f"{key} must be distinct non-negative integers, got "
                           f"{','.join(map(str, seeds))}")
 
 
 def _field(default, domain, **flag):
     """A config field with its domain, parsed once, and as `flag=` its
     `train` flag where that is not `--name-with-dashes` (None: no flag)."""
-    return field(default=default, metadata={"domain": _domain(domain), **flag})
+    return field(default=default, metadata={"domain": _domain(domain, default), **flag})
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Full recipe for a training run.
+    """Full recipe for a training run: the learner's and the run's settings.
 
-    The termination limits follow the reference simulator's behavior (the
-    pole fails at 0.2095 rad even though its observation range extends to
-    0.418); the binning bounds are deliberately wider than the termination
-    limits so that the live state cells are coarse enough for the greedy
-    learner to stabilize. Both are plain config fields for experiments.
-    Each field declares its default, its domain and its `train` flag.
+    The task is fixed: its limits, step cap and rewards are `cartpole`'s
+    constants and its bin bounds `discretize`'s. Each field declares its
+    default, its domain and its `train` flag.
     """
 
     agent: str = _field("synaptic", AGENT_KINDS, flag=None)
     gamma: float = _field(0.99, "(0, 1)")
     alpha: float = _field(0.9, "(0, 1]")
     n_bins: int = _field(10, f"[2, {MASK + 1}]", flag="--bins")
-    max_steps: int = _field(250, "[200, inf)")
-    convergence_reward: float = _field(200.0, "(-inf, inf)")
+    # at most the return of an episode that survives to the step cap
+    convergence_reward: float = _field(200.0, f"(-inf, {MAX_STEPS * STEP_REWARD!r}]")
     convergence_window: int = _field(20, "[1, inf)", flag="--window")
     max_episodes: int = _field(1000, "[1, inf)")
     seeds: tuple[int, ...] = _field((0,), _seeds_rule, flag=None)
@@ -107,45 +110,25 @@ class TrainConfig:
     snapshot_every: int = _field(0, "[0, inf)")
     init: str = _field("optimistic", INIT_MODES)
     pool_capacity: int = _field(300, "[1, inf)")
-    qtable_dense: bool = _field(False, (False, True), flag=None)
-    theta_limit: float = _field(0.2095, "(0, inf)")
-    x_limit: float = _field(2.4, "(0, inf]")
-    x_bin_bound: float = _field(6.0, "(0, inf)")
-    x_dot_bound: float = _field(11.0, "(0, inf)")
-    theta_dot_bound: float = _field(7.0, "(0, inf)")
-    step_reward: float = _field(1.0, "(-inf, inf)", flag=None)
-    fail_reward: float = _field(-10.0, "(-inf, inf)", flag=None)
+    qtable_dense: bool = _field(False, (False, True))
 
     def validate(self) -> None:
         for key, check in _CHECKS:
             check(key, getattr(self, key))
-        if self.convergence_reward > self.max_steps * self.step_reward:
-            raise ConfigError(
-                f"convergence_reward {self.convergence_reward} is unattainable with "
-                f"max_steps {self.max_steps} and step_reward {self.step_reward}"
-            )
         if self.agent == "qtable" and self.qtable_dense and self.n_bins ** 4 > DENSE_ROW_CAP:
             raise ConfigError(f"qtable_dense allocates n_bins**4 rows, at most {DENSE_ROW_CAP}; "
                               f"got n_bins {self.n_bins}")
 
     def bin_spec(self) -> BinSpec:
-        # angle bins track the termination limit; position bins span a wider
-        # range so cells are coarse enough for greedy learning to settle
-        return BinSpec.symmetric(
-            x_bound=self.x_bin_bound,
-            x_dot_bound=self.x_dot_bound,
-            theta_bound=self.theta_limit,
-            theta_dot_bound=self.theta_dot_bound,
-            n_bins=self.n_bins,
-        )
+        return BinSpec.symmetric(X_BIN_BOUND, X_DOT_BOUND, THETA_LIMIT, THETA_DOT_BOUND,
+                                 self.n_bins)
 
 
 _CHECKS = [(f.name, f.metadata["domain"]) for f in fields(TrainConfig)]
 
 
 def make_agent(config: TrainConfig, rng: np.random.Generator):
-    common = {"alpha": config.alpha, "gamma": config.gamma, "init": config.init,
-              "rng": rng, "step_reward": config.step_reward}
+    common = {"alpha": config.alpha, "gamma": config.gamma, "init": config.init, "rng": rng}
     if config.agent == "bmu-pool":
         common["capacity"] = config.pool_capacity
     elif config.agent == "qtable":
@@ -344,7 +327,7 @@ def train(config: TrainConfig, seed: int) -> TrainResult:
     config.validate()
     started = time.perf_counter()
     env_seeder, agent_rng, explore_rng = _seed_streams(seed)
-    env = CartPoleEnv(config)
+    env = CartPoleEnv()
     spec = config.bin_spec()
     agent = make_agent(config, agent_rng)
     explore = Exploration(explore_rng.bit_generator)
@@ -476,7 +459,7 @@ def evaluate(agent, config: TrainConfig, seed: int, n_episodes: int) -> EvalRepo
     if n_episodes < 1:
         raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
     spec = config.bin_spec()
-    env = CartPoleEnv(config)
+    env = CartPoleEnv()
     # training draws from the first three children of the seed, so the
     # fourth gives initial states no training episode of that seed saw
     seeder = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[3])

@@ -2,19 +2,28 @@
 reference cartpole equations, termination rules, reward accounting, and the
 batched start states against numpy's per-seed draw."""
 
+import math
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bmu_lab.cartpole import FORCE_MAG, RESET_SPREAD, CartPoleEnv, initial_states
+from bmu_lab.cartpole import (
+    FAIL_REWARD,
+    FORCE_MAG,
+    MAX_STEPS,
+    RESET_SPREAD,
+    STEP_REWARD,
+    THETA_LIMIT,
+    X_LIMIT,
+    CartPoleEnv,
+    initial_states,
+)
+from bmu_lab.runio import config_from_entries
 from bmu_lab.trainer import ConfigError, TrainConfig
-
-# the package's limits and rewards, which live only in TrainConfig
-CONFIG = TrainConfig()
 
 # frozen after the first run; regression-guards the seeded sampler
 # (initial_states([0])[0])
@@ -51,9 +60,9 @@ def reference_step(state, force):
     )
 
 
-def placed(state, config=CONFIG, t=0):
+def placed(state, t=0):
     """An env holding `state` at step `t`."""
-    env = CartPoleEnv(config)
+    env = CartPoleEnv()
     env.place(state, t)
     return env
 
@@ -74,11 +83,11 @@ class TestReset:
         assert initial_states([42]) == initial_states([42])
         a, b = initial_states([42, 42])
         assert a == b
-        assert CartPoleEnv(CONFIG).reset(a) == CartPoleEnv(CONFIG).reset(b) == a
+        assert CartPoleEnv().reset(a) == CartPoleEnv().reset(b) == a
 
     def test_components_within_spread(self):
         for state in initial_states(range(200)):
-            env = CartPoleEnv(CONFIG)
+            env = CartPoleEnv()
             assert env.reset(state) == state
             assert len(state) == 4
             assert all(abs(v) <= 0.05 for v in state)
@@ -120,10 +129,16 @@ class TestTermination:
         assert not placed((0, 0, 0, 0)).terminated
 
     def test_limits_follow_params(self):
-        tight = replace(CONFIG, theta_limit=0.2095)
-        loose = replace(CONFIG, theta_limit=0.418)
-        assert placed((0, 0, 0.3, 0), tight).terminated
-        assert not placed((0, 0, 0.3, 0), loose).terminated
+        # a state fails only beyond a limit, on either side, placed or stepped into
+        for edge in ((0.0, 0.0, THETA_LIMIT, 0.0), (X_LIMIT, 0.0, 0.0, 0.0)):
+            for sign in (1.0, -1.0):
+                inside = tuple(sign * v for v in edge)
+                beyond = tuple(math.nextafter(v, 2 * v) for v in inside)
+                for state, fails in ((inside, False), (beyond, True)):
+                    assert placed(state).terminated == fails
+                    env = placed((0.0, 0.0, 0.0, 0.0))
+                    env.integrate = lambda _state, _force, state=state: state
+                    assert env.step(1)[2] == fails
 
 
 class TestStep:
@@ -143,7 +158,7 @@ class TestStep:
         assert reward == -10.0
 
     def test_terminated_and_truncated_exclusive(self):
-        env = placed((2.39, 3.0, 0, 0), t=CONFIG.max_steps - 1)
+        env = placed((2.39, 3.0, 0, 0), t=MAX_STEPS - 1)
         _, _, terminated, truncated = env.step(1)
         assert terminated and not truncated
 
@@ -166,7 +181,7 @@ class TestStep:
             np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-10)
 
     def test_rest_at_origin_is_fixed_point_of_unforced_dynamics(self):
-        env = CartPoleEnv(CONFIG)
+        env = CartPoleEnv()
         state = (0.0, 0.0, 0.0, 0.0)
         for _ in range(100):
             state = env.integrate(state, 0.0)
@@ -174,7 +189,7 @@ class TestStep:
 
     def test_reflection_symmetry(self):
         rng = np.random.default_rng(7)
-        env = CartPoleEnv(CONFIG)
+        env = CartPoleEnv()
         force = FORCE_MAG
         for _ in range(500):
             state = tuple(rng.uniform(-0.3, 0.3, size=4).tolist())
@@ -187,7 +202,7 @@ class TestStep:
 
 class TestEnvClass:
     def test_reward_accounting_exact(self):
-        env = CartPoleEnv(CONFIG)
+        env = CartPoleEnv()
         for start in initial_states(range(20)):
             env.reset(start)
             total, steps = 0.0, 0
@@ -204,7 +219,7 @@ class TestEnvClass:
 
     def test_bit_identical_trajectories(self):
         def rollout(seed):
-            env = CartPoleEnv(CONFIG)
+            env = CartPoleEnv()
             env.reset(initial_states([seed])[0])
             states = []
             for i in range(40):
@@ -219,7 +234,7 @@ class TestEnvClass:
     def test_matches_pure_step_from_every_state(self):
         """A step depends only on (state, t): a fresh env placed at every
         state of a rollout steps exactly as the rolling env does."""
-        env = CartPoleEnv(CONFIG)
+        env = CartPoleEnv()
         for state in initial_states(range(10)):
             env.reset(state)
             while True:
@@ -235,7 +250,7 @@ class TestEnvClass:
                 state = next_state
 
     def test_step_checks(self):
-        env = CartPoleEnv(CONFIG)
+        env = CartPoleEnv()
         with pytest.raises(ValueError, match="reset"):
             env.step(0)
         env.reset(GOLDEN_RESET_0)
@@ -249,7 +264,7 @@ class TestEnvClass:
 
     def test_reset_after_terminal_starts_afresh(self):
         first, second = initial_states([3, 4])
-        env = CartPoleEnv(CONFIG)
+        env = CartPoleEnv()
         env.reset(first)
         while not env.step(1)[2]:
             pass
@@ -260,19 +275,22 @@ class TestEnvClass:
 
 
 class TestParams:
+    # the limits and the step cap are constants; an older config file that
+    # still spells one is refused by key unless it gives the constant
+
     def test_positive_quantities_enforced(self):
         for key in ("theta_limit", "x_limit"):
-            for value in (0.0, -0.5):
+            for value in ("0.0", "-0.5"):
                 with pytest.raises(ConfigError, match=key):
-                    replace(CONFIG, **{key: value}).validate()
+                    config_from_entries({key: value})
 
     def test_max_steps_floor(self):
-        # a reachable convergence reward, so the floor itself is what fails
-        with pytest.raises(ConfigError, match="max_steps must be >= 200"):
-            replace(CONFIG, max_steps=100, convergence_reward=50.0).validate()
+        # a reachable convergence reward, so the step cap itself is what fails
+        with pytest.raises(ConfigError, match="max_steps must be 250"):
+            config_from_entries({"max_steps": "100", "convergence_reward": "50.0"})
 
-    def test_limits_and_rewards_have_no_defaults(self):
-        with pytest.raises(TypeError, match="config"):
-            CartPoleEnv()
-        assert (CONFIG.max_steps, CONFIG.theta_limit, CONFIG.x_limit,
-                CONFIG.step_reward, CONFIG.fail_reward) == (250, 0.2095, 2.4, 1.0, -10.0)
+    def test_limits_and_rewards_are_constants(self):
+        assert (MAX_STEPS, THETA_LIMIT, X_LIMIT, STEP_REWARD, FAIL_REWARD) \
+            == (250, 0.2095, 2.4, 1.0, -10.0)
+        assert not {"max_steps", "theta_limit", "x_limit", "step_reward",
+                    "fail_reward"} & {f.name for f in fields(TrainConfig)}

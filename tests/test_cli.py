@@ -93,14 +93,11 @@ class TestTrain:
     # one value outside each flag's domain
     OUT_OF_DOMAIN_FLAGS = [
         ("--gamma", "1", "gamma"), ("--alpha", "nan", "alpha"), ("--bins", "1", "n_bins"),
-        ("--max-steps", "199", "max_steps"),
         ("--convergence-reward", "inf", "convergence_reward"),
         ("--window", "0", "convergence_window"), ("--max-episodes", "0", "max_episodes"),
         ("--epsilon", "-0.5", "epsilon"), ("--epsilon-decay", "0", "epsilon_decay"),
         ("--snapshot-every", "-1", "snapshot_every"), ("--init", "gaussian", "init"),
-        ("--pool-capacity", "0", "pool_capacity"), ("--theta-limit", "inf", "theta_limit"),
-        ("--x-limit", "nan", "x_limit"), ("--x-bin-bound", "0", "x_bin_bound"),
-        ("--x-dot-bound", "-3", "x_dot_bound"), ("--theta-dot-bound", "-inf", "theta_dot_bound"),
+        ("--pool-capacity", "0", "pool_capacity"),
     ]
 
     @pytest.mark.parametrize("flag, value, key", OUT_OF_DOMAIN_FLAGS)
@@ -119,7 +116,9 @@ class TestTrain:
 
     def test_out_of_domain_cases_cover_every_config_flag(self):
         train_parser = train_subparser()
-        dests = {a.dest[4:] for a in train_parser._actions if a.dest.startswith("cfg_")}
+        # a switch (--qtable-dense) takes no value, so none is outside its domain
+        dests = {a.dest[4:] for a in train_parser._actions
+                 if a.dest.startswith("cfg_") and a.nargs != 0}
         assert dests == {key for _, _, key in self.OUT_OF_DOMAIN_FLAGS}
 
     def test_train_flags_pinned(self):
@@ -129,17 +128,13 @@ class TestTrain:
             ("-h", "help"), ("--agent", "agent"), ("--out", "out"), ("--config", "config"),
             ("--seeds", "seeds"), ("--seed-base", "seed_base"), ("--seed-list", "seed_list"),
             ("--gamma", "cfg_gamma"), ("--alpha", "cfg_alpha"), ("--bins", "cfg_n_bins"),
-            ("--max-steps", "cfg_max_steps"), ("--max-episodes", "cfg_max_episodes"),
+            ("--max-episodes", "cfg_max_episodes"),
             ("--convergence-reward", "cfg_convergence_reward"),
             ("--window", "cfg_convergence_window"), ("--epsilon", "cfg_epsilon"),
             ("--epsilon-decay", "cfg_epsilon_decay"),
             ("--snapshot-every", "cfg_snapshot_every"), ("--init", "cfg_init"),
-            ("--pool-capacity", "cfg_pool_capacity"), ("--theta-limit", "cfg_theta_limit"),
-            ("--x-limit", "cfg_x_limit"), ("--x-bin-bound", "cfg_x_bin_bound"),
-            ("--x-dot-bound", "cfg_x_dot_bound"), ("--theta-dot-bound", "cfg_theta_dot_bound"),
-            ("--qtable-dense", "qtable_dense"),
+            ("--pool-capacity", "cfg_pool_capacity"), ("--qtable-dense", "cfg_qtable_dense"),
         ])
-        # rewards are set in a --config file only
         assert all(len(a.option_strings) == 1 for a in train_parser._actions[1:])
 
     def test_aggregate_fields_parse_as_floats(self, tmp_path):
@@ -218,11 +213,40 @@ class TestTrain:
             == read(run / "seed4" / "rewards.csv")
 
     def test_retired_flags_are_unknown(self, tmp_path):
-        for flag, value in (("--kappa", "2"), ("--c-gain", "1.0")):
+        for flag, value in (("--kappa", "2"), ("--c-gain", "1.0"), ("--max-steps", "250"),
+                            ("--theta-limit", "0.2095"), ("--x-limit", "2.4"),
+                            ("--x-bin-bound", "6.0"), ("--x-dot-bound", "11.0"),
+                            ("--theta-dot-bound", "7.0")):
             with pytest.raises(SystemExit) as excinfo:
                 run_cli(["train", "--agent", "qtable", "--out", tmp_path / "x", flag, value])
             assert excinfo.value.code == 2
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("kappa", "3"), ("max_steps", "500"), ("theta_limit", "0.418"), ("x_limit", "3.0"),
+        ("x_bin_bound", "6.5"), ("x_dot_bound", "inf"), ("theta_dot_bound", "nan"),
+        ("step_reward", "2.0"), ("fail_reward", "-1.0"),
+    ])
+    def test_retired_key_at_another_value_refused_before_any_output(
+            self, tmp_path, capsys, monkeypatch, key, value):
+        built, written = [], []
+        monkeypatch.setattr(trainer, "make_agent", lambda *args: built.append(args))
+        monkeypatch.setattr(cli, "execute_train_run", lambda *args: written.append(args))
+        config = tmp_path / "old.txt"
+        config.write_text(f"agent = qtable\n{key} = {value}\n")
+        code = run_cli(["train", "--config", config, "--out", tmp_path / "run"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} ") and "Traceback" not in err
+        assert built == [] and written == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.txt"]
+
+    def test_negative_exponent_value_given_with_equals(self, tmp_path):
+        # argparse reads "-1e2" after a space as an option; "=" binds it
+        out = tmp_path / "run"
+        assert run_cli(["train", "--agent", "qtable", "--max-episodes", "2",
+                        "--convergence-reward=-1e2", "--out", out]) == 0
+        assert "convergence_reward = -100.0\n" in read(out / "config.txt")
 
     def test_pool_capacity_error_names_size(self, tmp_path, capsys):
         code = run_cli(["train", "--agent", "bmu-pool", "--seeds", "1",

@@ -128,8 +128,8 @@ def test_agent_file_shape_fixed_and_checked_on_load(kind, key, value):
 def test_one_init_for_every_kind(kind):
     """Every kind spawns rows by the core's one init: the optimistic fixed
     point, zeros, or a sized draw over the class's uniform range."""
-    config = TrainConfig(agent=kind, gamma=0.9, step_reward=2.0)
-    expected = {"optimistic": [optimistic_q(2.0, 0.9)] * 2, "zeros": [0.0, 0.0]}
+    config = TrainConfig(agent=kind, gamma=0.9)
+    expected = {"optimistic": [optimistic_q(0.9)] * 2, "zeros": [0.0, 0.0]}
     for init in INIT_MODES:
         agent = make_agent(replace(config, init=init), np.random.default_rng(8))
         agent.ensure(CELLS[0])

@@ -70,7 +70,7 @@ class TestSpawn:
         agent = SynapticAgent(gamma=0.99, init="optimistic")
         agent.ensure(cell_of("5_5_5_5_"))
         agent.ensure(cell_of("6_6_6_6_"))
-        assert node_attrs(agent, "5_5_5_5_")["value"] == optimistic_q(1.0, 0.99) \
+        assert node_attrs(agent, "5_5_5_5_")["value"] == optimistic_q(0.99) \
             == pytest.approx(100.0)
         # one step into a fresh state keeps the optimistic value in place
         agent.select(cell_of("5_5_5_5_"), forced=0)

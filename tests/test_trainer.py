@@ -13,8 +13,14 @@ from hypothesis import example, given, settings, strategies as st
 from bmu_lab import trainer
 from bmu_lab.cartpole import RESET_SPREAD, CartPoleEnv, initial_states
 from bmu_lab.core import INIT_MODES
-from bmu_lab.discretize import cell_of, unpack
-from bmu_lab.runio import agent_state_hash, config_from_entries, format_config, parse_config_text
+from bmu_lab.discretize import BinSpec, cell_of, unpack
+from bmu_lab.runio import (
+    RETIRED_KEYS,
+    agent_state_hash,
+    config_from_entries,
+    format_config,
+    parse_config_text,
+)
 from bmu_lab.trainer import (
     AGENT_KINDS,
     BLOCK,
@@ -39,18 +45,14 @@ def valid_configs(draw):
     def floats(**bounds):
         return st.floats(allow_nan=False, allow_infinity=False, **bounds)
 
-    positive = floats(min_value=0.0, exclude_min=True)
     agent = draw(st.sampled_from(AGENT_KINDS))
     dense = draw(st.booleans())
-    max_steps = draw(st.integers(200, 10 ** 6))
-    step_reward = draw(floats(min_value=-1e300, max_value=1e300))
     return TrainConfig(
         agent=agent,
         gamma=draw(floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)),
         alpha=draw(floats(min_value=0.0, max_value=1.0, exclude_min=True)),
         n_bins=draw(st.integers(2, 16 if agent == "qtable" and dense else 65536)),
-        max_steps=max_steps,
-        convergence_reward=draw(floats(max_value=max_steps * step_reward)),
+        convergence_reward=draw(floats(max_value=250.0)),
         convergence_window=draw(st.integers(1, 10 ** 6)),
         max_episodes=draw(st.integers(1, 10 ** 6)),
         seeds=tuple(draw(st.lists(st.integers(0, 2 ** 63), min_size=1, max_size=4,
@@ -61,13 +63,6 @@ def valid_configs(draw):
         init=draw(st.sampled_from(INIT_MODES)),
         pool_capacity=draw(st.integers(1, 10 ** 6)),
         qtable_dense=dense,
-        theta_limit=draw(positive),
-        x_limit=draw(st.floats(min_value=0.0, exclude_min=True)),  # inf is legal
-        x_bin_bound=draw(positive),
-        x_dot_bound=draw(positive),
-        theta_dot_bound=draw(positive),
-        step_reward=step_reward,
-        fail_reward=draw(floats()),
     )
 
 
@@ -75,37 +70,60 @@ def _nan_or(*strategies):
     return st.one_of(st.just(math.nan), *strategies)
 
 
+# values of the wrong type: an integer field takes no float (not even a
+# whole one, NaN or inf) and no bool, a real field no bool and no text
+NOT_INT = st.one_of(st.floats(), st.booleans(), st.text(), st.none())
+NOT_REAL = st.one_of(st.booleans(), st.text(), st.none(), st.complex_numbers())
+NOT_TEXT = st.one_of(st.integers(), st.floats(), st.none())
+
 # every field's values outside its domain, spelled out independently of the
 # declarations: NaN for every real field, inf where no bracket closes on it
 OUT_OF_DOMAIN = {
-    "agent": st.text().filter(lambda s: s not in AGENT_KINDS),
-    "gamma": _nan_or(st.floats(max_value=0.0), st.floats(min_value=1.0)),
-    "alpha": _nan_or(st.floats(max_value=0.0), st.floats(min_value=1.0, exclude_min=True)),
-    "n_bins": _nan_or(st.integers(max_value=1), st.integers(min_value=65537)),
-    "max_steps": _nan_or(st.integers(max_value=199), st.just(math.inf)),
-    "convergence_reward": _nan_or(st.sampled_from([math.inf, -math.inf])),
-    "convergence_window": _nan_or(st.integers(max_value=0), st.just(math.inf)),
-    "max_episodes": _nan_or(st.integers(max_value=0), st.just(math.inf)),
-    "seeds": st.lists(st.integers(-2 ** 63, 2 ** 63), max_size=4).filter(
-        lambda s: not s or min(s) < 0 or len(set(s)) < len(s)).map(tuple),
+    "agent": st.one_of(st.text().filter(lambda s: s not in AGENT_KINDS), NOT_TEXT),
+    "gamma": _nan_or(st.floats(max_value=0.0), st.floats(min_value=1.0), NOT_REAL),
+    "alpha": _nan_or(st.floats(max_value=0.0), st.floats(min_value=1.0, exclude_min=True),
+                     NOT_REAL),
+    "n_bins": st.one_of(st.integers(max_value=1), st.integers(min_value=65537), NOT_INT),
+    # above the return of an episode that survives all 250 steps
+    "convergence_reward": _nan_or(st.sampled_from([math.inf, -math.inf]),
+                                  st.floats(min_value=250.0, exclude_min=True), NOT_REAL),
+    "convergence_window": st.one_of(st.integers(max_value=0), NOT_INT),
+    "max_episodes": st.one_of(st.integers(max_value=0), NOT_INT),
+    "seeds": st.one_of(
+        st.lists(st.integers(-2 ** 63, 2 ** 63), max_size=4).filter(
+            lambda s: not s or min(s) < 0 or len(set(s)) < len(s)),
+        st.lists(st.one_of(st.floats(), st.booleans()), min_size=1, max_size=4),
+    ).map(tuple),
     "epsilon": _nan_or(st.floats(max_value=0.0, exclude_max=True),
-                       st.floats(min_value=1.0, exclude_min=True)),
+                       st.floats(min_value=1.0, exclude_min=True), NOT_REAL),
     "epsilon_decay": _nan_or(st.floats(max_value=0.0),
-                             st.floats(min_value=1.0, exclude_min=True)),
-    "snapshot_every": _nan_or(st.integers(max_value=-1), st.just(math.inf)),
-    "init": st.text().filter(lambda s: s not in INIT_MODES),
-    "pool_capacity": _nan_or(st.integers(max_value=0), st.just(math.inf)),
-    "qtable_dense": st.sampled_from(["true", "false", 2, -1, None]),
-    "theta_limit": _nan_or(st.floats(max_value=0.0), st.just(math.inf)),
-    "x_limit": _nan_or(st.floats(max_value=0.0)),
-    "x_bin_bound": _nan_or(st.floats(max_value=0.0), st.just(math.inf)),
-    "x_dot_bound": _nan_or(st.floats(max_value=0.0), st.just(math.inf)),
-    "theta_dot_bound": _nan_or(st.floats(max_value=0.0), st.just(math.inf)),
-    "step_reward": _nan_or(st.sampled_from([math.inf, -math.inf])),
-    "fail_reward": _nan_or(st.sampled_from([math.inf, -math.inf])),
+                             st.floats(min_value=1.0, exclude_min=True), NOT_REAL),
+    "snapshot_every": st.one_of(st.integers(max_value=-1), NOT_INT),
+    "init": st.one_of(st.text().filter(lambda s: s not in INIT_MODES), NOT_TEXT),
+    "pool_capacity": st.one_of(st.integers(max_value=0), NOT_INT),
+    # 0 and 1 equal False and True, but are not bools
+    "qtable_dense": st.sampled_from(["true", "false", 2, -1, None, 0, 1, 0.0, 1.0]),
 }
 
-# the nearest values outside each end of each interval
+# the settings that became constants, spelled out independently of runio's
+# table, each with the one value an older config file may still give it
+RETIRED = {"kappa": 2, "max_steps": 250, "theta_limit": 0.2095, "x_limit": 2.4,
+           "x_bin_bound": 6.0, "x_dot_bound": 11.0, "theta_dot_bound": 7.0,
+           "step_reward": 1.0, "fail_reward": -10.0}
+
+
+def check_value(key, value):
+    """Validate `value` for `key`. A retired key can come only from a config
+    file, so it goes through the file's entries; the values its old domain
+    refused are refused still."""
+    if key in RETIRED:
+        config_from_entries({key: repr(value)})
+    else:
+        replace(TrainConfig(), **{key: value}).validate()
+
+
+# the nearest values outside each end of each interval; for a retired key,
+# the ends of the domain it had before it became a constant
 ABOVE_1 = math.nextafter(1.0, 2.0)
 JUST_OUTSIDE = [
     ("gamma", 0.0), ("gamma", 1.0), ("alpha", 0.0), ("alpha", ABOVE_1),
@@ -116,6 +134,7 @@ JUST_OUTSIDE = [
     ("x_limit", -0.0), ("x_bin_bound", 0.0), ("x_bin_bound", math.inf),
     ("x_dot_bound", 0.0), ("x_dot_bound", math.inf), ("theta_dot_bound", 0.0),
     ("theta_dot_bound", math.inf), ("convergence_reward", -math.inf),
+    ("convergence_reward", math.nextafter(250.0, math.inf)),
     ("step_reward", math.inf), ("fail_reward", -math.inf),
 ]
 
@@ -136,7 +155,7 @@ class TestConfig:
 
     def test_unattainable_convergence_reward(self):
         with pytest.raises(ConfigError, match="convergence_reward"):
-            TrainConfig(convergence_reward=300.0, max_steps=250).validate()
+            TrainConfig(convergence_reward=300.0).validate()
 
     def test_agent_kind(self):
         with pytest.raises(ConfigError, match="agent"):
@@ -155,9 +174,9 @@ class TestConfig:
             TrainConfig(seeds=seeds).validate()
 
     def test_env_invariants_surface_by_key(self):
-        # a reachable convergence reward, so the env's own floor is what fails
-        with pytest.raises(ConfigError, match="max_steps must be >= 200"):
-            TrainConfig(max_steps=150, convergence_reward=100.0).validate()
+        # a reachable convergence reward, so the env's own step cap is what fails
+        with pytest.raises(ConfigError, match="max_steps must be 250"):
+            config_from_entries({"max_steps": "150", "convergence_reward": "100.0"})
 
     @pytest.mark.parametrize("key, value", [
         ("fail_reward", math.nan), ("fail_reward", -math.inf),
@@ -168,7 +187,7 @@ class TestConfig:
     ])
     def test_non_finite_or_non_positive_values_named(self, key, value):
         with pytest.raises(ConfigError, match=key):
-            replace(TrainConfig(), **{key: value}).validate()
+            check_value(key, value)
 
     def test_every_field_declares_a_domain(self):
         assert [f.name for f in fields(TrainConfig)] == list(OUT_OF_DOMAIN)
@@ -187,18 +206,18 @@ class TestConfig:
     @pytest.mark.parametrize("key, value", JUST_OUTSIDE)
     def test_nearest_value_outside_an_interval_is_named(self, key, value):
         with pytest.raises(ConfigError) as excinfo:
-            replace(TrainConfig(), **{key: value}).validate()
+            check_value(key, value)
         assert str(excinfo.value).startswith(f"{key} must ")
 
     @pytest.mark.parametrize("key, value, message", [
-        ("x_limit", math.nan, "x_limit must be in (0, inf], got nan"),
-        ("x_bin_bound", 0.0, "x_bin_bound must be in (0, inf), got 0.0"),
-        ("x_dot_bound", -3.0, "x_dot_bound must be in (0, inf), got -3.0"),
-        ("theta_dot_bound", -0.0, "theta_dot_bound must be in (0, inf), got -0.0"),
-        ("max_steps", 199, "max_steps must be >= 200, got 199"),
+        ("convergence_reward", 250.5, "convergence_reward must be in (-inf, 250.0], got 250.5"),
+        ("max_episodes", 2.5, "max_episodes must be an integer, got 2.5"),
+        ("gamma", "0.5", "gamma must be a real number, got '0.5'"),
+        ("qtable_dense", 1, "qtable_dense must be one of (False, True), got 1"),
+        ("n_bins", True, "n_bins must be an integer, got True"),
         ("snapshot_every", -1, "snapshot_every must be >= 0, got -1"),
         ("n_bins", 65537, "n_bins must be in [2, 65536], got 65537"),
-        ("step_reward", math.inf, "step_reward must be finite, got inf"),
+        ("seeds", (1.5,), "seeds must be distinct non-negative integers, got 1.5"),
         ("gamma", 1.0, "gamma must be in (0, 1), got 1.0"),
         ("epsilon", math.nan, "epsilon must be in [0, 1], got nan"),
         ("init", "gaussian", "init must be one of ('optimistic', 'zeros', 'uniform'), "
@@ -210,16 +229,37 @@ class TestConfig:
             replace(TrainConfig(), **{key: value}).validate()
         assert str(excinfo.value) == message
 
-    def test_unbounded_cart_position_trains(self):
-        config = TrainConfig(x_limit=math.inf, max_episodes=3)
-        config.validate()
-        assert train(config, 0).metrics.episodes_run == 3
+    def test_unbounded_cart_position_refused(self):
+        # an older run with no position limit cannot replay: the limit is fixed
+        with pytest.raises(ConfigError) as excinfo:
+            config_from_entries({"agent": "qtable", "x_limit": "inf"})
+        assert str(excinfo.value) \
+            == "x_limit must be 2.4, a constant of the cartpole task, got 'inf'"
+
+    def test_retired_key_table(self):
+        assert RETIRED_KEYS == RETIRED
+        assert all(type(RETIRED_KEYS[key]) is type(value) for key, value in RETIRED.items())
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_retired_key_skipped_at_its_constant_and_refused_otherwise(self, data):
+        key = data.draw(st.sampled_from(sorted(RETIRED)), label="key")
+        fixed = RETIRED[key]
+        spellings = [repr(fixed)] + ([f"{fixed:.6f}"] if isinstance(fixed, float) else [])
+        for raw in spellings:
+            assert config_from_entries({key: raw}) == TrainConfig()
+        other = data.draw(st.one_of(st.floats(), st.integers()).filter(lambda v: v != fixed),
+                          label="other")
+        with pytest.raises(ConfigError) as excinfo:
+            config_from_entries({key: repr(other)})
+        # an int key's value that is no integer fails to parse
+        assert str(excinfo.value).startswith((f"{key} must be {fixed!r}, ",
+                                              f"bad value for config key {key!r}: "))
 
     @settings(max_examples=100, deadline=None)
     @given(config=valid_configs())
     @example(TrainConfig(agent="bmu", seeds=(3, 1, 4), epsilon=0.25,
                          qtable_dense=True, max_episodes=42))
-    @example(TrainConfig(x_limit=math.inf))
     def test_kv_round_trip(self, config):
         config.validate()
         text = format_config(config)
@@ -235,16 +275,21 @@ class TestConfig:
         TrainConfig(agent="bmu", qtable_dense=True, n_bins=100).validate()
 
     def test_retired_keys_of_older_files_skipped(self):
-        # a config.txt written before kappa and c_gain were retired, with the
-        # legacy init keys as well
-        old = ("agent = bmu\nkappa = 2\nc_gain = 1.0\nq_init = zeros\n"
-               "encoder_init = optimistic\nmax_episodes = 7\n")
+        # a config.txt written before kappa, c_gain and the task's settings
+        # were retired, with the legacy init keys as well
+        old = ("agent = bmu\nkappa = 2\nc_gain = 0.5\nq_init = zeros\n"
+               "encoder_init = optimistic\nmax_episodes = 7\nmax_steps = 250\n"
+               "theta_limit = 0.2095\nx_limit = 2.4\nx_bin_bound = 6.0\n"
+               "x_dot_bound = 11.0\ntheta_dot_bound = 7.0\nstep_reward = 1.0\n"
+               "fail_reward = -10.0\n")
+        retired = (*RETIRED, "c_gain")
         without = "".join(line + "\n" for line in old.splitlines()
-                          if not line.startswith(("kappa", "c_gain")))
+                          if line.split(" = ")[0] not in retired)
         config = config_from_entries(parse_config_text(old))
         assert config == config_from_entries(parse_config_text(without))
         assert (config.agent, config.init, config.max_episodes) == ("bmu", "optimistic", 7)
-        assert "kappa" not in format_config(config) and "c_gain" not in format_config(config)
+        written = parse_config_text(format_config(config))
+        assert not set(retired) & set(written)
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="learning_rate"):
@@ -374,19 +419,20 @@ class PdStub:
         pass
 
 
-STUB_CONFIG = TrainConfig(x_dot_bound=1.5, theta_dot_bound=1.5, theta_limit=0.2095)
+# the stub's gains are tuned to velocity bins narrower than the package's
+STUB_SPEC = BinSpec.symmetric(6.0, 1.5, 0.2095, 1.5, n_bins=10)
 
 
 class TestRunEpisode:
     def test_truncated_episode_reward_250(self):
-        env = CartPoleEnv(STUB_CONFIG)
-        record = run_episode(PdStub(), env, STUB_CONFIG, start=initial_states([1])[0])
+        record = run_episode(PdStub(), CartPoleEnv(), TrainConfig(),
+                             start=initial_states([1])[0], spec=STUB_SPEC)
         assert record.steps == 250
         assert record.total_reward == 250.0
 
     def test_terminating_episode_reward_accounting(self):
         config = TrainConfig()
-        env = CartPoleEnv(config)
+        env = CartPoleEnv()
         agent = make_agent(config, np.random.default_rng(0))
         record = run_episode(agent, env, config, start=initial_states([3])[0])
         assert record.steps < 250  # an untrained agent fails quickly
@@ -395,7 +441,7 @@ class TestRunEpisode:
     def test_deterministic_record(self):
         def once():
             config = TrainConfig()
-            env = CartPoleEnv(config)
+            env = CartPoleEnv()
             agent = make_agent(config, np.random.default_rng(0))
             rec = run_episode(agent, env, config, start=initial_states([17])[0])
             return rec.total_reward, rec.steps, rec.spawned
@@ -404,7 +450,7 @@ class TestRunEpisode:
 
     def test_spawn_accounting_matches_agent(self):
         config = TrainConfig()
-        env = CartPoleEnv(config)
+        env = CartPoleEnv()
         agent = make_agent(config, np.random.default_rng(0))
         spawned = 0
         for start in initial_states(range(5)):
@@ -452,7 +498,7 @@ class TestTrain:
                 return int(explore_rng.integers(2))
 
         agent = make_agent(config, np.random.default_rng(agent_ss))
-        env = CartPoleEnv(config)
+        env = CartPoleEnv()
         epsilon = config.epsilon
         rewards, moving_avg, moving_std = [], [], []
         for _ in range(result.metrics.episodes_run):
@@ -487,7 +533,7 @@ class TestTrain:
         env_ss, agent_ss, explore_ss = np.random.SeedSequence(9).spawn(3)
         seeds = np.random.default_rng(env_ss).integers(0, 2 ** 63, size=600).tolist()
         agent = make_agent(config, np.random.default_rng(agent_ss))
-        env = CartPoleEnv(config)
+        env = CartPoleEnv()
         explore = Exploration(np.random.default_rng(explore_ss).bit_generator)
         rewards = [run_episode(agent, env, config, start, explore=explore,
                                epsilon=config.epsilon).total_reward
@@ -626,7 +672,7 @@ class TestExactDraws:
         explore = Exploration(bit_generator)
         config = TrainConfig()
         run_episode(make_agent(config, np.random.default_rng(0)),
-                    CartPoleEnv(config), config, initial_states([1])[0],
+                    CartPoleEnv(), config, initial_states([1])[0],
                     explore=explore, epsilon=0.0)
         assert bit_generator.state == untouched
         explore.random()
@@ -731,15 +777,16 @@ class TestEvaluate:
 
 def test_stub_always_surviving_converges_at_window():
     """Window arithmetic through the full train loop with a balancing stub."""
-    config = STUB_CONFIG
+    config = TrainConfig()
     env_rewards = []
-    env = CartPoleEnv(config)
+    env = CartPoleEnv()
     stub = PdStub()
     seeder = np.random.default_rng(np.random.SeedSequence(0).spawn(3)[0])
     streak = 0
     for episode in range(1, 41):
         record = run_episode(stub, env, config,
-                             initial_states([int(seeder.integers(0, 2 ** 63))])[0])
+                             initial_states([int(seeder.integers(0, 2 ** 63))])[0],
+                             spec=STUB_SPEC)
         env_rewards.append(record.total_reward)
         streak = streak + 1 if record.total_reward >= 200.0 else 0
         if streak >= 20:
