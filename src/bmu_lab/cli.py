@@ -47,8 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for f in fields(TrainConfig):
         flag = f.metadata.get("flag", "--" + f.name.replace("_", "-"))
         if flag:
-            switch = {"action": "store_true"} if isinstance(f.default, bool) else {}
-            p_train.add_argument(flag, dest=f"cfg_{f.name}", default=None, **switch)
+            p_train.add_argument(flag, dest=f"cfg_{f.name}", default=None)
 
     on_run = {}  # the commands that read one seed of a trained run
     for name, help_text in (("eval", "greedy rollouts of a trained agent"),

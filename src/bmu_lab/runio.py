@@ -48,10 +48,9 @@ def format_config(config: TrainConfig) -> str:
         value = getattr(config, f.name)
         if f.name == "seeds":
             rendered = ",".join(str(s) for s in value)
-        elif isinstance(value, bool):
-            rendered = "true" if value else "false"
-        elif isinstance(value, float):
-            rendered = repr(value)
+        elif isinstance(f.default, float):
+            # by the field's type: an int in a float field writes as it replays
+            rendered = repr(float(value))
         else:
             rendered = str(value)
         lines.append(f"{f.name} = {rendered}")
@@ -79,7 +78,7 @@ _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
 RETIRED_KEYS = {
     "kappa": KAPPA, "max_steps": MAX_STEPS, "theta_limit": THETA_LIMIT, "x_limit": X_LIMIT,
     "x_bin_bound": X_BIN_BOUND, "x_dot_bound": X_DOT_BOUND, "theta_dot_bound": THETA_DOT_BOUND,
-    "step_reward": STEP_REWARD, "fail_reward": FAIL_REWARD,
+    "step_reward": STEP_REWARD, "fail_reward": FAIL_REWARD, "qtable_dense": False,
 }
 
 
@@ -133,8 +132,10 @@ def config_from_entries(entries: dict[str, str]) -> TrainConfig:
         if key not in RETIRED_KEYS:
             values[key] = value
         elif value != current:
-            raise ConfigError(f"{key} must be {current!r}, a constant of the cartpole task, "
-                              f"got {raw!r}")
+            # the one retired switch turned a Q-table mode on; the rest are the task's
+            reason = ("its mode is retired" if isinstance(current, bool)
+                      else "a constant of the cartpole task")
+            raise ConfigError(f"{key} must be {current!r}, {reason}, got {raw!r}")
     if legacy and "init" not in values:
         values["init"] = _legacy_init(values.get("agent", base.agent), legacy)
     return replace(base, **values)

@@ -36,8 +36,6 @@ AGENT_KINDS = tuple(AGENT_CLASSES)
 
 # raw words fetched from the exploration stream at a time
 BLOCK = 1024
-# the most rows a dense Q-table preallocates (n_bins = 16), at about 300 B each
-DENSE_ROW_CAP = 16 ** 4
 
 
 class ConfigError(ValueError):
@@ -110,14 +108,10 @@ class TrainConfig:
     snapshot_every: int = _field(0, "[0, inf)")
     init: str = _field("optimistic", INIT_MODES)
     pool_capacity: int = _field(300, "[1, inf)")
-    qtable_dense: bool = _field(False, (False, True))
 
     def validate(self) -> None:
         for key, check in _CHECKS:
             check(key, getattr(self, key))
-        if self.agent == "qtable" and self.qtable_dense and self.n_bins ** 4 > DENSE_ROW_CAP:
-            raise ConfigError(f"qtable_dense allocates n_bins**4 rows, at most {DENSE_ROW_CAP}; "
-                              f"got n_bins {self.n_bins}")
 
     def bin_spec(self) -> BinSpec:
         return BinSpec.symmetric(X_BIN_BOUND, X_DOT_BOUND, THETA_LIMIT, THETA_DOT_BOUND,
@@ -128,11 +122,10 @@ _CHECKS = [(f.name, f.metadata["domain"]) for f in fields(TrainConfig)]
 
 
 def make_agent(config: TrainConfig, rng: np.random.Generator):
-    common = {"alpha": config.alpha, "gamma": config.gamma, "init": config.init, "rng": rng}
+    # alpha = 1 may be an int; as a float it writes to agent.json as it replays
+    common = {"alpha": float(config.alpha), "gamma": config.gamma, "init": config.init, "rng": rng}
     if config.agent == "bmu-pool":
         common["capacity"] = config.pool_capacity
-    elif config.agent == "qtable":
-        common.update(dense=config.qtable_dense, n_bins=config.n_bins)
     return AGENT_CLASSES[config.agent](**common)
 
 

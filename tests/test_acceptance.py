@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from bmu_lab.bmu import BmuAgent, PoolAgent
+from bmu_lab.core import parameter_count
 from bmu_lab.discretize import cell_of, pack
 from bmu_lab.metrics import degree_distribution
 from bmu_lab.qtable import QTableAgent
@@ -180,15 +181,13 @@ def test_topology_saturation(default_runs):
 
 
 def test_parameter_bookkeeping(default_runs):
-    """params = neurons x 4 for kappa=2 agents; 40000 for the dense table."""
+    """params = neurons x 4 for kappa=2 agents; 40000 for the full 10^4-state table."""
     results, _ = default_runs
     for result in results:
         stats = result.agent.stats()
         assert stats.parameter_count == stats.neurons * 4
-    dense = QTableAgent(dense=True, n_bins=10, init="zeros")
-    assert dense.stats().parameter_count == 40_000
-    assert dense.stats().neurons == 10_000
-    report("parameter bookkeeping (neurons x 4; dense table 40000)")
+    assert parameter_count(10 ** 4) == 40_000
+    report("parameter bookkeeping (neurons x 4; full table 40000)")
 
 
 def test_degree_handshake(default_runs, converged_bmu_run):

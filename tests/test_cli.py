@@ -1,7 +1,6 @@
 """End-to-end command-line tests on small runs."""
 
 import json
-import time
 
 import pytest
 
@@ -76,20 +75,6 @@ class TestTrain:
         assert err.startswith("error:") and "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
-    def test_dense_table_over_the_row_cap_refused_at_once(self, tmp_path, capsys,
-                                                          monkeypatch):
-        built = []
-        monkeypatch.setattr(trainer, "make_agent", lambda *args: built.append(args))
-        started = time.perf_counter()
-        code = run_cli(["train", "--agent", "qtable", "--qtable-dense", "--bins", "100",
-                        "--out", tmp_path / "run"])
-        assert time.perf_counter() - started < 1.0
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "qtable_dense" in err and "n_bins 100" in err
-        assert built == []
-        assert list(tmp_path.iterdir()) == []  # no run and no temporary sibling
-
     # one value outside each flag's domain
     OUT_OF_DOMAIN_FLAGS = [
         ("--gamma", "1", "gamma"), ("--alpha", "nan", "alpha"), ("--bins", "1", "n_bins"),
@@ -116,9 +101,7 @@ class TestTrain:
 
     def test_out_of_domain_cases_cover_every_config_flag(self):
         train_parser = train_subparser()
-        # a switch (--qtable-dense) takes no value, so none is outside its domain
-        dests = {a.dest[4:] for a in train_parser._actions
-                 if a.dest.startswith("cfg_") and a.nargs != 0}
+        dests = {a.dest[4:] for a in train_parser._actions if a.dest.startswith("cfg_")}
         assert dests == {key for _, _, key in self.OUT_OF_DOMAIN_FLAGS}
 
     def test_train_flags_pinned(self):
@@ -133,7 +116,7 @@ class TestTrain:
             ("--window", "cfg_convergence_window"), ("--epsilon", "cfg_epsilon"),
             ("--epsilon-decay", "cfg_epsilon_decay"),
             ("--snapshot-every", "cfg_snapshot_every"), ("--init", "cfg_init"),
-            ("--pool-capacity", "cfg_pool_capacity"), ("--qtable-dense", "cfg_qtable_dense"),
+            ("--pool-capacity", "cfg_pool_capacity"),
         ])
         assert all(len(a.option_strings) == 1 for a in train_parser._actions[1:])
 
@@ -213,19 +196,20 @@ class TestTrain:
             == read(run / "seed4" / "rewards.csv")
 
     def test_retired_flags_are_unknown(self, tmp_path):
-        for flag, value in (("--kappa", "2"), ("--c-gain", "1.0"), ("--max-steps", "250"),
-                            ("--theta-limit", "0.2095"), ("--x-limit", "2.4"),
-                            ("--x-bin-bound", "6.0"), ("--x-dot-bound", "11.0"),
-                            ("--theta-dot-bound", "7.0")):
+        # a flag and its value; the retired switch took none
+        for flag in (("--kappa", "2"), ("--c-gain", "1.0"), ("--max-steps", "250"),
+                     ("--theta-limit", "0.2095"), ("--x-limit", "2.4"),
+                     ("--x-bin-bound", "6.0"), ("--x-dot-bound", "11.0"),
+                     ("--theta-dot-bound", "7.0"), ("--qtable-dense",)):
             with pytest.raises(SystemExit) as excinfo:
-                run_cli(["train", "--agent", "qtable", "--out", tmp_path / "x", flag, value])
+                run_cli(["train", "--agent", "qtable", "--out", tmp_path / "x", *flag])
             assert excinfo.value.code == 2
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("key, value", [
         ("kappa", "3"), ("max_steps", "500"), ("theta_limit", "0.418"), ("x_limit", "3.0"),
         ("x_bin_bound", "6.5"), ("x_dot_bound", "inf"), ("theta_dot_bound", "nan"),
-        ("step_reward", "2.0"), ("fail_reward", "-1.0"),
+        ("step_reward", "2.0"), ("fail_reward", "-1.0"), ("qtable_dense", "true"),
     ])
     def test_retired_key_at_another_value_refused_before_any_output(
             self, tmp_path, capsys, monkeypatch, key, value):
@@ -445,6 +429,27 @@ class TestStats:
         hist = read(trained_run / "stats_seed0" / "degree_hist.csv").strip().split("\n")
         assert hist[0] == "degree,count"
         assert "avg_degree=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [
+    ["eval", "--run"], ["export-graph", "--episode", "3", "--run"], ["stats", "--run"],
+    ["table2", "--out", "table2.csv", "--runs"],
+])
+def test_older_dense_run_refused_by_key(tmp_path, capsys, monkeypatch, command):
+    """A run trained in the retired dense Q-table mode is refused by every
+    command that reads its config.txt, before any output."""
+    monkeypatch.chdir(tmp_path)
+    run = tmp_path / "run"
+    assert run_cli(["train", "--agent", "qtable", "--seeds", "1", "--out", run] + TINY) == 0
+    config = run / "config.txt"
+    config.write_text(read(config) + "qtable_dense = true\n")
+    before = dir_contents(tmp_path)
+    capsys.readouterr()
+    assert run_cli([*command, run]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: qtable_dense ") and "Traceback" not in err
+    assert dir_contents(tmp_path) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
 
 
 class TestTable2:

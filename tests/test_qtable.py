@@ -21,7 +21,8 @@ def ensured(agent, *cells):
 
 
 def table_with_rows(rows, alpha=0.9, gamma=0.99):
-    """A Q-table holding the given rows, loaded through agent.json."""
+    """A Q-table holding the given rows, loaded through an agent.json of the
+    older shape, which still names the retired table mode and its bins."""
     return QTableAgent.deserialize({
         "kind": "qtable", "kappa": 2, "alpha": alpha, "gamma": gamma,
         "dense": False, "n_bins": 10, "q_init": "zeros",
@@ -86,24 +87,12 @@ class TestUpdate:
 
 
 class TestModes:
-    def test_dense_mode_full_grid(self):
-        agent = QTableAgent(dense=True, n_bins=10, init="zeros")
-        stats = agent.stats()
-        assert stats.neurons == 10_000
-        assert stats.parameter_count == 40_000
-        assert stats.avg_fan_in is None
-        assert stats.edges is None
-
     def test_sparse_default_counts_visited(self):
         agent = QTableAgent(init="zeros")
         agent.ensure(cell_of("1_1_1_1_"))
         agent.ensure(cell_of("2_2_2_2_"))
         assert agent.stats().neurons == 2
         assert agent.stats().parameter_count == 8
-
-    def test_dense_ensure_never_spawns(self):
-        agent = QTableAgent(dense=True, init="zeros")
-        assert agent.ensure(cell_of("5_5_5_5_")) is False
 
     def test_optimistic_init_applies_to_new_rows(self):
         agent = QTableAgent(init="optimistic", gamma=0.99)
@@ -129,7 +118,7 @@ def test_stats_of_empty_table():
 
 def test_files_sort_rows_by_key_not_by_cell():
     """Cell 9_0_0_0_ packs below 10_0_0_0_, but its key sorts after it."""
-    agent = QTableAgent(n_bins=16, init="zeros")
+    agent = QTableAgent(init="zeros")
     for key in ("9_0_0_0_", "10_0_0_0_"):
         agent.ensure(cell_of(key))
         agent.update(cell_of(key), 0, 1.0, cell_of(key), False)
@@ -139,3 +128,22 @@ def test_files_sort_rows_by_key_not_by_cell():
     payload = agent.serialize()
     assert list(payload["rows"]) == list(payload["visits"]) == ["10_0_0_0_", "9_0_0_0_"]
     assert [node for node, _ in agent.snapshot().nodes] == ["10_0_0_0_", "9_0_0_0_"]
+
+
+def test_dense_agent_file_loads_its_rows():
+    """An agent.json of the retired dense mode, which held a row for every
+    cell, loads as plain rows with the same values, visits and file order."""
+    rows = {key: [float(i), -float(i)] for i, key in enumerate(["0_0_0_0_", "0_0_0_1_",
+                                                                "1_1_1_1_", "2_2_2_2_"])}
+    dense = QTableAgent.deserialize({
+        "kind": "qtable", "kappa": 2, "alpha": 0.9, "gamma": 0.99,
+        "dense": True, "n_bins": 10, "q_init": "zeros",
+        "rows": rows, "visits": {S_KEY: 3},
+    })
+    sparse = table_with_rows(rows)
+    for key, row in rows.items():
+        assert dense.q_values(cell_of(key)) == sparse.q_values(cell_of(key)) == row
+    assert dense.stats().neurons == 4
+    assert dense.serialize()["visits"] == {S_KEY: 3}
+    assert dense.value_table() == sparse.value_table()
+    assert "dense" not in dense.serialize() and "n_bins" not in dense.serialize()

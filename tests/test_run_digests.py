@@ -6,7 +6,8 @@ five, on the settings of the benchmark's `artifacts` workload. Then
 run directory, and every file in it is compared by SHA-256 with
 `tests/run_digests.json`. Only `wall_clock_seconds` in the summary files
 is masked. A `config.txt` written before the cartpole task's settings
-became constants still replays to the same files. To record the manifest
+became constants and the dense Q-table mode was retired still replays to
+the same files. To record the manifest
 for the checked-out source:
 
     PYTHONPATH=src python tests/test_run_digests.py > tests/run_digests.json
@@ -42,7 +43,8 @@ SETTINGS = {
 }
 
 # the synaptic run's config.txt as written before max_steps, the limits, the
-# bin bounds and the rewards were retired to constants
+# bin bounds and the rewards were retired to constants and the Q-table's
+# dense mode was retired
 OLDER_CONFIG = """\
 # bmu-lab run configuration
 agent = synaptic
@@ -69,7 +71,7 @@ step_reward = 1.0
 fail_reward = -10.0
 """
 RETIRED = ("max_steps", "theta_limit", "x_limit", "x_bin_bound", "x_dot_bound",
-           "theta_dot_bound", "step_reward", "fail_reward")
+           "theta_dot_bound", "step_reward", "fail_reward", "qtable_dense")
 
 _WALL_CLOCK = re.compile(rb'"wall_clock_seconds": [^,\n]+')
 

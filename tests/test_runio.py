@@ -89,6 +89,17 @@ def test_run_dir_filled_during_training_is_refused(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_int_in_a_float_field_replays_to_the_same_bytes(tmp_path, kind):
+    """A run whose float fields hold ints writes config.txt and agent.json
+    as the replay from its own config.txt writes them."""
+    config = TrainConfig(agent=kind, alpha=1, convergence_reward=200, epsilon=0,
+                         max_episodes=3)
+    execute_train_run(config, tmp_path / "run")
+    execute_train_run(runio.load_run_config(tmp_path / "run"), tmp_path / "replay")
+    assert file_digests(tmp_path / "run") == file_digests(tmp_path / "replay")
+
+
 def test_trajectory_csv_layout():
     text = trajectory_csv([(0, 0.1, 0.2, 0.03, 0.04, 1, 1.0, False),
                            (1, 0.5, 0.25, -0.75, 2.5, 0, -10.0, True)])

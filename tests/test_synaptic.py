@@ -231,10 +231,6 @@ class TestNetworkStats:
             agent.ensure(pack((i, 0, 0, 0)))
         assert agent.stats().parameter_count == 1000
 
-    def test_dense_table_scale_consistency(self):
-        # the same convention over the full 10^4-state grid
-        assert 10_000 * (2 + 2) == 40_000
-
     def test_single_neuron_zero_fan_in(self):
         agent = zero_agent()
         agent.ensure(A)

@@ -41,28 +41,26 @@ from bmu_lab.trainer import (
 
 @st.composite
 def valid_configs(draw):
-    """Any `TrainConfig` that `validate` accepts, floats drawn over their whole domain."""
-    def floats(**bounds):
-        return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+    """Any `TrainConfig` that `validate` accepts: a real field draws floats
+    over its whole domain or, from `ints`, the ints inside it."""
+    def floats(ints=st.nothing(), **bounds):
+        return st.one_of(st.floats(allow_nan=False, allow_infinity=False, **bounds), ints)
 
-    agent = draw(st.sampled_from(AGENT_KINDS))
-    dense = draw(st.booleans())
     return TrainConfig(
-        agent=agent,
+        agent=draw(st.sampled_from(AGENT_KINDS)),
         gamma=draw(floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)),
-        alpha=draw(floats(min_value=0.0, max_value=1.0, exclude_min=True)),
-        n_bins=draw(st.integers(2, 16 if agent == "qtable" and dense else 65536)),
-        convergence_reward=draw(floats(max_value=250.0)),
+        alpha=draw(floats(st.just(1), min_value=0.0, max_value=1.0, exclude_min=True)),
+        n_bins=draw(st.integers(2, 65536)),
+        convergence_reward=draw(floats(st.integers(-10 ** 6, 250), max_value=250.0)),
         convergence_window=draw(st.integers(1, 10 ** 6)),
         max_episodes=draw(st.integers(1, 10 ** 6)),
         seeds=tuple(draw(st.lists(st.integers(0, 2 ** 63), min_size=1, max_size=4,
                                   unique=True))),
-        epsilon=draw(floats(min_value=0.0, max_value=1.0)),
-        epsilon_decay=draw(floats(min_value=0.0, max_value=1.0, exclude_min=True)),
+        epsilon=draw(floats(st.integers(0, 1), min_value=0.0, max_value=1.0)),
+        epsilon_decay=draw(floats(st.just(1), min_value=0.0, max_value=1.0, exclude_min=True)),
         snapshot_every=draw(st.integers(0, 10 ** 6)),
         init=draw(st.sampled_from(INIT_MODES)),
         pool_capacity=draw(st.integers(1, 10 ** 6)),
-        qtable_dense=dense,
     )
 
 
@@ -101,15 +99,13 @@ OUT_OF_DOMAIN = {
     "snapshot_every": st.one_of(st.integers(max_value=-1), NOT_INT),
     "init": st.one_of(st.text().filter(lambda s: s not in INIT_MODES), NOT_TEXT),
     "pool_capacity": st.one_of(st.integers(max_value=0), NOT_INT),
-    # 0 and 1 equal False and True, but are not bools
-    "qtable_dense": st.sampled_from(["true", "false", 2, -1, None, 0, 1, 0.0, 1.0]),
 }
 
 # the settings that became constants, spelled out independently of runio's
 # table, each with the one value an older config file may still give it
 RETIRED = {"kappa": 2, "max_steps": 250, "theta_limit": 0.2095, "x_limit": 2.4,
            "x_bin_bound": 6.0, "x_dot_bound": 11.0, "theta_dot_bound": 7.0,
-           "step_reward": 1.0, "fail_reward": -10.0}
+           "step_reward": 1.0, "fail_reward": -10.0, "qtable_dense": False}
 
 
 def check_value(key, value):
@@ -213,7 +209,7 @@ class TestConfig:
         ("convergence_reward", 250.5, "convergence_reward must be in (-inf, 250.0], got 250.5"),
         ("max_episodes", 2.5, "max_episodes must be an integer, got 2.5"),
         ("gamma", "0.5", "gamma must be a real number, got '0.5'"),
-        ("qtable_dense", 1, "qtable_dense must be one of (False, True), got 1"),
+        ("pool_capacity", True, "pool_capacity must be an integer, got True"),
         ("n_bins", True, "n_bins must be an integer, got True"),
         ("snapshot_every", -1, "snapshot_every must be >= 0, got -1"),
         ("n_bins", 65537, "n_bins must be in [2, 65536], got 65537"),
@@ -258,8 +254,8 @@ class TestConfig:
 
     @settings(max_examples=100, deadline=None)
     @given(config=valid_configs())
-    @example(TrainConfig(agent="bmu", seeds=(3, 1, 4), epsilon=0.25,
-                         qtable_dense=True, max_episodes=42))
+    @example(TrainConfig(agent="bmu", seeds=(3, 1, 4), epsilon=0.25, max_episodes=42))
+    @example(TrainConfig(alpha=1, convergence_reward=200))
     def test_kv_round_trip(self, config):
         config.validate()
         text = format_config(config)
@@ -267,21 +263,14 @@ class TestConfig:
         assert parsed == config
         assert format_config(parsed) == text  # -0.0 stays -0.0
 
-    def test_dense_table_rows_capped(self):
-        with pytest.raises(ConfigError, match="qtable_dense.*n_bins 17"):
-            TrainConfig(agent="qtable", qtable_dense=True, n_bins=17).validate()
-        TrainConfig(agent="qtable", qtable_dense=True, n_bins=16).validate()
-        # the flag preallocates nothing for the other kinds
-        TrainConfig(agent="bmu", qtable_dense=True, n_bins=100).validate()
-
     def test_retired_keys_of_older_files_skipped(self):
-        # a config.txt written before kappa, c_gain and the task's settings
-        # were retired, with the legacy init keys as well
+        # a config.txt written before kappa, c_gain, the task's settings and
+        # the Q-table mode were retired, with the legacy init keys as well
         old = ("agent = bmu\nkappa = 2\nc_gain = 0.5\nq_init = zeros\n"
                "encoder_init = optimistic\nmax_episodes = 7\nmax_steps = 250\n"
                "theta_limit = 0.2095\nx_limit = 2.4\nx_bin_bound = 6.0\n"
                "x_dot_bound = 11.0\ntheta_dot_bound = 7.0\nstep_reward = 1.0\n"
-               "fail_reward = -10.0\n")
+               "fail_reward = -10.0\nqtable_dense = false\n")
         retired = (*RETIRED, "c_gain")
         without = "".join(line + "\n" for line in old.splitlines()
                           if line.split(" = ")[0] not in retired)
@@ -326,7 +315,8 @@ def legacy_init(agent, q_init, encoder_init):
 
 # (rewards, agent_state_hash) prefixes of train(seed 5, 8 episodes, epsilon
 # 0.2) under each legacy config, recorded with the code that still had the
-# q_init and encoder_init fields
+# q_init and encoder_init fields; the Q-table's agent hashes were recorded
+# again when its agent.json stopped writing "dense" and "n_bins"
 LEGACY_RUNS = {
     ("synaptic", "optimistic"): ("5e539fca100cc6df", "cbda1c4ab4c987c2"),
     ("synaptic", "zeros"): ("c823d1e369362aff", "aca392ee25b66c11"),
@@ -335,8 +325,8 @@ LEGACY_RUNS = {
     ("bmu", "zeros"): ("c823d1e369362aff", "b3a4f328f1f2d4ca"),
     ("bmu", "uniform"): ("2b4c161228f4af2a", "9a7754542efe348b"),
     ("bmu-pool", "zeros"): ("c823d1e369362aff", "f2cb87bd4b86310d"),
-    ("qtable", "optimistic"): ("5e539fca100cc6df", "cd69295bd440485d"),
-    ("qtable", "zeros"): ("c823d1e369362aff", "f16759f9174cc953"),
+    ("qtable", "optimistic"): ("5e539fca100cc6df", "563a9a1f82d7a5a7"),
+    ("qtable", "zeros"): ("c823d1e369362aff", "7feb8fc84aaaeb44"),
 }
 
 
