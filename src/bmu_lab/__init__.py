@@ -1,5 +1,9 @@
 """Reinforcement-learning lab: synaptic Q-learning and Bellman memory units
-on an evolving network topology, balancing a cartpole."""
+on an evolving network topology, balancing a cartpole.
+
+numpy is imported inside the functions that draw random numbers, never at
+module level, so importing the package and the commands that draw nothing
+(`stats`, `table2`, `--help`, a refused config) start without it."""
 
 from .cartpole import CartPoleEnv, initial_states
 from .discretize import BinSpec, discretize, key_of, parse_key

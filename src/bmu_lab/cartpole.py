@@ -15,10 +15,9 @@ would draw.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from math import cos, sin
-
-import numpy as np
 
 RESET_SPREAD = 0.05
 
@@ -61,45 +60,52 @@ def _hash_constants(init: int, mult: int, n: int) -> list[int]:
     return constants
 
 
-def _column(values: list[int]) -> np.ndarray:
-    return np.array(values, dtype=np.uint32).reshape(-1, 1)
-
-
 # mix_entropy's 16 hashes: one per pool word, then each word into the other three
 _HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
-_ENTER = (_column(_HASH_A[0:4]), _column(_HASH_A[1:5]))
-_CROSS = [(src, [dst for dst in range(4) if dst != src],
-           _column(_HASH_A[k:k + 3]), _column(_HASH_A[k + 1:k + 4]))
-          for src, k in zip(range(4), range(4, 16, 3))]
 # generate_state's 8 hashes, cycling over the pool twice
 _HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
-_OUT = (_column(_HASH_B[0:8]), _column(_HASH_B[1:9]))
-_MIX_L = np.uint32(0xCA01F9DD)
-_MIX_R = np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
-_LOW32 = np.uint64(_MASK32)
-_HIGH32 = np.uint64(32)
+
+
+@functools.cache
+def _tables():
+    """The replay's uint32 hash columns and numpy scalars, built at the first
+    draw, so that importing this module does not import numpy."""
+    import numpy as np
+
+    def column(values: list[int]):
+        return np.array(values, dtype=np.uint32).reshape(-1, 1)
+
+    enter = (column(_HASH_A[0:4]), column(_HASH_A[1:5]))
+    cross = [(src, [dst for dst in range(4) if dst != src],
+              column(_HASH_A[k:k + 3]), column(_HASH_A[k + 1:k + 4]))
+             for src, k in zip(range(4), range(4, 16, 3))]
+    out = (column(_HASH_B[0:8]), column(_HASH_B[1:9]))
+    return (enter, cross, out, np.uint32(0xCA01F9DD), np.uint32(0x4973F715),
+            np.uint32(16), np.uint64(_MASK32), np.uint64(32))
 
 
 def _seed_words(seeds: list[int]) -> list[list[int]]:
     """SeedSequence(seed).generate_state(8, uint32) for every seed at once,
     one list per word. A seed below 2**32 has one entropy word, and
     zero-padding it to two gives the same pool."""
+    import numpy as np
+
+    enter, cross, out, mix_l, mix_r, xshift, low32, high32 = _tables()
     words = np.array(seeds, dtype=np.uint64)
     pool = np.zeros((4, len(seeds)), dtype=np.uint32)
-    pool[0] = (words & _LOW32).astype(np.uint32)
-    pool[1] = (words >> _HIGH32).astype(np.uint32)
-    xor, mul = _ENTER
+    pool[0] = (words & low32).astype(np.uint32)
+    pool[1] = (words >> high32).astype(np.uint32)
+    xor, mul = enter
     pool = (pool ^ xor) * mul
-    pool ^= pool >> _XSHIFT
-    for src, dsts, xor, mul in _CROSS:
+    pool ^= pool >> xshift
+    for src, dsts, xor, mul in cross:
         hashed = (pool[src] ^ xor) * mul
-        hashed ^= hashed >> _XSHIFT
-        mixed = _MIX_L * pool[dsts] - _MIX_R * hashed
-        pool[dsts] = mixed ^ (mixed >> _XSHIFT)
-    xor, mul = _OUT
+        hashed ^= hashed >> xshift
+        mixed = mix_l * pool[dsts] - mix_r * hashed
+        pool[dsts] = mixed ^ (mixed >> xshift)
+    xor, mul = out
     state = (np.concatenate((pool, pool)) ^ xor) * mul
-    state ^= state >> _XSHIFT
+    state ^= state >> xshift
     return state.tolist()
 
 

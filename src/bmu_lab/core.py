@@ -16,13 +16,15 @@ show; loading a file parses the keys back into cell ids.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .cartpole import STEP_REWARD
 from .discretize import cell_of, key_of, unpack
 from .graphio import GraphSnapshot
 from .metrics import NetworkStats
+
+if TYPE_CHECKING:
+    from numpy.random import Generator
 
 INIT_MODES = ("optimistic", "zeros", "uniform")
 
@@ -72,7 +74,7 @@ class BellmanCore:
     fixed_fields = {"kappa": KAPPA}
 
     def __init__(self, alpha: float = 0.9, gamma: float = 0.99, *, init: str,
-                 rng: np.random.Generator | None = None):
+                 rng: Generator | None = None):
         if init not in INIT_MODES:
             raise ValueError(f"init must be one of {INIT_MODES}, got {init!r}")
         if init == "uniform" and rng is None:

@@ -20,8 +20,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field, fields
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .bmu import BmuAgent, PoolAgent, PoolCapacityError
 from .cartpole import MAX_STEPS, STEP_REWARD, THETA_LIMIT, CartPoleEnv, initial_states
@@ -30,6 +29,9 @@ from .discretize import MASK, THETA_DOT_BOUND, X_BIN_BOUND, X_DOT_BOUND, BinSpec
 from .graphio import GraphSnapshot
 from .qtable import QTableAgent
 from .synaptic import SynapticAgent
+
+if TYPE_CHECKING:
+    from numpy.random import BitGenerator, Generator
 
 AGENT_CLASSES = {cls.kind: cls for cls in (SynapticAgent, BmuAgent, PoolAgent, QTableAgent)}
 AGENT_KINDS = tuple(AGENT_CLASSES)
@@ -121,7 +123,7 @@ class TrainConfig:
 _CHECKS = [(f.name, f.metadata["domain"]) for f in fields(TrainConfig)]
 
 
-def make_agent(config: TrainConfig, rng: np.random.Generator):
+def make_agent(config: TrainConfig, rng: Generator):
     # alpha = 1 may be an int; as a float it writes to agent.json as it replays
     common = {"alpha": float(config.alpha), "gamma": config.gamma, "init": config.init, "rng": rng}
     if config.agent == "bmu-pool":
@@ -151,8 +153,10 @@ class Exploration:
     generator must not be drawn from directly afterwards.
     """
 
-    def __init__(self, bit_generator: np.random.BitGenerator):
-        if not isinstance(bit_generator, np.random.PCG64):
+    def __init__(self, bit_generator: BitGenerator):
+        from numpy.random import PCG64
+
+        if not isinstance(bit_generator, PCG64):
             raise TypeError(f"exploration needs a PCG64 bit generator, "
                             f"got {type(bit_generator).__name__}")
         state = bit_generator.state
@@ -299,15 +303,12 @@ class TrainResult:
 
 
 def _seed_streams(seed: int):
-    env_ss, agent_ss, explore_ss = np.random.SeedSequence(seed).spawn(3)
-    return (
-        np.random.default_rng(env_ss),
-        np.random.default_rng(agent_ss),
-        np.random.default_rng(explore_ss),
-    )
+    from numpy.random import SeedSequence, default_rng
+
+    return tuple(default_rng(child) for child in SeedSequence(seed).spawn(3))
 
 
-def _starts(seeder: np.random.Generator, count: int, block: int = 256):
+def _starts(seeder: Generator, count: int, block: int = 256):
     """Start states drawn `block` at a time as the run reaches them; numpy's
     64-bit bounded draw keeps no buffer, so the seeds equal one call's."""
     while count > 0:
@@ -389,6 +390,8 @@ def aggregate_curves(curves: list[list[float]]) -> tuple[list[float], list[float
     """
     if not curves:
         return [], [], []
+    import numpy as np
+
     length = max(len(curve) for curve in curves)
     padded = np.array([curve + [curve[-1]] * (length - len(curve)) for curve in curves])
     mean = padded.mean(axis=0)
@@ -427,7 +430,7 @@ class EvalReport:
 
     @property
     def mean_reward(self) -> float:
-        return float(np.mean(self.rewards))
+        return mean_std(self.rewards)[0]
 
     @property
     def min_reward(self) -> float:
@@ -455,7 +458,9 @@ def evaluate(agent, config: TrainConfig, seed: int, n_episodes: int) -> EvalRepo
     env = CartPoleEnv()
     # training draws from the first three children of the seed, so the
     # fourth gives initial states no training episode of that seed saw
-    seeder = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[3])
+    from numpy.random import SeedSequence, default_rng
+
+    seeder = default_rng(SeedSequence(seed).spawn(4)[3])
     report = EvalReport(rewards=[], trajectories=[])
     for start in _starts(seeder, n_episodes):
         state = env.reset(start)

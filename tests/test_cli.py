@@ -1,6 +1,10 @@
 """End-to-end command-line tests on small runs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -511,3 +515,56 @@ class TestTable2:
         assert run_cli(["table2", "--runs", run, "--out", table]) == 1
         assert "error:" in capsys.readouterr().err
         assert read(table) == "earlier table\n"
+
+
+# -- numpy loads only where a command draws random numbers ----------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# runs `main` on the arguments, then reports whether numpy was imported
+MAIN_PROBE = """
+import sys
+from bmu_lab.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit:
+    pass
+print("numpy" in sys.modules)
+"""
+
+
+def numpy_loaded(script, *args):
+    """Whether a fresh interpreter has imported numpy after `script`, which
+    prints that as its last line."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()[-1] == "True"
+
+
+@pytest.mark.parametrize("module", ["bmu_lab", "bmu_lab.cli"])
+def test_import_leaves_numpy_unloaded(module):
+    assert not numpy_loaded(f"import sys, {module}; print('numpy' in sys.modules)")
+
+
+def test_commands_that_draw_nothing_leave_numpy_unloaded(trained_run, tmp_path):
+    filled = tmp_path / "filled"
+    filled.mkdir()
+    (filled / "earlier.txt").write_text("kept\n")
+    for args in (["--help"],
+                 ["stats", "--run", trained_run, "--out", tmp_path / "stats"],
+                 ["table2", "--runs", trained_run, "--out", tmp_path / "table2.csv"],
+                 ["train", "--epsilon", "nan", "--out", tmp_path / "nan"],
+                 ["train", "--out", filled]):
+        assert not numpy_loaded(MAIN_PROBE, *args), args
+    assert (tmp_path / "stats" / "degree_hist.csv").is_file()
+    assert (tmp_path / "table2.csv").is_file()
+    assert not (tmp_path / "nan").exists()
+    assert [p.name for p in filled.iterdir()] == ["earlier.txt"]
+
+
+def test_training_loads_numpy(tmp_path):
+    assert numpy_loaded(MAIN_PROBE, "train", "--seeds", "1", "--max-episodes", "2",
+                        "--out", tmp_path / "run")
+    assert (tmp_path / "run" / "seed0" / "rewards.csv").is_file()

@@ -25,6 +25,7 @@ from bmu_lab.trainer import (
     AGENT_KINDS,
     BLOCK,
     ConfigError,
+    EvalReport,
     Exploration,
     TrainConfig,
     aggregate_curves,
@@ -694,6 +695,15 @@ class TestExactDraws:
 
 
 class TestEvaluate:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False),
+        st.integers(-10, 250).map(float),
+    ), min_size=1, max_size=300))
+    def test_mean_reward_equals_numpy(self, rewards):
+        report = EvalReport(rewards=rewards, trajectories=[])
+        assert report.mean_reward.hex() == float(np.mean(rewards)).hex()
+
     def _trained(self):
         config = TrainConfig(max_episodes=30)
         result = train(config, 0)
