@@ -1,7 +1,7 @@
 """Reinforcement-learning lab: synaptic Q-learning and Bellman memory units
 on an evolving network topology, balancing a cartpole.
 
-numpy is imported inside the functions that draw random numbers, never at
+numpy is imported inside the functions that build random streams, never at
 module level, so importing the package and the commands that draw nothing
 (`stats`, `table2`, `--help`, a refused config) start without it."""
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .core import KAPPA, BellmanCore
+from .core import KAPPA, BellmanCore, loaded_rng
 from .discretize import cell_of
 
 if TYPE_CHECKING:
@@ -57,10 +57,9 @@ class BmuAgent(BellmanCore):
     @classmethod
     def deserialize(cls, payload: dict) -> "BmuAgent":
         # a loaded agent that spawns draws uniform encoders from seed 0
-        from numpy.random import default_rng
-
-        agent = cls(alpha=payload["alpha"], gamma=payload["gamma"],
-                    init=payload["encoder_init"], rng=default_rng(0))
+        init = payload["encoder_init"]
+        agent = cls(alpha=payload["alpha"], gamma=payload["gamma"], init=init,
+                    rng=loaded_rng(init))
         for entry in payload["ensembles"]:
             agent.add(cell_of(entry["key"]), [float(q) for (q,) in entry["encoders"]])
         agent.restore_edges(payload["edges"])

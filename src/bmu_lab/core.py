@@ -50,6 +50,16 @@ def optimistic_q(gamma: float) -> float:
     return STEP_REWARD / (1.0 - gamma)
 
 
+def loaded_rng(init: str) -> Generator | None:
+    """The stream a loaded agent draws new rows from: seed 0 under uniform
+    init, and none under the modes that draw nothing."""
+    if init != "uniform":
+        return None
+    from numpy.random import default_rng
+
+    return default_rng(0)
+
+
 def argmax(row) -> int:
     """Index of the largest value; ties go to the lowest index."""
     return row.index(max(row))

@@ -89,22 +89,13 @@ def _gexf_value(value) -> str:
     return _xml_attr(repr(value) if isinstance(value, float) else str(value))
 
 
-# `_gexf_value` of each exact type, without its checks: no float or int text
-# holds a character that needs escaping. Subclasses, such as numpy scalars,
-# take `_gexf_value` itself.
-_GEXF_RENDER = {float: float.__repr__, int: int.__repr__,
-                bool: ("false", "true").__getitem__, str: _xml_attr}
-
-
 def _gexf_element(lines: list[str], tag: str, head: str, attrs: Attrs,
-                  prefixes: dict[str, str]) -> None:
-    """`prefixes[key]` is the attvalue line up to the value of attribute `key`."""
+                  attr_ids: dict[str, int]) -> None:
     if not attrs:
         lines.append(f"      <{tag} {head} />")
         return
     lines += [f"      <{tag} {head}>", "        <attvalues>"]
-    render = _GEXF_RENDER.get
-    lines += [f'{prefixes[key]}{render(type(value), _gexf_value)(value)}" />'
+    lines += [f'          <attvalue for="{attr_ids[key]}" value="{_gexf_value(value)}" />'
               for key, value in attrs.items()]
     lines += ["        </attvalues>", f"      </{tag}>"]
 
@@ -114,11 +105,10 @@ def to_gexf(snapshot: GraphSnapshot) -> str:
     lines = ['<?xml version="1.0" encoding="UTF-8"?>',
              f'<gexf xmlns="{_GEXF_NS}" version="1.2">',
              '  <graph defaultedgetype="directed" mode="static">']
-    prefixes = {}
+    attr_ids = {}
     for cls, items in (("node", snapshot.nodes), ("edge", snapshot.edges)):
         schema = _collect_attr_schema(items)
-        prefixes[cls] = {key: f'          <attvalue for="{attr_id}" value="'
-                         for attr_id, key in enumerate(schema)}
+        attr_ids[cls] = {key: attr_id for attr_id, key in enumerate(schema)}
         if schema:
             lines.append(f'    <attributes class="{cls}">')
             lines += [f'      <attribute id="{attr_id}" title="{_xml_attr(key)}" '
@@ -129,13 +119,13 @@ def to_gexf(snapshot: GraphSnapshot) -> str:
     lines.append("    <nodes>" if snapshot.nodes else "    <nodes />")
     for node_id, attrs in snapshot.nodes:
         node_id = _xml_attr(node_id)
-        _gexf_element(lines, "node", f'id="{node_id}" label="{node_id}"', attrs, prefixes["node"])
+        _gexf_element(lines, "node", f'id="{node_id}" label="{node_id}"', attrs, attr_ids["node"])
     if snapshot.nodes:
         lines.append("    </nodes>")
     lines.append("    <edges>" if snapshot.edges else "    <edges />")
     for edge_id, (source, target, attrs) in enumerate(snapshot.edges):
         head = f'id="{edge_id}" source="{_xml_attr(source)}" target="{_xml_attr(target)}"'
-        _gexf_element(lines, "edge", head, attrs, prefixes["edge"])
+        _gexf_element(lines, "edge", head, attrs, attr_ids["edge"])
     if snapshot.edges:
         lines.append("    </edges>")
     lines += ["  </graph>", "</gexf>", ""]

@@ -11,7 +11,7 @@ the files sort as keys, not as cell ids.
 
 from __future__ import annotations
 
-from .core import BellmanCore, parameter_count
+from .core import BellmanCore, loaded_rng, parameter_count
 from .discretize import cell_of
 from .graphio import GraphSnapshot
 from .metrics import NetworkStats
@@ -61,10 +61,9 @@ class QTableAgent(BellmanCore):
     def deserialize(cls, payload: dict) -> "QTableAgent":
         # a loaded table that adds rows draws uniform ones from seed 0; an
         # older file's retired table mode and bin count change no row
-        from numpy.random import default_rng
-
-        agent = cls(alpha=payload["alpha"], gamma=payload["gamma"],
-                    init=payload.get("q_init", "zeros"), rng=default_rng(0))
+        init = payload.get("q_init", "zeros")
+        agent = cls(alpha=payload["alpha"], gamma=payload["gamma"], init=init,
+                    rng=loaded_rng(init))
         for key, row in payload["rows"].items():
             agent.add(cell_of(key), [float(v) for v in row])
         agent.visits = {key: int(n) for key, n in payload["visits"].items()}

@@ -568,3 +568,15 @@ def test_training_loads_numpy(tmp_path):
     assert numpy_loaded(MAIN_PROBE, "train", "--seeds", "1", "--max-episodes", "2",
                         "--out", tmp_path / "run")
     assert (tmp_path / "run" / "seed0" / "rewards.csv").is_file()
+
+
+@pytest.mark.parametrize("kind", ["bmu", "qtable"])
+@pytest.mark.parametrize("init", ["optimistic", "zeros", "uniform"])
+def test_loading_an_agent_loads_numpy_only_for_uniform_rows(kind, init, tmp_path):
+    """Only a uniform agent draws the rows it adds after loading."""
+    out = tmp_path / "run"
+    assert run_cli(["train", "--agent", kind, "--init", init, "--seeds", "1",
+                    "--max-episodes", "2", "--out", out]) == 0
+    probe = ("import sys; from bmu_lab.runio import load_agent; "
+             "load_agent(open(sys.argv[1]).read()); print('numpy' in sys.modules)")
+    assert numpy_loaded(probe, out / "seed0" / "agent.json") == (init == "uniform")

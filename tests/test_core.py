@@ -91,6 +91,22 @@ def test_serialize_round_trip(kind):
         assert save_agent(load_agent(text)) == text
 
 
+@pytest.mark.parametrize("kind", ["bmu", "qtable"])
+@pytest.mark.parametrize("init", INIT_MODES)
+def test_loaded_agent_adds_rows_as_a_fresh_one_from_seed_0(kind, init):
+    """A loaded agent keeps its init and draws the rows it adds from seed 0;
+    only uniform init holds a stream."""
+    agent = make_agent(TrainConfig(agent=kind, init=init), np.random.default_rng(5))
+    agent.ensure(CELLS[0])
+    loaded = load_agent(save_agent(agent))
+    assert (loaded.rng is None) == (init != "uniform")
+    fresh = make_agent(TrainConfig(agent=kind, init=init), np.random.default_rng(0))
+    for cell in CELLS[1:]:
+        loaded.ensure(cell)
+        fresh.ensure(cell)
+        assert loaded.q_values(cell) == fresh.q_values(cell)
+
+
 @pytest.mark.parametrize("kind", AGENT_KINDS)
 def test_select_leaves_the_files_unchanged(kind):
     """Selection only reads: no kind keeps state between select and update,

@@ -176,18 +176,6 @@ def test_gexf_bytes_of_hand_built_snapshots():
     assert "    <nodes />\n    <edges />\n" in to_gexf(GraphSnapshot())
 
 
-def test_gexf_float_subclass_writes_its_own_repr():
-    class Tagged(float):
-        def __repr__(self):
-            return f"<{float.__repr__(self)}>"
-
-    snapshot = GraphSnapshot(nodes=[("a", {"value": Tagged(1.5)}), ("b", {"value": 2.5})])
-    text = to_gexf(snapshot)
-    assert text == reference_to_gexf(snapshot)
-    assert 'value="&lt;1.5&gt;" />' in text
-    assert 'value="2.5" />' in text
-
-
 def trained_snapshots():
     snapshots = {}
     for kind in ("synaptic", "bmu", "bmu-pool", "qtable"):
