@@ -10,7 +10,6 @@ the DOT files are for Graphviz, and Gephi reads the GEXF files directly.
 from __future__ import annotations
 
 import re
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
 Attrs = dict[str, object]
@@ -147,6 +146,8 @@ def _typed(value: str, gexf_type: str):
 
 
 def read_gexf(text: str) -> GraphSnapshot:
+    import xml.etree.ElementTree as ET  # only `stats` reads a graph back
+
     root = ET.fromstring(text)
     snapshot = GraphSnapshot(name="graph")
 

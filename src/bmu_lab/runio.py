@@ -1,9 +1,10 @@
 """Run-directory persistence: config files, CSV emission, agent snapshots.
 
-Every command renders all of its files, then writes them with one `commit`,
-so its output appears whole or not at all and no file is overwritten: a new
-directory is built in a temporary sibling and renamed into place, and files
-added to an existing one are checked absent first and removed on failure.
+Every command writes its files with one `commit`, so its output appears
+whole or not at all and no file is overwritten: a new directory is filled in
+a temporary sibling, each file as soon as it is rendered, and renamed into
+place; files added to an existing one are all rendered and checked absent
+first, and removed on failure. `train` renders and writes one seed at a time.
 Layout of a training run directory:
 
     <out>/config.txt               resolved flat key=value config
@@ -19,9 +20,9 @@ Layout of a training run directory:
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import os
+from collections.abc import Generator, Iterable, Iterator, Mapping
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -37,8 +38,10 @@ from .trainer import (
     EvalReport,
     RunMetrics,
     TrainConfig,
+    TrainResult,
+    aggregate_runs,
     evaluate,
-    multi_seed,
+    seed_runs,
 )
 
 
@@ -223,6 +226,8 @@ def load_agent(text: str):
 
 
 def agent_state_hash(agent) -> str:
+    import hashlib
+
     return hashlib.sha256(save_agent(agent).encode()).hexdigest()
 
 
@@ -242,29 +247,35 @@ def seed_summary(metrics: RunMetrics, agent) -> dict:
     }
 
 
-def snapshot_files(snapshot: GraphSnapshot, stem: str) -> dict[str, str]:
-    return {f"{stem}.dot": to_dot(snapshot), f"{stem}.gexf": to_gexf(snapshot)}
+def snapshot_files(snapshot: GraphSnapshot, stem: str) -> Iterator[tuple[str, str]]:
+    yield f"{stem}.dot", to_dot(snapshot)
+    yield f"{stem}.gexf", to_gexf(snapshot)
 
 
 def _json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def commit(directory: Path, files: dict[str, str]) -> None:
+def commit(directory: Path, files: Mapping[str, str] | Iterable[tuple[str, str]]) -> None:
     """Write `files` (path relative to `directory` -> text) whole or not at all.
 
-    An absent `directory` is built in a temporary sibling and renamed into
-    place. Into an existing one the files are added only if none of them
-    exists yet; the directory itself is never replaced, so it keeps its
-    owner and mode. On failure everything the call made is removed again,
-    parent directories included.
+    An absent `directory` is filled in a temporary sibling, each file as it
+    arrives, and renamed into place; the rename never replaces a directory
+    made meanwhile, even an empty one. Into an existing `directory` the files
+    are added only if none of them exists yet, checked before the first
+    write; the directory itself is never replaced, so it keeps its owner and
+    mode. On failure, also one raised while `files` is iterated, everything
+    the call made is removed again, parent directories included.
     """
     directory = Path(directory)
+    if isinstance(files, Mapping):
+        files = files.items()
     made: list[Path] = []  # each directory and file this call creates, in order
     try:
         if directory.exists():
             root = directory
-            taken = [name for name in files if (root / name).exists()]
+            files = list(files)
+            taken = [name for name, _ in files if (root / name).exists()]
             if taken:
                 raise FileExistsError(f"{root / taken[0]} already exists")
         else:
@@ -273,12 +284,14 @@ def commit(directory: Path, files: dict[str, str]) -> None:
             root = directory.with_name(f".{directory.name}.{os.urandom(4).hex()}")
             root.mkdir()
             made.append(root)
-        for name, text in files.items():
+        for name, text in files:
             path = root / name
             made += _make_dirs(path.parent)
             write_text(path, text)
             made.append(path)
         if root != directory:
+            if directory.exists():
+                raise FileExistsError(f"{directory} was made while it was being written")
             os.rename(root, directory)
     except BaseException:
         for path in reversed(made):
@@ -303,61 +316,73 @@ def _refuse_filled(out_dir: Path) -> None:
         raise FileExistsError(f"run directory {out_dir} already exists and is not empty")
 
 
-def execute_train_run(config: TrainConfig, out_dir: Path) -> dict:
-    """Train every configured seed and commit the full run directory.
+def seed_files(config: TrainConfig,
+               result: TrainResult) -> Generator[tuple[str, str], None, dict]:
+    """The files of one seed's directory, rendered one at a time; returns the
+    seed's summary entry."""
+    metrics, agent = result.metrics, result.agent
+    seed_dir = f"seed{metrics.seed}/"
+    yield seed_dir + "rewards.csv", rewards_csv(metrics)
+    yield seed_dir + "agent.json", save_agent(agent) + "\n"
+    table = agent.value_table()  # encoder tables or Q rows, by kind
+    if table is not None:
+        yield seed_dir + table[0], table[1]
+    yield from snapshot_files(agent.snapshot(), seed_dir + "graph_final")
+    for episode, snapshot in sorted(result.snapshots.items()):
+        yield from snapshot_files(snapshot, f"{seed_dir}graph_ep{episode}")
+    report = evaluate(agent, config, metrics.seed, n_episodes=1)
+    yield seed_dir + "phase.csv", phase_csv(report)
+    entry = seed_summary(metrics, agent)
+    entry["eval_reward"] = report.rewards[0]
+    yield seed_dir + "summary.json", _json(entry)
+    return entry
 
-    A non-empty `out_dir` is refused, before training and again once the
-    files are rendered; an empty one is filled.
+
+def execute_train_run(config: TrainConfig, out_dir: Path) -> dict:
+    """Train the configured seeds into `out_dir`, writing each seed's files
+    and dropping its agent before the next seed trains.
+
+    A non-empty `out_dir` is refused, before training and again once every
+    file is rendered; an empty one is filled.
     """
     out_dir = Path(out_dir)
     _refuse_filled(out_dir)
-    aggregate, results = multi_seed(config)
-    files = {"config.txt": format_config(config), "aggregate.csv": aggregate_csv(aggregate)}
-    per_seed = []
-    for result in results:
-        metrics, agent = result.metrics, result.agent
-        seed_dir = f"seed{metrics.seed}/"
-        files[seed_dir + "rewards.csv"] = rewards_csv(metrics)
-        files[seed_dir + "agent.json"] = save_agent(agent) + "\n"
-        table = agent.value_table()  # encoder tables or Q rows, by kind
-        if table is not None:
-            files[seed_dir + table[0]] = table[1]
-        files.update(snapshot_files(agent.snapshot(), seed_dir + "graph_final"))
-        for episode, snapshot in sorted(result.snapshots.items()):
-            files.update(snapshot_files(snapshot, f"{seed_dir}graph_ep{episode}"))
-        report = evaluate(agent, config, metrics.seed, n_episodes=1)
-        files[seed_dir + "phase.csv"] = phase_csv(report)
-        entry = seed_summary(metrics, agent)
-        entry["eval_reward"] = report.rewards[0]
-        per_seed.append(entry)
-        files[seed_dir + "summary.json"] = _json(entry)
+    summary = {"agent": config.agent, "seeds": list(config.seeds)}
 
-    summary = {
-        "agent": config.agent,
-        "seeds": list(config.seeds),
-        "converged_count": aggregate.converged_count,
-        "convergence_episodes": aggregate.convergence_episodes,
-        "failed_seeds": [r.metrics.seed for r in results if r.metrics.failed is not None],
-        "episodes": aggregate.episodes,
-        "per_seed": per_seed,
-        "wall_clock_seconds": sum(r.metrics.wall_clock_seconds for r in results),
-    }
-    files["summary.json"] = _json(summary)
-    _refuse_filled(out_dir)
-    commit(out_dir, files)
+    def files():
+        yield "config.txt", format_config(config)
+        curves, per_seed = [], []
+        for result in seed_runs(config):
+            if result.metrics.failed is None:
+                curves.append(result.metrics.moving_avg)
+            per_seed.append((yield from seed_files(config, result)))
+            del result  # so its agent is dropped before the next seed trains
+        aggregate = aggregate_runs(curves, [e["episodes_to_convergence"] for e in per_seed])
+        yield "aggregate.csv", aggregate_csv(aggregate)
+        summary.update({
+            "converged_count": aggregate.converged_count,
+            "convergence_episodes": aggregate.convergence_episodes,
+            "failed_seeds": [e["seed"] for e in per_seed if e["failed"] is not None],
+            "episodes": aggregate.episodes,
+            "per_seed": per_seed,
+            "wall_clock_seconds": sum(e["wall_clock_seconds"] for e in per_seed),
+        })
+        yield "summary.json", _json(summary)
+        _refuse_filled(out_dir)
+
+    commit(out_dir, files())
     return summary
 
 
-def eval_files(report: EvalReport) -> dict[str, str]:
-    """The files of an `eval` directory."""
-    files = {"phase.csv": phase_csv(report)}
+def eval_files(report: EvalReport) -> Iterator[tuple[str, str]]:
+    """The files of an `eval` directory, rendered one at a time."""
+    yield "phase.csv", phase_csv(report)
     for episode, trajectory in enumerate(report.trajectories, start=1):
-        files[f"trajectory_ep{episode}.csv"] = trajectory_csv(trajectory)
+        yield f"trajectory_ep{episode}.csv", trajectory_csv(trajectory)
     summary = {"episodes": len(report.rewards), **{
         key: getattr(report, key)
         for key in ("rewards", "steps", "mean_reward", "min_reward", "max_reward")}}
-    files["summary.json"] = _json(summary)
-    return files
+    yield "summary.json", _json(summary)
 
 
 def degree_files(snapshot: GraphSnapshot) -> tuple[dict[str, str], DegreeHistogram]:

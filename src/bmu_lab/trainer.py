@@ -31,6 +31,8 @@ from .qtable import QTableAgent
 from .synaptic import SynapticAgent
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     from numpy.random import BitGenerator, Generator
 
 AGENT_CLASSES = {cls.kind: cls for cls in (SynapticAgent, BmuAgent, PoolAgent, QTableAgent)}
@@ -399,19 +401,29 @@ def aggregate_curves(curves: list[list[float]]) -> tuple[list[float], list[float
     return mean.tolist(), (mean - 2.0 * sd).tolist(), (mean + 2.0 * sd).tolist()
 
 
+def seed_runs(config: TrainConfig) -> Iterator[TrainResult]:
+    """Train the seeds one at a time, each yielded as soon as it is done, so
+    a caller that keeps no result holds one seed's agent at a time."""
+    config.validate()
+    for seed in config.seeds:
+        yield train(config, seed)
+
+
+def aggregate_runs(curves: list[list[float]],
+                   convergence_episodes: list[int | None]) -> AggregateMetrics:
+    """The aggregate of the moving-average `curves` of the seeds that did not
+    fail, and of every seed's convergence episode."""
+    mean, lo, hi = aggregate_curves(curves)
+    return AggregateMetrics(episodes=len(mean), mean=mean, lo_band=lo, hi_band=hi,
+                            convergence_episodes=convergence_episodes)
+
+
 def multi_seed(config: TrainConfig) -> tuple[AggregateMetrics, list[TrainResult]]:
     """Train every seed; the aggregate curves cover the seeds that did not fail."""
-    config.validate()
-    results = [train(config, seed) for seed in config.seeds]
-    mean, lo, hi = aggregate_curves([r.metrics.moving_avg for r in results
-                                     if r.metrics.failed is None])
-    aggregate = AggregateMetrics(
-        episodes=len(mean),
-        mean=mean,
-        lo_band=lo,
-        hi_band=hi,
-        convergence_episodes=[r.metrics.episodes_to_convergence for r in results],
-    )
+    results = list(seed_runs(config))
+    aggregate = aggregate_runs(
+        [r.metrics.moving_avg for r in results if r.metrics.failed is None],
+        [r.metrics.episodes_to_convergence for r in results])
     return aggregate, results
 
 

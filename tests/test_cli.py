@@ -518,9 +518,13 @@ class TestTable2:
 
 
 # -- numpy loads only where a command draws random numbers ----------------
+# -- and hashlib and ElementTree only where a digest or a graph is read ----
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-# runs `main` on the arguments, then reports whether numpy was imported
+LAZY = ("numpy", "hashlib", "xml.etree.ElementTree")
+# prints which of the LAZY modules the interpreter has imported
+REPORT = f"print(','.join(m for m in {LAZY!r} if m in sys.modules) or '-')"
+# runs `main` on the arguments, then reports
 MAIN_PROBE = """
 import sys
 from bmu_lab.cli import main
@@ -528,36 +532,41 @@ try:
     main(sys.argv[1:])
 except SystemExit:
     pass
-print("numpy" in sys.modules)
-"""
+""" + REPORT
 
 
-def numpy_loaded(script, *args):
-    """Whether a fresh interpreter has imported numpy after `script`, which
-    prints that as its last line."""
+def lazy_loaded(script, *args) -> set[str]:
+    """Which LAZY modules a fresh interpreter has imported after `script`,
+    which ends in REPORT."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    return done.stdout.split()[-1] == "True"
+    return set(done.stdout.split()[-1].split(",")) - {"-"}
+
+
+def numpy_loaded(script, *args):
+    return "numpy" in lazy_loaded(script, *args)
 
 
 @pytest.mark.parametrize("module", ["bmu_lab", "bmu_lab.cli"])
 def test_import_leaves_numpy_unloaded(module):
-    assert not numpy_loaded(f"import sys, {module}; print('numpy' in sys.modules)")
+    assert lazy_loaded(f"import sys, {module}\n" + REPORT) == set()
 
 
 def test_commands_that_draw_nothing_leave_numpy_unloaded(trained_run, tmp_path):
     filled = tmp_path / "filled"
     filled.mkdir()
     (filled / "earlier.txt").write_text("kept\n")
-    for args in (["--help"],
-                 ["stats", "--run", trained_run, "--out", tmp_path / "stats"],
-                 ["table2", "--runs", trained_run, "--out", tmp_path / "table2.csv"],
-                 ["train", "--epsilon", "nan", "--out", tmp_path / "nan"],
-                 ["train", "--out", filled]):
-        assert not numpy_loaded(MAIN_PROBE, *args), args
+    for args, loaded in (
+            (["--help"], set()),
+            (["stats", "--run", trained_run, "--out", tmp_path / "stats"],
+             {"xml.etree.ElementTree"}),
+            (["table2", "--runs", trained_run, "--out", tmp_path / "table2.csv"], set()),
+            (["train", "--epsilon", "nan", "--out", tmp_path / "nan"], set()),
+            (["train", "--out", filled], set())):
+        assert lazy_loaded(MAIN_PROBE, *args) == loaded, args
     assert (tmp_path / "stats" / "degree_hist.csv").is_file()
     assert (tmp_path / "table2.csv").is_file()
     assert not (tmp_path / "nan").exists()
@@ -578,5 +587,5 @@ def test_loading_an_agent_loads_numpy_only_for_uniform_rows(kind, init, tmp_path
     assert run_cli(["train", "--agent", kind, "--init", init, "--seeds", "1",
                     "--max-episodes", "2", "--out", out]) == 0
     probe = ("import sys; from bmu_lab.runio import load_agent; "
-             "load_agent(open(sys.argv[1]).read()); print('numpy' in sys.modules)")
+             "load_agent(open(sys.argv[1]).read())\n" + REPORT)
     assert numpy_loaded(probe, out / "seed0" / "agent.json") == (init == "uniform")

@@ -3,17 +3,20 @@ evaluation CSVs."""
 
 import contextlib
 import errno
+import gc
 import io
 import json
 import os
 import tempfile
+import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_run_digests import KINDS, MANIFEST, SETTINGS, file_digests
 
-from bmu_lab import runio
+from bmu_lab import runio, trainer
 from bmu_lab.cli import main
 from bmu_lab.runio import config_from_entries, execute_train_run, trajectory_csv, write_text
 from bmu_lab.trainer import TrainConfig
@@ -74,19 +77,78 @@ def test_non_empty_run_dir_refused_and_untouched(tmp_path):
 
 def test_run_dir_filled_during_training_is_refused(tmp_path, monkeypatch):
     out = tmp_path / "run"
-    train_all = runio.multi_seed
+    train_each = runio.seed_runs
 
     def train_then_collide(config):
-        result = train_all(config)
+        yield from train_each(config)
         out.mkdir()
         (out / "notes.txt").write_text("keep\n")
-        return result
 
-    monkeypatch.setattr(runio, "multi_seed", train_then_collide)
+    monkeypatch.setattr(runio, "seed_runs", train_then_collide)
     with pytest.raises(FileExistsError, match="not empty"):
         execute_train_run(TINY, out)
     assert [p.name for p in out.iterdir()] == ["notes.txt"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
+
+
+def test_empty_run_dir_made_during_training_is_refused_not_replaced(tmp_path, monkeypatch):
+    """os.rename would silently replace an empty directory made meanwhile."""
+    out = tmp_path / "run"
+    train_each = runio.seed_runs
+    made = []
+
+    def train_then_make(config):
+        yield from train_each(config)
+        out.mkdir()
+        made.append(out.stat().st_ino)
+
+    monkeypatch.setattr(runio, "seed_runs", train_then_make)
+    with pytest.raises(FileExistsError, match="was made while it was being written"):
+        execute_train_run(TINY, out)
+    assert out.stat().st_ino == made[0]
+    assert list(out.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
+
+
+def test_each_seed_is_dropped_before_the_next_trains(tmp_path, monkeypatch):
+    """Train, render, drop: no earlier seed's agent is alive when a seed starts."""
+    real_train = trainer.train
+    agents = []
+    alive_at_start = []
+
+    def train(config, seed):
+        gc.collect()
+        alive_at_start.append(sum(ref() is not None for ref in agents))
+        result = real_train(config, seed)
+        agents.append(weakref.ref(result.agent))
+        return result
+
+    monkeypatch.setattr(trainer, "train", train)
+    execute_train_run(replace(TINY, seeds=(0, 1, 2)), tmp_path / "run")
+    assert alive_at_start == [0, 0, 0]
+    assert len(agents) == 3
+
+
+def test_training_error_leaves_nothing_behind(tmp_path, capsys, monkeypatch):
+    """An error raised while the second seed trains is one error line, exit 1,
+    and no run directory, temporary sibling or parent made for it."""
+    real_train = trainer.train
+    seeds = []
+
+    def fail_on_second(config, seed):
+        seeds.append(seed)
+        if len(seeds) == 2:
+            raise RuntimeError("training broke")
+        return real_train(config, seed)
+
+    monkeypatch.setattr(trainer, "train", fail_on_second)
+    out = tmp_path / "parent" / "run"
+    assert main(["train", "--agent", "qtable", "--seeds", "3", "--max-episodes", "3",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: training broke\n"
+    assert seeds == [0, 1]
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("kind", KINDS)
