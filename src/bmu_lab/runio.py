@@ -14,7 +14,13 @@ Layout of a training run directory:
     <out>/seed<k>/phase.csv        (x, theta) trace of one greedy rollout
     <out>/seed<k>/agent.json       trained agent state
     <out>/seed<k>/graph_final.dot/.gexf  final topology snapshot
-    <out>/seed<k>/graph_ep<N>.dot/.gexf  cadence snapshots, if enabled
+    <out>/seed<k>/graph_ep<N>.dot       cadence snapshots, if enabled; the one
+                                        at the seed's last episode also .gexf
+
+An `eval` directory holds phase.csv, trajectories.csv and summary.json.
+Directories written before these layouts, with a .gexf for every cadence
+snapshot or one trajectory_ep<N>.csv per episode, stay valid: no command
+reads those files.
 """
 
 from __future__ import annotations
@@ -199,12 +205,13 @@ def phase_csv(report: EvalReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def trajectory_csv(trajectory) -> str:
-    """One evaluation episode's rows of `EvalReport.trajectories`."""
-    lines = ["t,x,x_dot,theta,theta_dot,action,reward,terminated"]
-    for t, x, x_dot, theta, theta_dot, action, reward, terminated in trajectory:
-        lines.append(f"{t},{x!r},{x_dot!r},{theta!r},{theta_dot!r},{action},{reward!r},"
-                     f"{'true' if terminated else 'false'}")
+def trajectories_csv(report: EvalReport) -> str:
+    """Every evaluation episode's rows of `EvalReport.trajectories`."""
+    lines = ["episode,t,x,x_dot,theta,theta_dot,action,reward,terminated"]
+    for episode, trajectory in enumerate(report.trajectories, start=1):
+        for t, x, x_dot, theta, theta_dot, action, reward, terminated in trajectory:
+            lines.append(f"{episode},{t},{x!r},{x_dot!r},{theta!r},{theta_dot!r},{action},"
+                         f"{reward!r},{'true' if terminated else 'false'}")
     return "\n".join(lines) + "\n"
 
 
@@ -329,7 +336,12 @@ def seed_files(config: TrainConfig,
         yield seed_dir + table[0], table[1]
     yield from snapshot_files(agent.snapshot(), seed_dir + "graph_final")
     for episode, snapshot in sorted(result.snapshots.items()):
-        yield from snapshot_files(snapshot, f"{seed_dir}graph_ep{episode}")
+        stem = f"{seed_dir}graph_ep{episode}"
+        yield f"{stem}.dot", to_dot(snapshot)
+        # DOT holds all a snapshot does; the last episode's GEXF is kept so
+        # export-graph's replay of it can be checked in both formats
+        if episode == metrics.episodes_run:
+            yield f"{stem}.gexf", to_gexf(snapshot)
     report = evaluate(agent, config, metrics.seed, n_episodes=1)
     yield seed_dir + "phase.csv", phase_csv(report)
     entry = seed_summary(metrics, agent)
@@ -377,8 +389,7 @@ def execute_train_run(config: TrainConfig, out_dir: Path) -> dict:
 def eval_files(report: EvalReport) -> Iterator[tuple[str, str]]:
     """The files of an `eval` directory, rendered one at a time."""
     yield "phase.csv", phase_csv(report)
-    for episode, trajectory in enumerate(report.trajectories, start=1):
-        yield f"trajectory_ep{episode}.csv", trajectory_csv(trajectory)
+    yield "trajectories.csv", trajectories_csv(report)
     summary = {"episodes": len(report.rewards), **{
         key: getattr(report, key)
         for key in ("rewards", "steps", "mean_reward", "min_reward", "max_reward")}}

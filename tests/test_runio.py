@@ -18,8 +18,8 @@ from test_run_digests import KINDS, MANIFEST, SETTINGS, file_digests
 
 from bmu_lab import runio, trainer
 from bmu_lab.cli import main
-from bmu_lab.runio import config_from_entries, execute_train_run, trajectory_csv, write_text
-from bmu_lab.trainer import TrainConfig
+from bmu_lab.runio import config_from_entries, execute_train_run, write_text
+from bmu_lab.trainer import TrainConfig, evaluate, train
 
 TINY = TrainConfig(agent="qtable", max_episodes=3, seeds=(0, 1))
 
@@ -162,13 +162,48 @@ def test_int_in_a_float_field_replays_to_the_same_bytes(tmp_path, kind):
     assert file_digests(tmp_path / "run") == file_digests(tmp_path / "replay")
 
 
-def test_trajectory_csv_layout():
-    text = trajectory_csv([(0, 0.1, 0.2, 0.03, 0.04, 1, 1.0, False),
-                           (1, 0.5, 0.25, -0.75, 2.5, 0, -10.0, True)])
-    lines = text.strip().split("\n")
-    assert lines[0] == "t,x,x_dot,theta,theta_dot,action,reward,terminated"
-    assert lines[1] == "0,0.1,0.2,0.03,0.04,1,1.0,false"
-    assert lines[2] == "1,0.5,0.25,-0.75,2.5,0,-10.0,true"
+def trajectory_csv(trajectory) -> str:
+    """Oracle: the per-episode trajectory_ep<N>.csv that eval wrote before
+    its episodes were joined into one trajectories.csv."""
+    lines = ["t,x,x_dot,theta,theta_dot,action,reward,terminated"]
+    for t, x, x_dot, theta, theta_dot, action, reward, terminated in trajectory:
+        lines.append(f"{t},{x!r},{x_dot!r},{theta!r},{theta_dot!r},{action},{reward!r},"
+                     f"{'true' if terminated else 'false'}")
+    return "\n".join(lines) + "\n"
+
+
+def test_trajectories_csv_matches_the_per_episode_oracle():
+    """trajectories.csv is the per-episode files' rows, each prefixed with
+    its episode, under one header: byte for byte."""
+    config = TrainConfig(max_episodes=5)
+    report = evaluate(train(config, 0).agent, config, 7, n_episodes=4)
+    assert len(set(report.steps)) > 1  # episodes of different lengths
+    expected = ["episode,t,x,x_dot,theta,theta_dot,action,reward,terminated\n"]
+    for episode, trajectory in enumerate(report.trajectories, start=1):
+        rows = trajectory_csv(trajectory).splitlines(keepends=True)[1:]
+        expected += [f"{episode},{row}" for row in rows]
+    assert {row.rsplit(",", 1)[1] for row in expected[1:]} == {"false\n", "true\n"}
+    assert dict(runio.eval_files(report))["trajectories.csv"] == "".join(expected)
+
+
+@pytest.mark.parametrize("config, episodes_run, failed, graphs", [
+    # the last episode is a cadence one: its snapshot keeps both formats
+    (TrainConfig(max_episodes=12, convergence_window=12, snapshot_every=4), 12, False,
+     ["graph_ep4.dot", "graph_ep8.dot", "graph_ep12.dot", "graph_ep12.gexf"]),
+    # converged at episode 3, past the last cadence: no cadence GEXF at all
+    (TrainConfig(convergence_reward=-1000.0, convergence_window=3, max_episodes=10,
+                 snapshot_every=2), 3, False, ["graph_ep2.dot"]),
+    # the pool runs out in episode 22, after the cadence snapshot of episode 21
+    (TrainConfig(agent="bmu-pool", pool_capacity=40, max_episodes=30, snapshot_every=7),
+     21, True, ["graph_ep7.dot", "graph_ep14.dot", "graph_ep21.dot", "graph_ep21.gexf"]),
+], ids=["ends-on-cadence", "stops-between-cadences", "pool-fails"])
+def test_seed_directory_graph_files(tmp_path, config, episodes_run, failed, graphs):
+    """Cadence snapshots are DOT only, but for the one at the seed's last
+    recorded episode; graph_final is in both formats."""
+    entry, = execute_train_run(config, tmp_path / "run")["per_seed"]
+    assert (entry["episodes_run"], entry["failed"] is not None) == (episodes_run, failed)
+    assert sorted(p.name for p in (tmp_path / "run" / "seed0").glob("graph_*")) == sorted(
+        ["graph_final.dot", "graph_final.gexf", *graphs])
 
 
 def test_commit_checks_every_target_before_the_first_write(tmp_path, monkeypatch):
