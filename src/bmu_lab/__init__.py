@@ -1,13 +1,15 @@
 """Reinforcement-learning lab: synaptic Q-learning and Bellman memory units
 on an evolving network topology, balancing a cartpole.
 
-numpy is imported inside the functions that build random streams, never at
-module level, so importing the package and the commands that draw nothing
-(`stats`, `table2`, `--help`, a refused config) start without it."""
+numpy is imported by one module, `streams`, which replays its random
+streams, and only inside the functions that build or read one, so
+importing the package and the commands that draw nothing (`stats`,
+`table2`, `--help`, a refused config) start without it."""
 
-from .cartpole import CartPoleEnv, initial_states
+from .cartpole import CartPoleEnv
+from .streams import initial_states
 from .discretize import BinSpec, discretize, key_of, parse_key
-from .synaptic import SynapticAgent, gamma_to_tau, synaptic_filter
+from .synaptic import SynapticAgent
 from .bmu import BmuAgent, PoolAgent, PoolCapacityError
 from .qtable import QTableAgent
 from .graphio import GraphSnapshot, read_gexf, to_dot, to_gexf
@@ -20,7 +22,6 @@ from .trainer import (
     RunMetrics,
     TrainConfig,
     TrainResult,
-    convergence_episode,
     evaluate,
     multi_seed,
     run_episode,

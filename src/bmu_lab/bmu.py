@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .core import KAPPA, BellmanCore, loaded_rng
+from .core import KAPPA, BellmanCore
 from .discretize import cell_of
+from .streams import loaded_rng
 
 if TYPE_CHECKING:
     from numpy.random import Generator

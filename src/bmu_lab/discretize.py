@@ -50,20 +50,14 @@ class BinSpec:
         return cls(lower=tuple(-b for b in bounds), upper=bounds, n_bins=n_bins)
 
 
-def bin_index(value: float, lower: float, upper: float, n_bins: int) -> int:
-    """Half-open uniform bin of a clamped value; the exact upper bound
-    falls into the last bin rather than an out-of-range one."""
-    v = min(max(value, lower), upper)
-    idx = int(floor(n_bins * (v - lower) / (upper - lower)))
-    return min(idx, n_bins - 1)
-
-
 def discretize(state, spec: BinSpec) -> int:
     """Cell id of a (x, x_dot, theta, theta_dot) state.
 
-    Each component's bin is `bin_index` written out inline, since this runs
-    on every step: below the interval is bin 0, at or above it the last
-    bin, and inside it the same float expression, so a NaN still raises.
+    Each component falls into one of n half-open uniform bins of its
+    clamped value, written out inline since this runs on every step: below
+    the interval is bin 0, at or above it the last bin, and inside it
+    `floor(n * (v - lo) / (hi - lo))`, capped at the last bin, so a NaN
+    still raises.
     """
     x, x_dot, theta, theta_dot = state
     lo0, lo1, lo2, lo3 = spec.lower

@@ -11,10 +11,11 @@ the files sort as keys, not as cell ids.
 
 from __future__ import annotations
 
-from .core import BellmanCore, loaded_rng, parameter_count
+from .core import BellmanCore, parameter_count
 from .discretize import cell_of
 from .graphio import GraphSnapshot
 from .metrics import NetworkStats
+from .streams import loaded_rng
 
 
 class QTableAgent(BellmanCore):

@@ -20,27 +20,8 @@ as it does for every kind.
 
 from __future__ import annotations
 
-import math
-
 from .core import BellmanCore
 from .discretize import cell_of
-
-
-def gamma_to_tau(gamma: float) -> float:
-    """Synaptic time constant equivalent to a discount factor: -1/ln(gamma)."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must be in (0, 1), got {gamma}")
-    return -1.0 / math.log(gamma)
-
-
-def synaptic_filter(spike_train, tau: float, t: int) -> float:
-    """Post-synaptic current at step t: causal exponential convolution
-    sum_{x<=t} I_in(x) * e^(-(t-x)/tau)."""
-    if tau <= 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    if not 0 <= t < len(spike_train):
-        raise ValueError(f"step {t} outside the spike train of length {len(spike_train)}")
-    return sum(spike_train[x] * math.exp(-(t - x) / tau) for x in range(t + 1))
 
 
 class SynapticAgent(BellmanCore):

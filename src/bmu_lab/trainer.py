@@ -1,12 +1,8 @@
-"""Episode loop, convergence detection and multi-seed orchestration.
+"""The run's config, the episode loop and the multi-seed aggregation.
 
-A run is fully determined by its config and a single integer seed: the
-seed fans out into independent streams for episode initial conditions,
-agent initialization (uniform rows) and the optional exploration
-override. The exploration draws are decoded from the stream's raw words
-(`Exploration`), and the start states from the episode seeds
-(`cartpole.initial_states`), into exactly the values numpy's `Generator`
-would return.
+A run is fully determined by its config and a single integer seed; every
+stream the seed fans out into, and every value drawn from one, comes from
+`streams`, the one module that imports numpy.
 Training stops once the trailing window of episodes all meet
 the convergence reward, or at the episode cap; non-convergence is a
 recorded outcome, not an error, and so is a neuron pool running out of
@@ -15,7 +11,6 @@ neurons, which ends that seed's run early.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import time
@@ -23,23 +18,21 @@ from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 from .bmu import BmuAgent, PoolAgent, PoolCapacityError
-from .cartpole import MAX_STEPS, STEP_REWARD, THETA_LIMIT, CartPoleEnv, initial_states
+from .cartpole import MAX_STEPS, STEP_REWARD, THETA_LIMIT, CartPoleEnv
 from .core import INIT_MODES, argmax
 from .discretize import MASK, THETA_DOT_BOUND, X_BIN_BOUND, X_DOT_BOUND, BinSpec, discretize
 from .graphio import GraphSnapshot
 from .qtable import QTableAgent
+from .streams import Exploration, episode_starts, mean_std, seed_streams
 from .synaptic import SynapticAgent
 
 if TYPE_CHECKING:
     from collections.abc import Iterator
 
-    from numpy.random import BitGenerator, Generator
+    from numpy.random import Generator
 
 AGENT_CLASSES = {cls.kind: cls for cls in (SynapticAgent, BmuAgent, PoolAgent, QTableAgent)}
 AGENT_KINDS = tuple(AGENT_CLASSES)
-
-# raw words fetched from the exploration stream at a time
-BLOCK = 1024
 
 
 class ConfigError(ValueError):
@@ -140,47 +133,6 @@ class EpisodeRecord:
     spawned: int
 
 
-class Exploration:
-    """numpy's `Generator.random()` and `Generator.integers(2)` over one
-    PCG64 stream, decoded from raw 64-bit words fetched `BLOCK` at a time.
-
-    The coin is numpy's `next_double`, the top 53 bits of a word. The
-    forced action is numpy's bounded draw, Lemire's multiply-and-reject over
-    `next_uint32`, which hands out the low half of a fresh word and keeps the
-    high half for the next 32-bit draw. For two values the draw is the top
-    bit of that 32-bit value, and the rejection threshold (2**32 - 2) % 2 is
-    0, so nothing is ever rejected. One instance serves a whole run, so the
-    word buffer and the kept half carry across episodes as the generator's
-    own state would; nothing is fetched before the first draw. The bit
-    generator must not be drawn from directly afterwards.
-    """
-
-    def __init__(self, bit_generator: BitGenerator):
-        from numpy.random import PCG64
-
-        if not isinstance(bit_generator, PCG64):
-            raise TypeError(f"exploration needs a PCG64 bit generator, "
-                            f"got {type(bit_generator).__name__}")
-        state = bit_generator.state
-        self._half = state["uinteger"] if state["has_uint32"] else None
-        random_raw = bit_generator.random_raw
-        self._words = itertools.chain.from_iterable(
-            iter(lambda: random_raw(BLOCK).tolist(), None))
-
-    def random(self) -> float:
-        return (next(self._words) >> 11) * (1.0 / 9007199254740992.0)
-
-    def action(self) -> int:
-        """A uniform action, 0 or 1."""
-        half = self._half
-        if half is not None:
-            self._half = None
-            return half >> 31
-        word = next(self._words)
-        self._half = word >> 32
-        return (word >> 31) & 1
-
-
 def run_episode(agent, env: CartPoleEnv, config: TrainConfig,
                 start: tuple[float, float, float, float],
                 explore: Exploration | None = None,
@@ -223,58 +175,6 @@ def run_episode(agent, env: CartPoleEnv, config: TrainConfig,
     return EpisodeRecord(total_reward=total, steps=steps, spawned=spawned)
 
 
-def convergence_episode(rewards, threshold: float, window: int) -> int | None:
-    """First episode (1-based) after which the trailing `window` episodes all
-    reached the threshold; one sub-threshold episode resets the streak."""
-    streak = 0
-    for index, reward in enumerate(rewards, start=1):
-        streak = streak + 1 if reward >= threshold else 0
-        if streak >= window:
-            return index
-    return None
-
-
-def _pairwise_sum(values) -> float:
-    """numpy's float64 `add.reduce` kernel: sequential below 8 items, eight
-    strided accumulators up to 128, halves (the first a multiple of 8)
-    above that."""
-    n = len(values)
-    if n < 8:
-        total = 0.0
-        for v in values:
-            total += v
-        return total
-    if n <= 128:
-        r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
-        whole = n - n % 8
-        for i in range(8, whole, 8):
-            r0 += values[i]
-            r1 += values[i + 1]
-            r2 += values[i + 2]
-            r3 += values[i + 3]
-            r4 += values[i + 4]
-            r5 += values[i + 5]
-            r6 += values[i + 6]
-            r7 += values[i + 7]
-        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        for i in range(whole, n):
-            total += values[i]
-        return total
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
-
-
-def mean_std(window) -> tuple[float, float]:
-    """`float(np.mean(window))` and `float(np.std(window))`, bit for bit,
-    without numpy's per-call cost. numpy's reduction starts from the
-    identity 0.0, hence the leading `0.0 +`."""
-    n = len(window)
-    mean = (0.0 + _pairwise_sum(window)) / n
-    squares = [(v - mean) * (v - mean) for v in window]
-    return mean, math.sqrt((0.0 + _pairwise_sum(squares)) / n)
-
-
 @dataclass
 class RunMetrics:
     seed: int
@@ -304,25 +204,10 @@ class TrainResult:
     snapshots: dict[int, GraphSnapshot]
 
 
-def _seed_streams(seed: int):
-    from numpy.random import SeedSequence, default_rng
-
-    return tuple(default_rng(child) for child in SeedSequence(seed).spawn(3))
-
-
-def _starts(seeder: Generator, count: int, block: int = 256):
-    """Start states drawn `block` at a time as the run reaches them; numpy's
-    64-bit bounded draw keeps no buffer, so the seeds equal one call's."""
-    while count > 0:
-        size = min(block, count)
-        yield from initial_states(seeder.integers(0, 2 ** 63, size=size).tolist())
-        count -= size
-
-
 def train(config: TrainConfig, seed: int) -> TrainResult:
     config.validate()
     started = time.perf_counter()
-    env_seeder, agent_rng, explore_rng = _seed_streams(seed)
+    env_seeder, agent_rng, explore_rng, _ = seed_streams(seed)
     env = CartPoleEnv()
     spec = config.bin_spec()
     agent = make_agent(config, agent_rng)
@@ -335,7 +220,7 @@ def train(config: TrainConfig, seed: int) -> TrainResult:
     snapshots: dict[int, GraphSnapshot] = {}
     streak = 0
     epsilon = config.epsilon
-    for episode, start in enumerate(_starts(env_seeder, config.max_episodes), start=1):
+    for episode, start in enumerate(episode_starts(env_seeder, config.max_episodes), start=1):
         try:
             record = run_episode(agent, env, config, start,
                                  explore=explore, epsilon=epsilon, spec=spec)
@@ -389,16 +274,31 @@ def aggregate_curves(curves: list[list[float]]) -> tuple[list[float], list[float
     Shorter (converged) runs are padded with their final value so the band
     is defined at every episode; sigma is the population spread, so a
     single seed gives a zero-width band. No curves give empty lists.
+
+    The mean and sigma are numpy's `mean(axis=0)` and `std(axis=0)` of the
+    padded curves, bit for bit: numpy adds the rows in order from 0.0 (the
+    builtin `sum` compensates on Python 3.12+), but reduces a single column
+    as one vector, pairwise, as `mean_std` does.
     """
     if not curves:
         return [], [], []
-    import numpy as np
-
+    n = len(curves)
     length = max(len(curve) for curve in curves)
-    padded = np.array([curve + [curve[-1]] * (length - len(curve)) for curve in curves])
-    mean = padded.mean(axis=0)
-    sd = padded.std(axis=0)
-    return mean.tolist(), (mean - 2.0 * sd).tolist(), (mean + 2.0 * sd).tolist()
+    padded = [curve + [curve[-1]] * (length - len(curve)) for curve in curves]
+    if length == 1:
+        m, sd = mean_std([curve[0] for curve in padded])
+        mean, sds = [m], [sd]
+    else:
+        totals = [0.0] * length
+        for curve in padded:
+            totals = [t + v for t, v in zip(totals, curve)]
+        mean = [t / n for t in totals]
+        totals = [0.0] * length
+        for curve in padded:
+            totals = [t + (v - m) * (v - m) for t, v, m in zip(totals, curve, mean)]
+        sds = [math.sqrt(t / n) for t in totals]
+    return (mean, [m - 2.0 * sd for m, sd in zip(mean, sds)],
+            [m + 2.0 * sd for m, sd in zip(mean, sds)])
 
 
 def seed_runs(config: TrainConfig) -> Iterator[TrainResult]:
@@ -468,13 +368,8 @@ def evaluate(agent, config: TrainConfig, seed: int, n_episodes: int) -> EvalRepo
         raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
     spec = config.bin_spec()
     env = CartPoleEnv()
-    # training draws from the first three children of the seed, so the
-    # fourth gives initial states no training episode of that seed saw
-    from numpy.random import SeedSequence, default_rng
-
-    seeder = default_rng(SeedSequence(seed).spawn(4)[3])
     report = EvalReport(rewards=[], trajectories=[])
-    for start in _starts(seeder, n_episodes):
+    for start in episode_starts(seed_streams(seed)[3], n_episodes):
         state = env.reset(start)
         total = 0.0
         trajectory = []

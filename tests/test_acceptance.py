@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from test_synaptic import gamma_to_tau, synaptic_filter
 
 from bmu_lab.bmu import BmuAgent, PoolAgent
 from bmu_lab.core import parameter_count
@@ -15,7 +16,7 @@ from bmu_lab.discretize import cell_of, pack
 from bmu_lab.metrics import degree_distribution
 from bmu_lab.qtable import QTableAgent
 from bmu_lab.runio import execute_train_run
-from bmu_lab.synaptic import SynapticAgent, gamma_to_tau, synaptic_filter
+from bmu_lab.synaptic import SynapticAgent
 from bmu_lab.trainer import TrainConfig, train
 
 SEEDS = tuple(range(10))

@@ -20,9 +20,9 @@ from bmu_lab.cartpole import (
     THETA_LIMIT,
     X_LIMIT,
     CartPoleEnv,
-    initial_states,
 )
 from bmu_lab.runio import config_from_entries
+from bmu_lab.streams import initial_states
 from bmu_lab.trainer import ConfigError, TrainConfig
 
 # frozen after the first run; regression-guards the seeded sampler

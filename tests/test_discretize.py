@@ -9,7 +9,6 @@ from hypothesis import assume, example, given, strategies as st
 from bmu_lab.discretize import (
     MASK,
     BinSpec,
-    bin_index,
     cell_of,
     discretize,
     key_of,
@@ -21,6 +20,15 @@ from bmu_lab.discretize import (
 DEFAULT = BinSpec.symmetric(2.4, 3.0, 0.418, 3.5, n_bins=10)
 # the trainer's bounds at package defaults
 TRAINER = BinSpec.symmetric(6.0, 11.0, 0.2095, 7.0, n_bins=10)
+
+
+def bin_index(value: float, lower: float, upper: float, n_bins: int) -> int:
+    """The reference bin of one component: half-open uniform bins of the
+    clamped value; the exact upper bound falls into the last bin rather
+    than an out-of-range one."""
+    v = min(max(value, lower), upper)
+    idx = int(math.floor(n_bins * (v - lower) / (upper - lower)))
+    return min(idx, n_bins - 1)
 
 
 class TestDiscretize:

@@ -10,7 +10,25 @@ import pytest
 from bmu_lab.core import optimistic_q
 from bmu_lab.discretize import cell_of, pack
 from bmu_lab.runio import load_agent, save_agent
-from bmu_lab.synaptic import SynapticAgent, gamma_to_tau, synaptic_filter
+from bmu_lab.synaptic import SynapticAgent
+
+
+def gamma_to_tau(gamma: float) -> float:
+    """The oracle of the kernel identity gamma = e^(-1/tau): the synaptic
+    time constant of a discount factor, -1/ln(gamma)."""
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"gamma must be in (0, 1), got {gamma}")
+    return -1.0 / math.log(gamma)
+
+
+def synaptic_filter(spike_train, tau: float, t: int) -> float:
+    """Post-synaptic current at step t: causal exponential convolution
+    sum_{x<=t} I_in(x) * e^(-(t-x)/tau)."""
+    if tau <= 0.0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0 <= t < len(spike_train):
+        raise ValueError(f"step {t} outside the spike train of length {len(spike_train)}")
+    return sum(spike_train[x] * math.exp(-(t - x) / tau) for x in range(t + 1))
 
 
 # agents take cell ids; agent.json and snapshots name the same states by key

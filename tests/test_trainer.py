@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bmu_lab import trainer
-from bmu_lab.cartpole import RESET_SPREAD, CartPoleEnv, initial_states
+from bmu_lab import streams, trainer
+from bmu_lab.cartpole import RESET_SPREAD, CartPoleEnv
 from bmu_lab.core import INIT_MODES
 from bmu_lab.discretize import BinSpec, cell_of, unpack
 from bmu_lab.runio import (
@@ -21,19 +21,16 @@ from bmu_lab.runio import (
     format_config,
     parse_config_text,
 )
+from bmu_lab.streams import BLOCK, Exploration, initial_states, mean_std
 from bmu_lab.trainer import (
     AGENT_KINDS,
-    BLOCK,
     ConfigError,
     EvalReport,
-    Exploration,
     TrainConfig,
     aggregate_curves,
-    convergence_episode,
     evaluate,
     greedy_action,
     make_agent,
-    mean_std,
     multi_seed,
     run_episode,
     train,
@@ -372,6 +369,18 @@ class TestLegacyInitKeys:
             config_from_entries({key: "gaussian", "init": "zeros"})
 
 
+def convergence_episode(rewards, threshold: float, window: int) -> int | None:
+    """The oracle of `train()`'s streak: the first episode (1-based) after
+    which the trailing `window` episodes all reached the threshold; one
+    sub-threshold episode resets the streak."""
+    streak = 0
+    for index, reward in enumerate(rewards, start=1):
+        streak = streak + 1 if reward >= threshold else 0
+        if streak >= window:
+            return index
+    return None
+
+
 class TestConvergenceDetector:
     def test_constant_success_converges_at_window(self):
         assert convergence_episode([250.0] * 30, 200.0, 20) == 20
@@ -393,6 +402,17 @@ class TestConvergenceDetector:
 
     def test_threshold_inclusive(self):
         assert convergence_episode([200.0] * 20, 200.0, 20) == 20
+
+    @pytest.mark.parametrize("config, seed", [
+        (TrainConfig(), 1),
+        (TrainConfig(agent="qtable", convergence_reward=20.0, convergence_window=3), 1),
+        (TrainConfig(agent="qtable", epsilon=0.3, max_episodes=40), 2),
+    ])
+    def test_train_counts_the_oracle_streak(self, config, seed):
+        metrics = train(config, seed).metrics
+        assert metrics.episodes_to_convergence == convergence_episode(
+            metrics.rewards, config.convergence_reward, config.convergence_window)
+        assert metrics.converged == (metrics.episodes_to_convergence is not None)
 
 
 class PdStub:
@@ -514,7 +534,7 @@ class TestTrain:
             drawn.append(len(seeds))
             return initial_states(seeds)
 
-        monkeypatch.setattr(trainer, "initial_states", recording)
+        monkeypatch.setattr(streams, "initial_states", recording)
         # a window longer than the cap: all 600 episodes are played
         config = TrainConfig(agent="qtable", epsilon=0.3, convergence_window=700,
                              max_episodes=600)
