@@ -2,9 +2,11 @@
 on an evolving network topology, balancing a cartpole.
 
 numpy is imported by one module, `streams`, which replays its random
-streams, and only inside the functions that build or read one, so
-importing the package and the commands that draw nothing (`stats`,
-`table2`, `--help`, a refused config) start without it."""
+streams in Python, and only where a run explores (epsilon > 0), for its
+per-step coin. Importing the package, every command that does not explore
+(`train`, `eval` and `export-graph` at the default epsilon 0, `stats`,
+`table2`, `--help`, a refused config) and loading an agent start and run
+without it."""
 
 from .cartpole import CartPoleEnv
 from .streams import initial_states

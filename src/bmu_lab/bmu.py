@@ -26,7 +26,7 @@ from .discretize import cell_of
 from .streams import loaded_rng
 
 if TYPE_CHECKING:
-    from numpy.random import Generator
+    from .streams import Stream
 
 
 class PoolCapacityError(RuntimeError):
@@ -75,7 +75,7 @@ class PoolAgent(BellmanCore):
     fixed_fields = {"n_actions": KAPPA}
 
     def __init__(self, capacity: int, alpha: float = 0.9, gamma: float = 0.99, *,
-                 init: str, rng: Generator | None = None):
+                 init: str, rng: Stream | None = None):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         super().__init__(alpha, gamma, init=init, rng=rng)

@@ -24,7 +24,7 @@ from .graphio import GraphSnapshot
 from .metrics import NetworkStats
 
 if TYPE_CHECKING:
-    from numpy.random import Generator
+    from .streams import Stream
 
 INIT_MODES = ("optimistic", "zeros", "uniform")
 
@@ -65,7 +65,9 @@ class BellmanCore:
     one unit of fan-in, so the fan-in total always equals the edge count.
 
     A new row starts at `init`: the optimistic fixed point, zeros, or KAPPA
-    draws from `rng` uniform over the class's `uniform_range`.
+    draws from `rng` uniform over the class's `uniform_range`. `rng` is a
+    `streams.Stream` or anything else with numpy's scalar `uniform(low,
+    high)`, such as a numpy Generator.
     """
 
     uniform_range = (0.0, 1e-3)
@@ -74,7 +76,7 @@ class BellmanCore:
     fixed_fields = {"kappa": KAPPA}
 
     def __init__(self, alpha: float = 0.9, gamma: float = 0.99, *, init: str,
-                 rng: Generator | None = None):
+                 rng: Stream | None = None):
         if init not in INIT_MODES:
             raise ValueError(f"init must be one of {INIT_MODES}, got {init!r}")
         if init == "uniform" and rng is None:
@@ -94,8 +96,8 @@ class BellmanCore:
     def new_row(self) -> list[float]:
         """Initial action values of a newly seen state."""
         if self.init == "uniform":
-            # one sized draw equals KAPPA scalar draws, value for value
-            return self.rng.uniform(*self.uniform_range, size=KAPPA).tolist()
+            # KAPPA scalar draws equal one sized draw, value for value
+            return [self.rng.uniform(*self.uniform_range) for _ in range(KAPPA)]
         q = optimistic_q(self.gamma) if self.init == "optimistic" else 0.0
         return [q] * KAPPA
 

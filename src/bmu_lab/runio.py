@@ -197,22 +197,21 @@ def aggregate_csv(aggregate: AggregateMetrics) -> str:
     return "\n".join(lines) + "\n"
 
 
-def phase_csv(report: EvalReport) -> str:
-    lines = ["episode,t,x,theta"]
-    for episode, trajectory in enumerate(report.trajectories, start=1):
-        for t, x, _, theta, *_ in trajectory:
-            lines.append(f"{episode},{t},{x!r},{theta!r}")
-    return "\n".join(lines) + "\n"
-
-
-def trajectories_csv(report: EvalReport) -> str:
-    """Every evaluation episode's rows of `EvalReport.trajectories`."""
-    lines = ["episode,t,x,x_dot,theta,theta_dot,action,reward,terminated"]
+def eval_csvs(report: EvalReport, trajectories: bool = True) -> tuple[str, str]:
+    """phase.csv and trajectories.csv, from one walk of the report's rows:
+    each x and theta is rendered once for both. Without `trajectories`,
+    only phase.csv is rendered and the second text is empty."""
+    phase = ["episode,t,x,theta"]
+    rows = ["episode,t,x,x_dot,theta,theta_dot,action,reward,terminated"]
     for episode, trajectory in enumerate(report.trajectories, start=1):
         for t, x, x_dot, theta, theta_dot, action, reward, terminated in trajectory:
-            lines.append(f"{episode},{t},{x!r},{x_dot!r},{theta!r},{theta_dot!r},{action},"
-                         f"{reward!r},{'true' if terminated else 'false'}")
-    return "\n".join(lines) + "\n"
+            head = f"{episode},{t},{x!r}"
+            angle = repr(theta)
+            phase.append(f"{head},{angle}")
+            if trajectories:
+                rows.append(f"{head},{x_dot!r},{angle},{theta_dot!r},{action},{reward!r},"
+                            f"{'true' if terminated else 'false'}")
+    return "\n".join(phase) + "\n", "\n".join(rows) + "\n" if trajectories else ""
 
 
 def save_agent(agent) -> str:
@@ -334,16 +333,24 @@ def seed_files(config: TrainConfig,
     table = agent.value_table()  # encoder tables or Q rows, by kind
     if table is not None:
         yield seed_dir + table[0], table[1]
-    yield from snapshot_files(agent.snapshot(), seed_dir + "graph_final")
+    final = agent.snapshot()
+    final_dot, final_gexf = to_dot(final), to_gexf(final)
+    yield seed_dir + "graph_final.dot", final_dot
+    yield seed_dir + "graph_final.gexf", final_gexf
     for episode, snapshot in sorted(result.snapshots.items()):
         stem = f"{seed_dir}graph_ep{episode}"
-        yield f"{stem}.dot", to_dot(snapshot)
         # DOT holds all a snapshot does; the last episode's GEXF is kept so
-        # export-graph's replay of it can be checked in both formats
-        if episode == metrics.episodes_run:
-            yield f"{stem}.gexf", to_gexf(snapshot)
+        # export-graph's replay of it can be checked in both formats. That
+        # snapshot is the final one unless the pool failed after it.
+        if episode != metrics.episodes_run:
+            yield f"{stem}.dot", to_dot(snapshot)
+        elif snapshot == final:
+            yield f"{stem}.dot", final_dot
+            yield f"{stem}.gexf", final_gexf
+        else:
+            yield from snapshot_files(snapshot, stem)
     report = evaluate(agent, config, metrics.seed, n_episodes=1)
-    yield seed_dir + "phase.csv", phase_csv(report)
+    yield seed_dir + "phase.csv", eval_csvs(report, trajectories=False)[0]
     entry = seed_summary(metrics, agent)
     entry["eval_reward"] = report.rewards[0]
     yield seed_dir + "summary.json", _json(entry)
@@ -388,8 +395,9 @@ def execute_train_run(config: TrainConfig, out_dir: Path) -> dict:
 
 def eval_files(report: EvalReport) -> Iterator[tuple[str, str]]:
     """The files of an `eval` directory, rendered one at a time."""
-    yield "phase.csv", phase_csv(report)
-    yield "trajectories.csv", trajectories_csv(report)
+    phase, trajectories = eval_csvs(report)
+    yield "phase.csv", phase
+    yield "trajectories.csv", trajectories
     summary = {"episodes": len(report.rewards), **{
         key: getattr(report, key)
         for key in ("rewards", "steps", "mean_reward", "min_reward", "max_reward")}}

@@ -1,19 +1,27 @@
 """numpy's streams, replayed: the one module that imports numpy.
 
-A seed fans out into four numpy streams (`seed_streams`). The start
-states (`initial_states`) and exploration draws (`Exploration`) are decoded
-from them, and the moving stats (`mean_std`) summed, in plain Python into
-exactly the values numpy would return, so the training loop makes no numpy
-call per step or per episode. numpy is imported inside functions only, so
-importing the package does not load it.
+A seed fans out into four streams (`seed_stream`), each numpy's
+`default_rng` over one `SeedSequence(seed).spawn(4)` child, replayed in
+Python ints as a `Stream`. The start states (`initial_states`) and
+exploration draws (`Exploration`) are decoded from them, and the moving
+stats (`mean_std`) summed, in plain Python into exactly the values numpy
+would return, so the training loop makes no numpy call per step or per
+episode.
+
+numpy is imported inside functions only, and only where a run explores:
+`Stream.bit_generator` hands the exploration stream to numpy's PCG64,
+whose `random_raw` blocks `Exploration` decodes. Importing the package, a
+run that does not explore, evaluation and loading an agent never load
+numpy.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import numbers
+import operator
+import struct
 from typing import TYPE_CHECKING
 
 from .cartpole import RESET_SPREAD
@@ -21,96 +29,171 @@ from .cartpole import RESET_SPREAD
 if TYPE_CHECKING:
     from collections.abc import Iterator
 
-    from numpy.random import BitGenerator, Generator
+    from numpy.random import PCG64, BitGenerator
 
 # raw words fetched from the exploration stream at a time
 BLOCK = 1024
 
-
-def seed_streams(seed: int) -> tuple[Generator, Generator, Generator, Generator]:
-    """The seed's four streams: training's episode seeder, the agent's rows,
-    exploration, and evaluation's episode seeder, which no training episode
-    draws from. The first three equal `SeedSequence(seed).spawn(3)`'s."""
-    from numpy.random import SeedSequence, default_rng
-
-    return tuple(default_rng(child) for child in SeedSequence(seed).spawn(4))
-
-
-def episode_starts(seeder: Generator, count: int,
-                   block: int = 256) -> Iterator[tuple[float, float, float, float]]:
-    """Start states drawn `block` at a time as the run reaches them; numpy's
-    64-bit bounded draw keeps no buffer, so the seeds equal one call's."""
-    while count > 0:
-        size = min(block, count)
-        yield from initial_states(seeder.integers(0, 2 ** 63, size=size).tolist())
-        count -= size
-
+# the SeedSequence(seed).spawn(4) child each of a seed's streams replays; the
+# first three equal spawn(3)'s, and no training episode draws from the fourth
+TRAIN_SEEDER, AGENT_ROWS, EXPLORATION, EVAL_SEEDER = range(4)
 
 # numpy's SeedSequence (O'Neill's seed_seq mixing into a 4-word pool) and
-# PCG64's seeding, as `initial_states` replays them
+# PCG64's seeding and XSL-RR output, in Python ints
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+# mix_entropy's mix is L * dst - R * hash; -R is kept modulo 2**32
+_MIX_L, _MIX_NEG_R = 0xCA01F9DD, -0x4973F715 & _MASK32
+_POOL = 4
 
 
 def _hash_constants(init: int, mult: int, n: int) -> list[int]:
     """The n + 1 hash constants a SeedSequence stage steps through; the k-th
-    hash xors constant k and multiplies by constant k + 1. Python ints, so
-    that no numpy scalar overflows."""
+    hash xors constant k and multiplies by constant k + 1."""
     constants = [init]
     for _ in range(n):
         constants.append(constants[-1] * mult & _MASK32)
     return constants
 
 
-# mix_entropy's 16 hashes: one per pool word, then each word into the other three
-_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+# mix_entropy's hashes: one per pool word, then each word into the other
+# three, then 4 per entropy word beyond the pool; 20 cover a seed below
+# 2**128 with a one-word spawn key
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, 20)
 # generate_state's 8 hashes, cycling over the pool twice
 _HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+# mix_entropy's (source, destination) pool words, in its order
+_CROSS = [(src, dst) for src in range(_POOL) for dst in range(_POOL) if dst != src]
 
 
-@functools.cache
-def _tables():
-    """The replay's uint32 hash columns and numpy scalars, built at the first
-    draw, so that importing this module does not import numpy."""
-    import numpy as np
-
-    def column(values: list[int]):
-        return np.array(values, dtype=np.uint32).reshape(-1, 1)
-
-    enter = (column(_HASH_A[0:4]), column(_HASH_A[1:5]))
-    cross = [(src, [dst for dst in range(4) if dst != src],
-              column(_HASH_A[k:k + 3]), column(_HASH_A[k + 1:k + 4]))
-             for src, k in zip(range(4), range(4, 16, 3))]
-    out = (column(_HASH_B[0:8]), column(_HASH_B[1:9]))
-    return (enter, cross, out, np.uint32(0xCA01F9DD), np.uint32(0x4973F715),
-            np.uint32(16), np.uint64(_MASK32), np.uint64(32))
+def _words32(value: int) -> list[int]:
+    """An entropy int as numpy's little-endian uint32 words; 0 is one word.
+    Like SeedSequence, it takes any non-negative integer, numpy's included,
+    and nothing else."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"a seed must be a non-negative integer, got {value}")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
 
 
-def _seed_words(seeds: list[int]) -> list[list[int]]:
-    """SeedSequence(seed).generate_state(8, uint32) for every seed at once,
-    one list per word. A seed below 2**32 has one entropy word, and
-    zero-padding it to two gives the same pool."""
-    import numpy as np
+def _generate_state(entropy: list[int], ones: int = 1) -> list[int]:
+    """`generate_state(8, uint32)` of a SeedSequence whose assembled entropy
+    is `entropy`: the words mixed into the pool, zero-padded, and then each
+    word beyond it into every pool word.
 
-    enter, cross, out, mix_l, mix_r, xshift, low32, high32 = _tables()
-    words = np.array(seeds, dtype=np.uint64)
-    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
-    pool[0] = (words & low32).astype(np.uint32)
-    pool[1] = (words >> high32).astype(np.uint32)
-    xor, mul = enter
-    pool = (pool ^ xor) * mul
-    pool ^= pool >> xshift
-    for src, dsts, xor, mul in cross:
-        hashed = (pool[src] ^ xor) * mul
-        hashed ^= hashed >> xshift
-        mixed = mix_l * pool[dsts] - mix_r * hashed
-        pool[dsts] = mixed ^ (mixed >> xshift)
-    xor, mul = out
-    state = (np.concatenate((pool, pool)) ^ xor) * mul
-    state ^= state >> xshift
-    return state.tolist()
+    Many sequences with as many entropy words are mixed at once in 64-bit
+    lanes: `ones` has a 1 at the bottom of every lane, each entropy word
+    holds one word of every sequence, a lane each, and so does each state
+    word returned. Every step stays in its lane: a word is below 2**32 and
+    its product with a constant below 2**64, each result is masked back to
+    32 bits, and the mix adds -R modulo 2**32 where numpy subtracts R, so
+    no lane carries or borrows into the next. One sequence is one lane.
+    """
+    mask = _MASK32 * ones
+    extra = len(entropy) - _POOL
+    hashes = _HASH_A if extra <= 1 else _hash_constants(_INIT_A, _MULT_A, 16 + 4 * extra)
+    if extra < 0:
+        entropy = entropy + [0] * -extra
+
+    def hashed(word: int, constants: list[int], k: int) -> int:
+        v = (word ^ constants[k] * ones) * constants[k + 1] & mask
+        return (v ^ v >> 16) & mask
+
+    def mixed(dst: int, h: int) -> int:
+        m = ((_MIX_L * dst & mask) + (_MIX_NEG_R * h & mask)) & mask
+        return (m ^ m >> 16) & mask
+
+    pool = [hashed(entropy[k], hashes, k) for k in range(_POOL)]
+    k = _POOL
+    for src, dst in _CROSS:
+        pool[dst] = mixed(pool[dst], hashed(pool[src], hashes, k))
+        k += 1
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mixed(pool[dst], hashed(word, hashes, k))
+            k += 1
+    return [hashed(pool[k & 3], _HASH_B, k) for k in range(8)]
+
+
+class Stream:
+    """numpy's `default_rng` over a SeedSequence with state words `words`
+    (its `generate_state(8, uint32)`), replayed in Python ints: the PCG64
+    words and the draws this package makes from them.
+
+    generate_state(4, uint64) pairs the words little-endian; PCG64 takes
+    words 0-1 as its 128-bit seed and 2-3 as its stream, sets its state to
+    the odd increment, adds the seed and steps once. A draw steps the state
+    and outputs its XSL-RR word. The stream keeps no 32-bit half, as none
+    of its draws takes one.
+    """
+
+    __slots__ = ("_state", "_inc")
+
+    def __init__(self, words: list[int]):
+        w0, w1, w2, w3, w4, w5, w6, w7 = words
+        seed = (w1 << 96) | (w0 << 64) | (w3 << 32) | w2
+        inc = ((w5 << 97) | (w4 << 65) | (w7 << 33) | (w6 << 1) | 1) & _MASK128
+        self._state = ((inc + seed) * _PCG_MULT + inc) & _MASK128
+        self._inc = inc
+
+    def random_raw(self) -> int:
+        """The next 64-bit word, as `bit_generator.random_raw()`."""
+        state = self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
+        folded = ((state >> 64) ^ state) & _MASK64
+        rot = state >> 122
+        return ((folded >> rot) | (folded << (64 - rot))) & _MASK64
+
+    def uniform(self, low: float, high: float) -> float:
+        """`Generator.uniform(low, high)`: low + (high - low) * next_double."""
+        return low + (high - low) * ((self.random_raw() >> 11) * (1.0 / 9007199254740992.0))
+
+    def episode_seeds(self, size: int) -> list[int]:
+        """`Generator.integers(0, 2**63, size=size)`. Lemire's rejection
+        threshold is 0 for this range and 64-bit draws keep no buffer, so
+        each seed is the top 63 bits of the next word."""
+        return [self.random_raw() >> 1 for _ in range(size)]
+
+    @property
+    def state(self) -> dict:
+        """The state in `PCG64.state`'s form."""
+        return {"bit_generator": "PCG64", "state": {"state": self._state, "inc": self._inc},
+                "has_uint32": 0, "uinteger": 0}
+
+    def bit_generator(self) -> PCG64:
+        """numpy's PCG64 at this stream's state, to draw on from there."""
+        from numpy.random import PCG64
+
+        bit_generator = PCG64(0)
+        bit_generator.state = self.state
+        return bit_generator
+
+
+def seed_stream(seed: int, child: int | None = None) -> Stream:
+    """`default_rng(SeedSequence(seed))` or, given a child index,
+    `default_rng(SeedSequence(seed).spawn(4)[child])`, whose spawn key
+    follows the seed's words padded to the 4-word pool."""
+    entropy = _words32(seed)
+    if child is not None:
+        entropy += [0] * (_POOL - len(entropy)) + _words32(child)
+    return Stream(_generate_state(entropy))
+
+
+def episode_starts(seeder: Stream, count: int,
+                   block: int = 256) -> Iterator[tuple[float, float, float, float]]:
+    """Start states drawn `block` at a time as the run reaches them; numpy's
+    64-bit bounded draw keeps no buffer, so the seeds equal one call's."""
+    while count > 0:
+        size = min(block, count)
+        yield from initial_states(seeder.episode_seeds(size))
+        count -= size
 
 
 def initial_states(seeds) -> list[tuple[float, float, float, float]]:
@@ -118,33 +201,30 @@ def initial_states(seeds) -> list[tuple[float, float, float, float]]:
 
     For a seed in [0, 2**64) this is exactly
     `np.random.default_rng(seed).uniform(-RESET_SPREAD, RESET_SPREAD, size=4)`,
-    without a Generator per seed. The SeedSequence mixing runs for all seeds
-    at once in uint32 arrays; PCG64's seeding and its four XSL-RR outputs run
-    in 128-bit Python ints, and each output is decoded as numpy's
-    `next_double`, the top 53 bits of the word.
+    without a Generator per seed: the seeds' SeedSequences are mixed
+    together, a lane each, and each seed's `Stream` makes four draws. A seed
+    below 2**32 has one entropy word, and zero-padding it to two gives the
+    same pool.
     """
-    seeds = list(seeds)
+    checked = []
     for seed in seeds:
-        if not (isinstance(seed, numbers.Integral) and 0 <= seed <= _MASK64):
+        if not (isinstance(seed, numbers.Integral) and 0 <= int(seed) <= _MASK64):
             raise ValueError(f"a seed must be an integer in [0, 2**64), got {seed!r}")
-    low = -RESET_SPREAD
-    span = RESET_SPREAD - low
+        checked.append(int(seed))
+    if not checked:
+        return []
+    layout = f"<{len(checked)}Q"
+    ones = int.from_bytes(struct.pack(layout, *[1] * len(checked)), "little")
+    packed = int.from_bytes(struct.pack(layout, *checked), "little")
+    low32 = _MASK32 * ones
+    lanes = _generate_state([packed & low32, packed >> 32 & low32], ones)
+    words = zip(*(struct.unpack(layout, lane.to_bytes(8 * len(checked), "little"))
+                  for lane in lanes))
+    low, high = -RESET_SPREAD, RESET_SPREAD
     states = []
-    for w0, w1, w2, w3, w4, w5, w6, w7 in zip(*_seed_words(seeds)):
-        # generate_state(4, uint64) pairs the words little-endian; PCG64
-        # takes words 0-1 as its 128-bit seed and 2-3 as its stream, sets
-        # its state to the odd increment, adds the seed and steps once
-        initstate = (w1 << 96) | (w0 << 64) | (w3 << 32) | w2
-        inc = ((w5 << 97) | (w4 << 65) | (w7 << 33) | (w6 << 1) | 1) & _MASK128
-        pcg = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
-        draws = []
-        for _ in range(4):
-            pcg = (pcg * _PCG_MULT + inc) & _MASK128
-            folded = ((pcg >> 64) ^ pcg) & _MASK64
-            rot = pcg >> 122
-            word = ((folded >> rot) | (folded << (64 - rot))) & _MASK64
-            draws.append(low + span * ((word >> 11) * (1.0 / 9007199254740992.0)))
-        states.append(tuple(draws))
+    for state_words in words:
+        draw = Stream(state_words).uniform
+        states.append((draw(low, high), draw(low, high), draw(low, high), draw(low, high)))
     return states
 
 
@@ -189,14 +269,10 @@ class Exploration:
         return (word >> 31) & 1
 
 
-def loaded_rng(init: str) -> Generator | None:
-    """The stream a loaded agent draws new rows from: seed 0 under uniform
-    init, and none under the modes that draw nothing."""
-    if init != "uniform":
-        return None
-    from numpy.random import default_rng
-
-    return default_rng(0)
+def loaded_rng(init: str) -> Stream | None:
+    """The stream a loaded agent draws new rows from: `default_rng(0)`'s
+    under uniform init, and none under the modes that draw nothing."""
+    return seed_stream(0) if init == "uniform" else None
 
 
 def _pairwise_sum(values) -> float:

@@ -2,7 +2,8 @@
 
 A run is fully determined by its config and a single integer seed; every
 stream the seed fans out into, and every value drawn from one, comes from
-`streams`, the one module that imports numpy.
+`streams`, the one module that imports numpy, which it loads only for a
+run that explores.
 Training stops once the trailing window of episodes all meet
 the convergence reward, or at the episode cap; non-convergence is a
 recorded outcome, not an error, and so is a neuron pool running out of
@@ -23,13 +24,14 @@ from .core import INIT_MODES, argmax
 from .discretize import MASK, THETA_DOT_BOUND, X_BIN_BOUND, X_DOT_BOUND, BinSpec, discretize
 from .graphio import GraphSnapshot
 from .qtable import QTableAgent
-from .streams import Exploration, episode_starts, mean_std, seed_streams
+from .streams import (AGENT_ROWS, EVAL_SEEDER, EXPLORATION, TRAIN_SEEDER, Exploration,
+                      episode_starts, mean_std, seed_stream)
 from .synaptic import SynapticAgent
 
 if TYPE_CHECKING:
     from collections.abc import Iterator
 
-    from numpy.random import Generator
+    from .streams import Stream
 
 AGENT_CLASSES = {cls.kind: cls for cls in (SynapticAgent, BmuAgent, PoolAgent, QTableAgent)}
 AGENT_KINDS = tuple(AGENT_CLASSES)
@@ -118,7 +120,7 @@ class TrainConfig:
 _CHECKS = [(f.name, f.metadata["domain"]) for f in fields(TrainConfig)]
 
 
-def make_agent(config: TrainConfig, rng: Generator):
+def make_agent(config: TrainConfig, rng: Stream):
     # alpha = 1 may be an int; as a float it writes to agent.json as it replays
     common = {"alpha": float(config.alpha), "gamma": config.gamma, "init": config.init, "rng": rng}
     if config.agent == "bmu-pool":
@@ -207,11 +209,14 @@ class TrainResult:
 def train(config: TrainConfig, seed: int) -> TrainResult:
     config.validate()
     started = time.perf_counter()
-    env_seeder, agent_rng, explore_rng, _ = seed_streams(seed)
     env = CartPoleEnv()
     spec = config.bin_spec()
-    agent = make_agent(config, agent_rng)
-    explore = Exploration(explore_rng.bit_generator)
+    agent = make_agent(config, seed_stream(seed, AGENT_ROWS))
+    # only a run that explores loads numpy, for its per-step coin
+    explore = None
+    if config.epsilon > 0:
+        explore = Exploration(seed_stream(seed, EXPLORATION).bit_generator())
+    starts = episode_starts(seed_stream(seed, TRAIN_SEEDER), config.max_episodes)
 
     metrics = RunMetrics(seed=seed, rewards=[], moving_avg=[], moving_std=[],
                          neurons=[], avg_fan_in=[], parameters=[], steps=[],
@@ -220,7 +225,7 @@ def train(config: TrainConfig, seed: int) -> TrainResult:
     snapshots: dict[int, GraphSnapshot] = {}
     streak = 0
     epsilon = config.epsilon
-    for episode, start in enumerate(episode_starts(env_seeder, config.max_episodes), start=1):
+    for episode, start in enumerate(starts, start=1):
         try:
             record = run_episode(agent, env, config, start,
                                  explore=explore, epsilon=epsilon, spec=spec)
@@ -369,7 +374,7 @@ def evaluate(agent, config: TrainConfig, seed: int, n_episodes: int) -> EvalRepo
     spec = config.bin_spec()
     env = CartPoleEnv()
     report = EvalReport(rewards=[], trajectories=[])
-    for start in episode_starts(seed_streams(seed)[3], n_episodes):
+    for start in episode_starts(seed_stream(seed, EVAL_SEEDER), n_episodes):
         state = env.reset(start)
         total = 0.0
         trajectory = []

@@ -106,6 +106,9 @@ class TestInitialStates:
                     max_size=300))
     @example([])
     @example(list(EDGE_SEEDS))
+    # numpy's integers are seeds too
+    @example([np.uint64(2 ** 64 - 1), np.int64(2 ** 63 - 1), np.uint32(2 ** 32 - 1), np.int8(3)])
+    @example(np.arange(5))
     def test_equals_numpy_per_seed_draw(self, seeds):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -6,10 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bmu_lab import cli, trainer
 from bmu_lab.cli import _build_parser, main
+from bmu_lab.discretize import cell_of
+from bmu_lab.runio import load_agent
 from bmu_lab.synaptic import SynapticAgent
 from bmu_lab.trainer import run_episode
 
@@ -575,19 +578,43 @@ def test_commands_that_draw_nothing_leave_numpy_unloaded(trained_run, tmp_path):
     assert [p.name for p in filled.iterdir()] == ["earlier.txt"]
 
 
+def test_greedy_commands_leave_numpy_unloaded(tmp_path):
+    """At epsilon 0 nothing explores: train, eval and export-graph seed,
+    start and initialise in Python, at uniform init too."""
+    run = tmp_path / "run"
+    for args in (["train", "--agent", "bmu", "--init", "uniform", "--seeds", "1",
+                  "--max-episodes", "4", "--snapshot-every", "2", "--out", run],
+                 ["eval", "--run", run, "--episodes", "3"],
+                 ["export-graph", "--run", run, "--episode", "2"]):
+        assert not numpy_loaded(MAIN_PROBE, *args), args
+    assert (run / "eval_seed0" / "trajectories.csv").is_file()
+    assert read(run / "export" / "graph_ep2.dot") == read(run / "seed0" / "graph_ep2.dot")
+
+
 def test_training_loads_numpy(tmp_path):
-    assert numpy_loaded(MAIN_PROBE, "train", "--seeds", "1", "--max-episodes", "2",
-                        "--out", tmp_path / "run")
+    """A run that explores draws its per-step coin from numpy's PCG64."""
+    assert numpy_loaded(MAIN_PROBE, "train", "--epsilon", "0.3", "--seeds", "1",
+                        "--max-episodes", "2", "--out", tmp_path / "run")
     assert (tmp_path / "run" / "seed0" / "rewards.csv").is_file()
 
 
 @pytest.mark.parametrize("kind", ["bmu", "qtable"])
 @pytest.mark.parametrize("init", ["optimistic", "zeros", "uniform"])
 def test_loading_an_agent_loads_numpy_only_for_uniform_rows(kind, init, tmp_path):
-    """Only a uniform agent draws the rows it adds after loading."""
+    """Loading an agent never loads numpy, at any init. A loaded uniform
+    agent draws the rows it adds from `default_rng(0)`, replayed in Python."""
     out = tmp_path / "run"
     assert run_cli(["train", "--agent", kind, "--init", init, "--seeds", "1",
                     "--max-episodes", "2", "--out", out]) == 0
+    agent_file = out / "seed0" / "agent.json"
     probe = ("import sys; from bmu_lab.runio import load_agent; "
              "load_agent(open(sys.argv[1]).read())\n" + REPORT)
-    assert numpy_loaded(probe, out / "seed0" / "agent.json") == (init == "uniform")
+    assert not numpy_loaded(probe, agent_file)
+
+    agent = load_agent(read(agent_file))
+    unseen = next(cell for cell in (cell_of(f"{i}_0_0_0_") for i in range(10))
+                  if cell not in agent.ids)
+    assert agent.ensure(unseen)
+    if init == "uniform":
+        expected = np.random.default_rng(0).uniform(*agent.uniform_range, size=2).tolist()
+        assert agent.q_values(unseen) == expected

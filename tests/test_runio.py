@@ -18,6 +18,7 @@ from test_run_digests import KINDS, MANIFEST, SETTINGS, file_digests
 
 from bmu_lab import runio, trainer
 from bmu_lab.cli import main
+from bmu_lab.graphio import to_dot, to_gexf
 from bmu_lab.runio import config_from_entries, execute_train_run, write_text
 from bmu_lab.trainer import TrainConfig, evaluate, train
 
@@ -186,24 +187,47 @@ def test_trajectories_csv_matches_the_per_episode_oracle():
     assert dict(runio.eval_files(report))["trajectories.csv"] == "".join(expected)
 
 
-@pytest.mark.parametrize("config, episodes_run, failed, graphs", [
-    # the last episode is a cadence one: its snapshot keeps both formats
+@pytest.mark.parametrize("config, episodes_run, failed, graphs, renders", [
+    # the last episode is a cadence one: its snapshot keeps both formats, and
+    # as the final snapshot it is rendered once
     (TrainConfig(max_episodes=12, convergence_window=12, snapshot_every=4), 12, False,
-     ["graph_ep4.dot", "graph_ep8.dot", "graph_ep12.dot", "graph_ep12.gexf"]),
+     ["graph_ep4.dot", "graph_ep8.dot", "graph_ep12.dot", "graph_ep12.gexf"], (3, 1)),
     # converged at episode 3, past the last cadence: no cadence GEXF at all
     (TrainConfig(convergence_reward=-1000.0, convergence_window=3, max_episodes=10,
-                 snapshot_every=2), 3, False, ["graph_ep2.dot"]),
-    # the pool runs out in episode 22, after the cadence snapshot of episode 21
+                 snapshot_every=2), 3, False, ["graph_ep2.dot"], (2, 1)),
+    # the pool runs out in episode 22, after the cadence snapshot of episode 21,
+    # before any update: that snapshot is still the final one
     (TrainConfig(agent="bmu-pool", pool_capacity=40, max_episodes=30, snapshot_every=7),
-     21, True, ["graph_ep7.dot", "graph_ep14.dot", "graph_ep21.dot", "graph_ep21.gexf"]),
-], ids=["ends-on-cadence", "stops-between-cadences", "pool-fails"])
-def test_seed_directory_graph_files(tmp_path, config, episodes_run, failed, graphs):
+     21, True, ["graph_ep7.dot", "graph_ep14.dot", "graph_ep21.dot", "graph_ep21.gexf"],
+     (3, 1)),
+    # the pool runs out part-way through episode 8, after updates: the
+    # snapshot of episode 7 differs from the final one and is rendered apart
+    (TrainConfig(agent="bmu-pool", pool_capacity=20, max_episodes=30, snapshot_every=7),
+     7, True, ["graph_ep7.dot", "graph_ep7.gexf"], (2, 2)),
+], ids=["ends-on-cadence", "stops-between-cadences", "pool-fails", "pool-fails-mid-episode"])
+def test_seed_directory_graph_files(monkeypatch, config, episodes_run, failed, graphs,
+                                    renders):
     """Cadence snapshots are DOT only, but for the one at the seed's last
-    recorded episode; graph_final is in both formats."""
-    entry, = execute_train_run(config, tmp_path / "run")["per_seed"]
-    assert (entry["episodes_run"], entry["failed"] is not None) == (episodes_run, failed)
-    assert sorted(p.name for p in (tmp_path / "run" / "seed0").glob("graph_*")) == sorted(
+    recorded episode; graph_final is in both formats. Each text is the
+    rendering of its own snapshot, and no snapshot is rendered twice."""
+    rendered = {"dot": [], "gexf": []}
+    for fmt, render in (("dot", runio.to_dot), ("gexf", runio.to_gexf)):
+        monkeypatch.setattr(runio, f"to_{fmt}", lambda snapshot, render=render, fmt=fmt: (
+            rendered[fmt].append(snapshot) or render(snapshot)))
+    result = train(config, 0)
+    files = dict(runio.seed_files(config, result))
+    assert (result.metrics.episodes_run, result.metrics.failed is not None) == (
+        episodes_run, failed)
+    assert sorted(name.split("/")[1] for name in files if "/graph_" in name) == sorted(
         ["graph_final.dot", "graph_final.gexf", *graphs])
+    assert (len(rendered["dot"]), len(rendered["gexf"])) == renders
+    snapshots = {f"graph_ep{episode}": snapshot
+                 for episode, snapshot in result.snapshots.items()}
+    snapshots["graph_final"] = result.agent.snapshot()
+    for name, text in files.items():
+        stem, _, suffix = name.split("/")[1].partition(".")
+        if stem.startswith("graph_"):
+            assert text == (to_dot if suffix == "dot" else to_gexf)(snapshots[stem]), name
 
 
 def test_commit_checks_every_target_before_the_first_write(tmp_path, monkeypatch):

@@ -1,12 +1,15 @@
-"""The package's numpy boundary: the multi-seed bands against numpy's own
-reduction, bit for bit, and numpy imported by `streams` alone."""
+"""The package's numpy boundary: the Python streams and the multi-seed
+bands against numpy's own draws and reduction, bit for bit, and numpy
+imported by `streams` alone."""
 
 import ast
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bmu_lab.streams import BLOCK, Exploration, seed_stream
 from bmu_lab.trainer import aggregate_curves
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bmu_lab"
@@ -49,6 +52,65 @@ def test_aggregate_curves_equal_numpy(curves):
         return [[v.hex() for v in values] for values in series]
 
     assert hexes(aggregate_curves(curves)) == hexes(numpy_aggregate(curves))
+
+
+# a seed is one SeedSequence entropy word below 2**32 and two below 2**64; a
+# config seed has no upper bound, and from 2**128 its words spill past the pool
+SEEDS = st.one_of(st.integers(0, 2 ** 64 - 1), st.integers(2 ** 32 - 8, 2 ** 32 + 8),
+                  st.integers(2 ** 64, 2 ** 300))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=SEEDS, child=st.sampled_from([None, 0, 1, 2, 3]), n=st.integers(0, 40))
+@example(seed=0, child=0, n=3)
+@example(seed=2 ** 32 - 1, child=1, n=3)
+@example(seed=2 ** 32, child=2, n=3)
+@example(seed=2 ** 64 - 1, child=3, n=3)
+@example(seed=0, child=None, n=3)
+def test_stream_equals_generator(seed, child, n):
+    """A Python stream draws what numpy's Generator over the same
+    SeedSequence child draws: scalar uniforms, 63-bit seeds and raw words."""
+    stream = seed_stream(seed, child)
+    sequence = (np.random.SeedSequence(seed) if child is None
+                else np.random.SeedSequence(seed).spawn(4)[child])
+    oracle = np.random.default_rng(sequence)
+    assert stream.state == oracle.bit_generator.state
+    for low, high in ((0.0, 1e-3), (-1.0, 1.0)):
+        assert [stream.uniform(low, high) for _ in range(3)] == [
+            oracle.uniform(low, high) for _ in range(3)]
+    assert stream.episode_seeds(n) == oracle.integers(0, 2 ** 63, size=n).tolist()
+    assert [stream.random_raw() for _ in range(n)] == [
+        int(oracle.bit_generator.random_raw()) for _ in range(n)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), child=st.integers(0, 3),
+       epsilon=st.floats(0.0, 1.0))
+def test_exploration_from_a_handed_off_stream(seed, child, epsilon):
+    """Exploration over numpy's PCG64 set to a fresh Python stream's state
+    draws what `default_rng(child)` draws, across a block boundary."""
+    explore = Exploration(seed_stream(seed, child).bit_generator())
+    oracle = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[child])
+    expected, drawn = [], []
+    for _ in range(BLOCK + 10):
+        coin = oracle.random()
+        expected.append(coin)
+        drawn.append(explore.random())
+        if coin < epsilon:
+            expected.append(int(oracle.integers(2)))
+            drawn.append(explore.action())
+    assert drawn == expected
+
+
+def test_seed_checked_as_numpy_checks_it():
+    """A seed is any non-negative integer, numpy's included, as for SeedSequence."""
+    assert seed_stream(np.uint64(2 ** 64 - 1), 1).state == seed_stream(2 ** 64 - 1, 1).state
+    for bad, error in ((-1, ValueError), (-2 ** 70, ValueError), (np.int64(-1), ValueError),
+                       (1.0, TypeError), ("3", TypeError)):
+        with pytest.raises(error):
+            np.random.SeedSequence(bad)
+        with pytest.raises(error):
+            seed_stream(bad)
 
 
 def numpy_import_lines(tree: ast.Module) -> list[int]:

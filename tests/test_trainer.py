@@ -724,6 +724,15 @@ class TestEvaluate:
         report = EvalReport(rewards=rewards, trajectories=[])
         assert report.mean_reward.hex() == float(np.mean(rewards)).hex()
 
+    def test_negative_seed_rejected(self):
+        """As numpy's SeedSequence rejects it, for training and evaluation."""
+        config = TrainConfig(max_episodes=1)
+        with pytest.raises(ValueError, match="non-negative"):
+            train(config, -1)
+        agent = train(config, 0).agent
+        with pytest.raises(ValueError, match="non-negative"):
+            evaluate(agent, config, -1, 1)
+
     def _trained(self):
         config = TrainConfig(max_episodes=30)
         result = train(config, 0)
