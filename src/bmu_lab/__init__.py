@@ -16,13 +16,12 @@ from .bmu import BmuAgent, PoolAgent, PoolCapacityError
 from .qtable import QTableAgent
 from .graphio import GraphSnapshot, read_gexf, to_dot, to_gexf
 from .metrics import DegreeHistogram, NetworkStats, degree_distribution, summary_table
+from .config import ConfigError, TrainConfig
 from .trainer import (
     AggregateMetrics,
-    ConfigError,
     EpisodeRecord,
     EvalReport,
     RunMetrics,
-    TrainConfig,
     TrainResult,
     evaluate,
     multi_seed,

@@ -9,20 +9,19 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+from .config import AGENT_KINDS, ConfigError, TrainConfig, config_from_entries, parse_config_text
 from .graphio import read_gexf
 from .metrics import summary_table
 from .runio import (
     commit,
-    config_from_entries,
     degree_files,
     eval_files,
     execute_train_run,
     load_agent,
     load_run_config,
-    parse_config_text,
     snapshot_files,
 )
-from .trainer import AGENT_KINDS, ConfigError, TrainConfig, evaluate, train
+from .trainer import evaluate, train
 
 
 @functools.cache  # built once per process; parse_args leaves it unchanged
@@ -95,8 +94,6 @@ def _handle_train(args) -> int:
     if seeds is not None:
         entries["seeds"] = seeds
     config = config_from_entries(entries)
-    config.validate()
-
     summary = execute_train_run(config, Path(args.out))
     total = len(summary["seeds"])
     print(f"agent={config.agent} seeds={total} converged={summary['converged_count']}/{total}")
@@ -116,14 +113,20 @@ def _handle_train(args) -> int:
     return 0
 
 
-def _seed_dir(run_dir: Path, config, seed: int | None) -> tuple[Path, int]:
-    chosen = seed if seed is not None else config.seeds[0]
+def _trained_seed(args, out_name: str) -> tuple[TrainConfig, Path, int, Path]:
+    """The run's config, the `--seed` directory (default: the run's first
+    seed), that seed, and the output directory: `--out`, else `out_name` in
+    the run, with `{seed}` filled in."""
+    run_dir = Path(args.run)
+    config = load_run_config(run_dir)
+    chosen = args.seed if args.seed is not None else config.seeds[0]
     if chosen not in config.seeds:
         raise FileNotFoundError(f"seed {chosen} is not part of run {run_dir}")
-    directory = run_dir / f"seed{chosen}"
-    if not directory.is_dir():
-        raise FileNotFoundError(f"missing seed directory {directory}")
-    return directory, chosen
+    seed_dir = run_dir / f"seed{chosen}"
+    if not seed_dir.is_dir():
+        raise FileNotFoundError(f"missing seed directory {seed_dir}")
+    out_dir = Path(args.out) if args.out else run_dir / out_name.format(seed=chosen)
+    return config, seed_dir, chosen, out_dir
 
 
 def _handle_eval(args) -> int:
@@ -131,13 +134,10 @@ def _handle_eval(args) -> int:
         raise ValueError(f"--eval-seed must be >= 0, got {args.eval_seed}")
     if args.episodes < 1:
         raise ValueError(f"--episodes must be >= 1, got {args.episodes}")
-    run_dir = Path(args.run)
-    config = load_run_config(run_dir)
-    seed_dir, chosen = _seed_dir(run_dir, config, args.seed)
+    config, seed_dir, chosen, out_dir = _trained_seed(args, "eval_seed{seed}")
     agent = load_agent((seed_dir / "agent.json").read_text())
     eval_seed = args.eval_seed if args.eval_seed is not None else chosen
     report = evaluate(agent, config, eval_seed, args.episodes)
-    out_dir = Path(args.out) if args.out else run_dir / f"eval_seed{chosen}"
     commit(out_dir, eval_files(report))
     print(f"eval over {args.episodes} episodes: mean={report.mean_reward} "
           f"min={report.min_reward} max={report.max_reward}")
@@ -146,9 +146,7 @@ def _handle_eval(args) -> int:
 
 
 def _handle_export_graph(args) -> int:
-    run_dir = Path(args.run)
-    config = load_run_config(run_dir)
-    _, chosen = _seed_dir(run_dir, config, args.seed)
+    config, _, chosen, out_dir = _trained_seed(args, "export")
     if args.episode < 1:
         raise ValueError(f"--episode must be >= 1, got {args.episode}")
     # deterministic replay of the recorded run, stopped at the requested episode
@@ -158,18 +156,14 @@ def _handle_export_graph(args) -> int:
     if result.metrics.episodes_run != args.episode:
         raise ValueError(f"run for seed {chosen} ended after {result.metrics.episodes_run} "
                          f"episodes, before episode {args.episode}")
-    out_dir = Path(args.out) if args.out else run_dir / "export"
     commit(out_dir, snapshot_files(result.agent.snapshot(), f"graph_ep{args.episode}"))
     print(f"graph at episode {args.episode} written to {out_dir}")
     return 0
 
 
 def _handle_stats(args) -> int:
-    run_dir = Path(args.run)
-    config = load_run_config(run_dir)
-    seed_dir, chosen = _seed_dir(run_dir, config, args.seed)
+    _, seed_dir, _, out_dir = _trained_seed(args, "stats_seed{seed}")
     snapshot = read_gexf((seed_dir / "graph_final.gexf").read_text())
-    out_dir = Path(args.out) if args.out else run_dir / f"stats_seed{chosen}"
     files, hist = degree_files(snapshot)
     commit(out_dir, files)
     print(f"nodes={hist.nodes} edges={hist.edges} avg_degree={hist.average:.4g} "

@@ -1,4 +1,5 @@
-"""Run-directory persistence: config files, CSV emission, agent snapshots.
+"""Run-directory persistence: CSV emission, agent snapshots, the files of
+each command's output directory.
 
 Every command writes its files with one `commit`, so its output appears
 whole or not at all and no file is overwritten: a new directory is filled in
@@ -7,7 +8,7 @@ place; files added to an existing one are all rendered and checked absent
 first, and removed on failure. `train` renders and writes one seed at a time.
 Layout of a training run directory:
 
-    <out>/config.txt               resolved flat key=value config
+    <out>/config.txt               resolved config, `config.format_config`
     <out>/aggregate.csv            cross-seed mean and +/-2 sigma band
     <out>/summary.json             aggregate summary with per-seed entries
     <out>/seed<k>/rewards.csv      per-episode metrics
@@ -29,125 +30,22 @@ import contextlib
 import json
 import os
 from collections.abc import Generator, Iterable, Iterator, Mapping
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict
 from pathlib import Path
 
-from .cartpole import FAIL_REWARD, MAX_STEPS, STEP_REWARD, THETA_LIMIT, X_LIMIT
-from .core import INIT_MODES, KAPPA
-from .discretize import THETA_DOT_BOUND, X_BIN_BOUND, X_DOT_BOUND
+from .config import (AGENT_CLASSES, TrainConfig, config_from_entries, format_config,
+                     parse_config_text)
 from .graphio import GraphSnapshot, to_dot, to_gexf
 from .metrics import DegreeHistogram, degree_hist_csv, degree_distribution
 from .trainer import (
-    AGENT_CLASSES,
     AggregateMetrics,
-    ConfigError,
     EvalReport,
     RunMetrics,
-    TrainConfig,
     TrainResult,
     aggregate_runs,
     evaluate,
     seed_runs,
 )
-
-
-def format_config(config: TrainConfig) -> str:
-    lines = ["# bmu-lab run configuration"]
-    for f in fields(TrainConfig):
-        value = getattr(config, f.name)
-        if f.name == "seeds":
-            rendered = ",".join(str(s) for s in value)
-        elif isinstance(f.default, float):
-            # by the field's type: an int in a float field writes as it replays
-            rendered = repr(float(value))
-        else:
-            rendered = str(value)
-        lines.append(f"{f.name} = {rendered}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_config_text(text: str) -> dict[str, str]:
-    """Flat key = value lines; '#' starts a comment, blank lines ignored."""
-    entries: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        entries[key.strip()] = value.strip()
-    return entries
-
-
-_BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
-               "yes": True, "no": False}
-
-# keys of settings that became constants, with the one value each now has
-RETIRED_KEYS = {
-    "kappa": KAPPA, "max_steps": MAX_STEPS, "theta_limit": THETA_LIMIT, "x_limit": X_LIMIT,
-    "x_bin_bound": X_BIN_BOUND, "x_dot_bound": X_DOT_BOUND, "theta_dot_bound": THETA_DOT_BOUND,
-    "step_reward": STEP_REWARD, "fail_reward": FAIL_REWARD, "qtable_dense": False,
-}
-
-
-def _legacy_init(agent: str, legacy: dict[str, str]) -> str:
-    """The init of a config written before the `init` key: the key that
-    applied to the run's kind decides, with that key's old default."""
-    if agent == "bmu":
-        return legacy.get("encoder_init", "uniform")
-    if agent == "bmu-pool":
-        return "zeros"
-    q_init = legacy.get("q_init", "optimistic")
-    # the Q-table had no uniform init and started such runs at zeros
-    return "zeros" if agent == "qtable" and q_init == "uniform" else q_init
-
-
-def config_from_entries(entries: dict[str, str]) -> TrainConfig:
-    """A config from flat entries over the `TrainConfig` defaults.
-
-    The legacy keys `q_init` and `encoder_init` still parse: when `init` is
-    absent they decide it as they did for the run's kind, so old run
-    directories and config files replay unchanged. A key of `RETIRED_KEYS`
-    is skipped where its value parses equal to its constant and is an error
-    otherwise; `c_gain`, which changed no choice, is skipped at any value.
-    """
-    base = TrainConfig()
-    known = {f.name for f in fields(TrainConfig)}.union(RETIRED_KEYS)
-    values: dict = {}
-    legacy: dict[str, str] = {}
-    for key, raw in entries.items():
-        if key in ("q_init", "encoder_init"):
-            if raw not in INIT_MODES:
-                raise ConfigError(f"{key} must be one of {INIT_MODES}, got {raw!r}")
-            legacy[key] = raw
-            continue
-        if key == "c_gain":
-            continue
-        if key not in known:
-            raise ConfigError(f"unknown config key {key!r}")
-        if key == "seeds":
-            try:
-                values[key] = tuple(int(tok) for tok in raw.split(",") if tok.strip())
-            except ValueError as exc:
-                raise ConfigError(f"seeds must be comma-separated integers, got {raw!r}") from exc
-            continue
-        current = RETIRED_KEYS[key] if key in RETIRED_KEYS else getattr(base, key)
-        try:
-            # an int, float or str key parses by its default's type
-            value = _BOOL_WORDS[raw.lower()] if isinstance(current, bool) else type(current)(raw)
-        except (ValueError, KeyError) as exc:
-            raise ConfigError(f"bad value for config key {key!r}: {raw!r}") from exc
-        if key not in RETIRED_KEYS:
-            values[key] = value
-        elif value != current:
-            # the one retired switch turned a Q-table mode on; the rest are the task's
-            reason = ("its mode is retired" if isinstance(current, bool)
-                      else "a constant of the cartpole task")
-            raise ConfigError(f"{key} must be {current!r}, {reason}, got {raw!r}")
-    if legacy and "init" not in values:
-        values["init"] = _legacy_init(values.get("agent", base.agent), legacy)
-    return replace(base, **values)
 
 
 def load_run_config(run_dir: Path) -> TrainConfig:

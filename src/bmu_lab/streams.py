@@ -9,10 +9,9 @@ would return, so the training loop makes no numpy call per step or per
 episode.
 
 numpy is imported inside functions only, and only where a run explores:
-`Stream.bit_generator` hands the exploration stream to numpy's PCG64,
-whose `random_raw` blocks `Exploration` decodes. Importing the package, a
-run that does not explore, evaluation and loading an agent never load
-numpy.
+`Exploration` sets numpy's PCG64 to the exploration stream's state and
+decodes its `random_raw` blocks. Importing the package, a run that does
+not explore, evaluation and loading an agent never load numpy.
 """
 
 from __future__ import annotations
@@ -29,10 +28,10 @@ from .cartpole import RESET_SPREAD
 if TYPE_CHECKING:
     from collections.abc import Iterator
 
-    from numpy.random import PCG64, BitGenerator
-
 # raw words fetched from the exploration stream at a time
 BLOCK = 1024
+# start states drawn at a time, as a run reaches them
+START_BLOCK = 256
 
 # the SeedSequence(seed).spawn(4) child each of a seed's streams replays; the
 # first three equal spawn(3)'s, and no training episode draws from the fourth
@@ -167,14 +166,6 @@ class Stream:
         return {"bit_generator": "PCG64", "state": {"state": self._state, "inc": self._inc},
                 "has_uint32": 0, "uinteger": 0}
 
-    def bit_generator(self) -> PCG64:
-        """numpy's PCG64 at this stream's state, to draw on from there."""
-        from numpy.random import PCG64
-
-        bit_generator = PCG64(0)
-        bit_generator.state = self.state
-        return bit_generator
-
 
 def seed_stream(seed: int, child: int | None = None) -> Stream:
     """`default_rng(SeedSequence(seed))` or, given a child index,
@@ -186,12 +177,11 @@ def seed_stream(seed: int, child: int | None = None) -> Stream:
     return Stream(_generate_state(entropy))
 
 
-def episode_starts(seeder: Stream, count: int,
-                   block: int = 256) -> Iterator[tuple[float, float, float, float]]:
-    """Start states drawn `block` at a time as the run reaches them; numpy's
-    64-bit bounded draw keeps no buffer, so the seeds equal one call's."""
+def episode_starts(seeder: Stream, count: int) -> Iterator[tuple[float, float, float, float]]:
+    """Start states drawn `START_BLOCK` at a time as the run reaches them;
+    numpy's 64-bit bounded draw keeps no buffer, so the seeds equal one call's."""
     while count > 0:
-        size = min(block, count)
+        size = min(START_BLOCK, count)
         yield from initial_states(seeder.episode_seeds(size))
         count -= size
 
@@ -229,8 +219,9 @@ def initial_states(seeds) -> list[tuple[float, float, float, float]]:
 
 
 class Exploration:
-    """numpy's `Generator.random()` and `Generator.integers(2)` over one
-    PCG64 stream, decoded from raw 64-bit words fetched `BLOCK` at a time.
+    """numpy's `Generator.random()` and `Generator.integers(2)` over the
+    stream `stream`, decoded from raw 64-bit words that numpy's PCG64, set
+    to the stream's state, fetches `BLOCK` at a time.
 
     The coin is numpy's `next_double`, the top 53 bits of a word. The
     forced action is numpy's bounded draw, Lemire's multiply-and-reject over
@@ -239,18 +230,15 @@ class Exploration:
     bit of that 32-bit value, and the rejection threshold (2**32 - 2) % 2 is
     0, so nothing is ever rejected. One instance serves a whole run, so the
     word buffer and the kept half carry across episodes as the generator's
-    own state would; nothing is fetched before the first draw. The bit
-    generator must not be drawn from directly afterwards.
+    own state would; nothing is fetched before the first draw.
     """
 
-    def __init__(self, bit_generator: BitGenerator):
+    def __init__(self, stream: Stream):
         from numpy.random import PCG64
 
-        if not isinstance(bit_generator, PCG64):
-            raise TypeError(f"exploration needs a PCG64 bit generator, "
-                            f"got {type(bit_generator).__name__}")
-        state = bit_generator.state
-        self._half = state["uinteger"] if state["has_uint32"] else None
+        bit_generator = PCG64(0)
+        bit_generator.state = stream.state
+        self._half = None
         random_raw = bit_generator.random_raw
         self._words = itertools.chain.from_iterable(
             iter(lambda: random_raw(BLOCK).tolist(), None))

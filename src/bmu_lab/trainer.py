@@ -1,9 +1,9 @@
-"""The run's config, the episode loop and the multi-seed aggregation.
+"""The episode loop, the multi-seed aggregation and greedy evaluation.
 
-A run is fully determined by its config and a single integer seed; every
-stream the seed fans out into, and every value drawn from one, comes from
-`streams`, the one module that imports numpy, which it loads only for a
-run that explores.
+A run is fully determined by its config (`config.TrainConfig`) and a
+single integer seed; every stream the seed fans out into, and every value
+drawn from one, comes from `streams`, the one module that imports numpy,
+which it loads only for a run that explores.
 Training stops once the trailing window of episodes all meet
 the convergence reward, or at the episode cap; non-convergence is a
 recorded outcome, not an error, and so is a neuron pool running out of
@@ -13,116 +13,27 @@ neurons, which ends that seed's run early.
 from __future__ import annotations
 
 import math
-import numbers
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .bmu import BmuAgent, PoolAgent, PoolCapacityError
-from .cartpole import MAX_STEPS, STEP_REWARD, THETA_LIMIT, CartPoleEnv
-from .core import INIT_MODES, argmax
-from .discretize import MASK, THETA_DOT_BOUND, X_BIN_BOUND, X_DOT_BOUND, BinSpec, discretize
+from .bmu import PoolCapacityError
+from .cartpole import CartPoleEnv
+from .config import AGENT_CLASSES, TrainConfig
+from .core import argmax
+from .discretize import BinSpec, discretize
 from .graphio import GraphSnapshot
-from .qtable import QTableAgent
 from .streams import (AGENT_ROWS, EVAL_SEEDER, EXPLORATION, TRAIN_SEEDER, Exploration,
                       episode_starts, mean_std, seed_stream)
-from .synaptic import SynapticAgent
 
 if TYPE_CHECKING:
     from collections.abc import Iterator
 
     from .streams import Stream
 
-AGENT_CLASSES = {cls.kind: cls for cls in (SynapticAgent, BmuAgent, PoolAgent, QTableAgent)}
-AGENT_KINDS = tuple(AGENT_CLASSES)
-
-
-class ConfigError(ValueError):
-    pass
-
-
-def _domain(declared, default):
-    """`check(key, value)` for a tuple of choices, a rule already written so,
-    or an interval such as "(0, 1]" or "[1, inf)": an end is inside only
-    where its bracket is closed, so NaN never is and inf only where one is.
-    A value must also be of the default's type, where a bool is no number."""
-    if callable(declared):
-        return declared
-    if isinstance(declared, tuple):
-        def check(key, value):
-            if not any(isinstance(value, type(c)) and value == c for c in declared):
-                raise ConfigError(f"{key} must be one of {declared}, got {value!r}")
-        return check
-    lo_text, hi_text = declared[1:-1].split(", ")
-    lo, hi = float(lo_text), float(hi_text)
-    lo_closed, hi_closed = declared[0] == "[", declared[-1] == "]"
-    rule = f">= {lo_text}" if lo_closed and declared.endswith(", inf)") else f"in {declared}"
-    kind, noun = ((numbers.Integral, "an integer") if isinstance(default, int)
-                  else (numbers.Real, "a real number"))
-
-    def check(key, value):
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise ConfigError(f"{key} must be {noun}, got {value!r}")
-        if not ((lo <= value if lo_closed else lo < value)
-                and (value <= hi if hi_closed else value < hi)):
-            raise ConfigError(f"{key} must be {rule}, got {value}")
-    return check
-
-
-def _seeds_rule(key, seeds):
-    if not seeds:
-        raise ConfigError(f"{key} must contain at least one seed")
-    if (not all(isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in seeds)
-            or min(seeds) < 0 or len(set(seeds)) < len(seeds)):
-        raise ConfigError(f"{key} must be distinct non-negative integers, got "
-                          f"{','.join(map(str, seeds))}")
-
-
-def _field(default, domain, **flag):
-    """A config field with its domain, parsed once, and as `flag=` its
-    `train` flag where that is not `--name-with-dashes` (None: no flag)."""
-    return field(default=default, metadata={"domain": _domain(domain, default), **flag})
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Full recipe for a training run: the learner's and the run's settings.
-
-    The task is fixed: its limits, step cap and rewards are `cartpole`'s
-    constants and its bin bounds `discretize`'s. Each field declares its
-    default, its domain and its `train` flag.
-    """
-
-    agent: str = _field("synaptic", AGENT_KINDS, flag=None)
-    gamma: float = _field(0.99, "(0, 1)")
-    alpha: float = _field(0.9, "(0, 1]")
-    n_bins: int = _field(10, f"[2, {MASK + 1}]", flag="--bins")
-    # at most the return of an episode that survives to the step cap
-    convergence_reward: float = _field(200.0, f"(-inf, {MAX_STEPS * STEP_REWARD!r}]")
-    convergence_window: int = _field(20, "[1, inf)", flag="--window")
-    max_episodes: int = _field(1000, "[1, inf)")
-    seeds: tuple[int, ...] = _field((0,), _seeds_rule, flag=None)
-    epsilon: float = _field(0.0, "[0, 1]")
-    epsilon_decay: float = _field(1.0, "(0, 1]")
-    snapshot_every: int = _field(0, "[0, inf)")
-    init: str = _field("optimistic", INIT_MODES)
-    pool_capacity: int = _field(300, "[1, inf)")
-
-    def validate(self) -> None:
-        for key, check in _CHECKS:
-            check(key, getattr(self, key))
-
-    def bin_spec(self) -> BinSpec:
-        return BinSpec.symmetric(X_BIN_BOUND, X_DOT_BOUND, THETA_LIMIT, THETA_DOT_BOUND,
-                                 self.n_bins)
-
-
-_CHECKS = [(f.name, f.metadata["domain"]) for f in fields(TrainConfig)]
-
 
 def make_agent(config: TrainConfig, rng: Stream):
-    # alpha = 1 may be an int; as a float it writes to agent.json as it replays
-    common = {"alpha": float(config.alpha), "gamma": config.gamma, "init": config.init, "rng": rng}
+    common = {"alpha": config.alpha, "gamma": config.gamma, "init": config.init, "rng": rng}
     if config.agent == "bmu-pool":
         common["capacity"] = config.pool_capacity
     return AGENT_CLASSES[config.agent](**common)
@@ -207,7 +118,6 @@ class TrainResult:
 
 
 def train(config: TrainConfig, seed: int) -> TrainResult:
-    config.validate()
     started = time.perf_counter()
     env = CartPoleEnv()
     spec = config.bin_spec()
@@ -215,7 +125,7 @@ def train(config: TrainConfig, seed: int) -> TrainResult:
     # only a run that explores loads numpy, for its per-step coin
     explore = None
     if config.epsilon > 0:
-        explore = Exploration(seed_stream(seed, EXPLORATION).bit_generator())
+        explore = Exploration(seed_stream(seed, EXPLORATION))
     starts = episode_starts(seed_stream(seed, TRAIN_SEEDER), config.max_episodes)
 
     metrics = RunMetrics(seed=seed, rewards=[], moving_avg=[], moving_std=[],
@@ -309,7 +219,6 @@ def aggregate_curves(curves: list[list[float]]) -> tuple[list[float], list[float
 def seed_runs(config: TrainConfig) -> Iterator[TrainResult]:
     """Train the seeds one at a time, each yielded as soon as it is done, so
     a caller that keeps no result holds one seed's agent at a time."""
-    config.validate()
     for seed in config.seeds:
         yield train(config, seed)
 

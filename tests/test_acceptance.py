@@ -17,7 +17,8 @@ from bmu_lab.metrics import degree_distribution
 from bmu_lab.qtable import QTableAgent
 from bmu_lab.runio import execute_train_run
 from bmu_lab.synaptic import SynapticAgent
-from bmu_lab.trainer import TrainConfig, train
+from bmu_lab.config import TrainConfig
+from bmu_lab.trainer import train
 
 SEEDS = tuple(range(10))
 

@@ -21,9 +21,8 @@ from bmu_lab.cartpole import (
     X_LIMIT,
     CartPoleEnv,
 )
-from bmu_lab.runio import config_from_entries
+from bmu_lab.config import ConfigError, TrainConfig, config_from_entries
 from bmu_lab.streams import initial_states
-from bmu_lab.trainer import ConfigError, TrainConfig
 
 # frozen after the first run; regression-guards the seeded sampler
 # (initial_states([0])[0])

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bmu_lab.bmu import BmuAgent, PoolAgent
+from bmu_lab.config import AGENT_KINDS, TrainConfig
 from bmu_lab.core import INIT_MODES, KAPPA, argmax, optimistic_q
 from bmu_lab.discretize import cell_of
 from bmu_lab.qtable import QTableAgent
 from bmu_lab.runio import load_agent, save_agent
 from bmu_lab.synaptic import SynapticAgent
-from bmu_lab.trainer import AGENT_KINDS, TrainConfig, make_agent
+from bmu_lab.trainer import make_agent
 
 CELLS = [cell_of(f"{i}_{i}_{i}_{i}_") for i in range(6)]
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bmu_lab.config import TrainConfig
 from bmu_lab.graphio import (
     _GEXF_NS,
     Attrs,
@@ -17,7 +18,7 @@ from bmu_lab.graphio import (
     to_dot,
     to_gexf,
 )
-from bmu_lab.trainer import TrainConfig, train
+from bmu_lab.trainer import train
 
 
 def sample_snapshot():

@@ -25,7 +25,8 @@ from pathlib import Path
 import pytest
 
 from bmu_lab.cli import main
-from bmu_lab.runio import config_from_entries, execute_train_run, parse_config_text
+from bmu_lab.config import config_from_entries, parse_config_text
+from bmu_lab.runio import execute_train_run
 
 MANIFEST = Path(__file__).with_name("run_digests.json")
 KINDS = ("synaptic", "bmu", "bmu-pool", "qtable")

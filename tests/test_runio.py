@@ -18,9 +18,10 @@ from test_run_digests import KINDS, MANIFEST, SETTINGS, file_digests
 
 from bmu_lab import runio, trainer
 from bmu_lab.cli import main
+from bmu_lab.config import TrainConfig, config_from_entries
 from bmu_lab.graphio import to_dot, to_gexf
-from bmu_lab.runio import config_from_entries, execute_train_run, write_text
-from bmu_lab.trainer import TrainConfig, evaluate, train
+from bmu_lab.runio import execute_train_run, write_text
+from bmu_lab.trainer import evaluate, train
 
 TINY = TrainConfig(agent="qtable", max_episodes=3, seeds=(0, 1))
 

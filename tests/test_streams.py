@@ -87,9 +87,9 @@ def test_stream_equals_generator(seed, child, n):
 @given(seed=st.integers(0, 2 ** 64 - 1), child=st.integers(0, 3),
        epsilon=st.floats(0.0, 1.0))
 def test_exploration_from_a_handed_off_stream(seed, child, epsilon):
-    """Exploration over numpy's PCG64 set to a fresh Python stream's state
-    draws what `default_rng(child)` draws, across a block boundary."""
-    explore = Exploration(seed_stream(seed, child).bit_generator())
+    """Exploration over a fresh Python stream draws what `default_rng(child)`
+    draws, across a block boundary."""
+    explore = Exploration(seed_stream(seed, child))
     oracle = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[child])
     expected, drawn = [], []
     for _ in range(BLOCK + 10):

@@ -12,21 +12,22 @@ from hypothesis import example, given, settings, strategies as st
 
 from bmu_lab import streams, trainer
 from bmu_lab.cartpole import RESET_SPREAD, CartPoleEnv
-from bmu_lab.core import INIT_MODES
-from bmu_lab.discretize import BinSpec, cell_of, unpack
-from bmu_lab.runio import (
+from bmu_lab.config import (
+    AGENT_KINDS,
     RETIRED_KEYS,
-    agent_state_hash,
+    ConfigError,
+    TrainConfig,
     config_from_entries,
     format_config,
     parse_config_text,
 )
-from bmu_lab.streams import BLOCK, Exploration, initial_states, mean_std
+from bmu_lab.core import INIT_MODES
+from bmu_lab.discretize import BinSpec, cell_of, unpack
+from bmu_lab.runio import agent_state_hash, save_agent
+from bmu_lab.streams import (AGENT_ROWS, BLOCK, Exploration, initial_states, mean_std,
+                             seed_stream)
 from bmu_lab.trainer import (
-    AGENT_KINDS,
-    ConfigError,
     EvalReport,
-    TrainConfig,
     aggregate_curves,
     evaluate,
     greedy_action,
@@ -299,6 +300,37 @@ class TestConfig:
         assert "init = zeros\n" in text
         assert "q_init" not in text and "encoder_init" not in text
 
+    @settings(max_examples=300, deadline=None)
+    @given(config=valid_configs(), data=st.data())
+    def test_config_out_of_its_domain_cannot_be_made(self, config, data):
+        # made directly or by replace, with no validate() call
+        key = data.draw(st.sampled_from(list(OUT_OF_DOMAIN)), label="key")
+        value = data.draw(OUT_OF_DOMAIN[key], label="value")
+        for make in (TrainConfig, lambda **change: replace(config, **change)):
+            with pytest.raises(ConfigError) as excinfo:
+                make(**{key: value})
+            assert str(excinfo.value).startswith(f"{key} must ")
+
+    @pytest.mark.parametrize("key, value", [(key, value) for key, value in JUST_OUTSIDE
+                                            if key not in RETIRED])
+    def test_nearest_value_outside_an_interval_cannot_be_made(self, key, value):
+        with pytest.raises(ConfigError) as excinfo:
+            TrainConfig(**{key: value})
+        assert str(excinfo.value).startswith(f"{key} must ")
+
+    @pytest.mark.parametrize("key, value", [
+        ("alpha", 1), ("convergence_reward", 200), ("convergence_reward", -3),
+        ("epsilon", 0), ("epsilon", 1), ("epsilon_decay", 1),
+    ])
+    def test_int_in_a_real_field_stored_as_float(self, key, value):
+        stored = getattr(TrainConfig(**{key: value}), key)
+        assert type(stored) is float and stored == value
+
+    @pytest.mark.parametrize("agent", AGENT_KINDS)
+    def test_int_alpha_written_to_agent_file_as_float(self, agent):
+        config = TrainConfig(agent=agent, alpha=1)
+        assert '"alpha": 1.0' in save_agent(make_agent(config, seed_stream(0, AGENT_ROWS)))
+
 
 def legacy_init(agent, q_init, encoder_init):
     """The init the agent factory gave each kind before the `init` key, with
@@ -545,6 +577,8 @@ class TestTrain:
         seeds = np.random.default_rng(env_ss).integers(0, 2 ** 63, size=600).tolist()
         agent = make_agent(config, np.random.default_rng(agent_ss))
         env = CartPoleEnv()
+        # numpy's own bit generator stands in for the run's stream, as
+        # Exploration reads only its `state`
         explore = Exploration(np.random.default_rng(explore_ss).bit_generator)
         rewards = [run_episode(agent, env, config, start, explore=explore,
                                epsilon=config.epsilon).total_reward
@@ -651,15 +685,10 @@ class TestMultiSeed:
 class TestExactDraws:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 128 - 1), epsilon=st.floats(0.0, 1.0),
-           steps=st.integers(BLOCK + 1, 2 * BLOCK), cached_half=st.booleans())
-    def test_exploration_equals_generator(self, seed, epsilon, steps, cached_half):
+           steps=st.integers(BLOCK + 1, 2 * BLOCK))
+    def test_exploration_equals_generator(self, seed, epsilon, steps):
         oracle = np.random.default_rng(seed)
-        source = np.random.default_rng(seed)
-        if cached_half:
-            # one 32-bit draw leaves the upper half of its word cached
-            assert oracle.integers(2) == source.integers(2)
-            assert source.bit_generator.state["has_uint32"] == 1
-        explore = Exploration(source.bit_generator)
+        explore = Exploration(seed_stream(seed))
         expected, drawn = [], []
         for _ in range(steps):
             coin = oracle.random()
@@ -673,29 +702,30 @@ class TestExactDraws:
     def test_actions_equal_sized_draws(self):
         for seed in range(20):
             oracle = np.random.default_rng(seed)
-            explore = Exploration(np.random.default_rng(seed).bit_generator)
+            explore = Exploration(seed_stream(seed))
             draws = [explore.action() for _ in range(3 * BLOCK)]
             assert draws == oracle.integers(2, size=3 * BLOCK).tolist()
 
-    def test_words_fetched_lazily_a_block_at_a_time(self):
-        bit_generator = np.random.PCG64(3)
-        untouched = bit_generator.state
-        explore = Exploration(bit_generator)
+    def test_words_fetched_lazily_a_block_at_a_time(self, monkeypatch):
+        pcg64, built = np.random.PCG64, []
+
+        def kept(*args):
+            # the bit generator Exploration builds, kept to read its state
+            built.append(pcg64(*args))
+            return built[-1]
+
+        monkeypatch.setattr(np.random, "PCG64", kept)
+        explore = Exploration(seed_stream(3))
+        (bit_generator,) = built
         config = TrainConfig()
         run_episode(make_agent(config, np.random.default_rng(0)),
                     CartPoleEnv(), config, initial_states([1])[0],
                     explore=explore, epsilon=0.0)
-        assert bit_generator.state == untouched
+        assert bit_generator.state == pcg64(3).state
         explore.random()
-        one_block = np.random.PCG64(3)
+        one_block = pcg64(3)
         one_block.random_raw(BLOCK)
         assert bit_generator.state == one_block.state
-
-    def test_non_pcg64_rejected(self):
-        with pytest.raises(TypeError, match="PCG64"):
-            Exploration(np.random.MT19937(0))
-        with pytest.raises(TypeError, match="PCG64"):
-            Exploration(np.random.Philox(0))
 
     def test_episode_seeds_in_one_call_equal_scalar_draws(self):
         batch = np.random.default_rng(5).integers(0, 2 ** 63, size=1000).tolist()
