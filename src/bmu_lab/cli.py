@@ -175,22 +175,27 @@ def _handle_stats(args) -> int:
 def _handle_table2(args) -> int:
     rows = []
     for run in args.runs:
-        summary = json.loads((Path(run) / "summary.json").read_text())
-        episodes = [e for e in summary["convergence_episodes"] if e is not None]
-        # a failed seed's size is where it stopped, not where it converged
-        finals = [entry["final_stats"] for entry in summary["per_seed"]
-                  if entry.get("failed") is None]
-        fan_ins = [s["avg_fan_in"] for s in finals if s["avg_fan_in"] is not None]
-        rows.append({
-            "agent": summary["agent"],
-            "init": load_run_config(Path(run)).init,
-            # runs written before per-seed failures had none
-            "failed": len(summary.get("failed_seeds", ())),
-            "episodes_to_convergence": _median(episodes),
-            "neurons": _median([s["neurons"] for s in finals]),
-            "avg_fan_in": _median(fan_ins),
-            "parameters": _median([s["parameter_count"] for s in finals]),
-        })
+        path = Path(run) / "summary.json"
+        summary = json.loads(path.read_text())
+        init = load_run_config(path.parent).init
+        try:
+            episodes = [e for e in summary["convergence_episodes"] if e is not None]
+            # a failed seed's size is where it stopped, not where it converged
+            finals = [entry["final_stats"] for entry in summary["per_seed"]
+                      if entry.get("failed") is None]
+            fan_ins = [s["avg_fan_in"] for s in finals if s["avg_fan_in"] is not None]
+            rows.append({
+                "agent": summary["agent"],
+                "init": init,
+                # runs written before per-seed failures had none
+                "failed": len(summary.get("failed_seeds", ())),
+                "episodes_to_convergence": _median(episodes),
+                "neurons": _median([s["neurons"] for s in finals]),
+                "avg_fan_in": _median(fan_ins),
+                "parameters": _median([s["parameter_count"] for s in finals]),
+            })
+        except (KeyError, IndexError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed {path}: {type(exc).__name__}: {exc}") from exc
     csv_text, aligned = summary_table(rows)
     out = Path(args.out)
     commit(out.parent, {out.name: csv_text})

@@ -48,8 +48,15 @@ def _domain(declared, default):
     def check(key, value):
         if not isinstance(value, kind) or isinstance(value, bool):
             raise ConfigError(f"{key} must be {noun}, got {value!r}")
-        if not ((lo <= value if lo_closed else lo < value)
-                and (value <= hi if hi_closed else value < hi)):
+        number = value
+        if kind is numbers.Real:
+            # the float the config stores is the value checked
+            try:
+                number = float(value)
+            except OverflowError:
+                raise ConfigError(f"{key} must be a real number a float can hold") from None
+        if not ((lo <= number if lo_closed else lo < number)
+                and (number <= hi if hi_closed else number < hi)):
             raise ConfigError(f"{key} must be {rule}, got {value}")
     return check
 

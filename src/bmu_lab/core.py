@@ -4,9 +4,11 @@ The synaptic graph, the BMU ensembles, the neuron pool and the Q-table all
 run the same Bellman iteration over the same data: one row of `KAPPA`
 action values per discretized state, and, for the graph agents, which state
 each (state, action) transition last led to. `BellmanCore` holds exactly that,
-under row ids given out in first-seen order, and the four agent classes are
-thin adapters over it that differ only in how they render their state to
-files (and the range of their uniform row init).
+under row ids given out in first-seen order. It is the one learner and
+selector: every kind runs its one `update` and its greedy `select`, and the
+trainer, not the store, draws the exploring actions. The four agent classes
+differ only in how they render their state to files, the range of their
+uniform row init and, for the table, what `point` records of a transition.
 
 Agents are driven with the packed cell ids of `discretize`. The string key
 of a cell is rendered once, when its row is added, and is what the files
@@ -107,22 +109,6 @@ class BellmanCore:
         self.rows.append(row)
         self.fan_in.append(0)
 
-    def row(self, cell: int) -> list[float]:
-        return self.rows[self.ids[cell]]
-
-    def learn(self, source: int, action: int, reward: float,
-              target: int, terminal: bool) -> None:
-        """Q += alpha * (-Q + r + gamma * V') on one action of `source`.
-
-        V' is 0 on terminal transitions and otherwise the max of the target
-        row, read before the write (so a self-loop sees its old value).
-        """
-        if not math.isfinite(reward):
-            raise ValueError(f"reward must be finite, got {reward}")
-        row = self.rows[source]
-        v_next = 0.0 if terminal else max(self.rows[target])
-        row[action] += self.alpha * (-row[action] + reward + self.gamma * v_next)
-
     def point(self, source: int, action: int, target: int) -> None:
         """Record the transition edge, keeping fan-in exact.
 
@@ -150,20 +136,29 @@ class BellmanCore:
         self.add(cell, self.new_row())
         return True
 
-    def select(self, cell: int, forced: int | None = None) -> int:
-        if forced is not None:
-            return forced
-        return argmax(self.row(cell))
+    def select(self, cell: int) -> int:
+        """The greedy action of a seen state; exploring is the trainer's."""
+        return argmax(self.rows[self.ids[cell]])
 
     def update(self, cell: int, action: int, reward: float,
                next_cell: int, terminal: bool) -> None:
+        """Q += alpha * (-Q + r + gamma * V') on one action of `cell`, then
+        `point` records the transition.
+
+        V' is 0 on terminal transitions and otherwise the max of the target
+        row, read before the write (so a self-loop sees its old value).
+        """
         source = self.ids[cell]
         target = self.ids[next_cell]
-        self.learn(source, action, reward, target, terminal)
+        if not math.isfinite(reward):
+            raise ValueError(f"reward must be finite, got {reward}")
+        row = self.rows[source]
+        v_next = 0.0 if terminal else max(self.rows[target])
+        row[action] += self.alpha * (-row[action] + reward + self.gamma * v_next)
         self.point(source, action, target)
 
     def q_values(self, cell: int) -> list[float]:
-        return list(self.row(cell))
+        return list(self.rows[self.ids[cell]])
 
     def stats(self) -> NetworkStats:
         n = len(self.keys)
@@ -212,8 +207,13 @@ class BellmanCore:
         return [{"source": keys[source], "action": action, "target": keys[target]}
                 for source, action, target in self.edge_list()]
 
+    def id_of(self, key: str) -> int:
+        """The row id of a state key read back from a file."""
+        try:
+            return self.ids[cell_of(key)]
+        except KeyError:
+            raise ValueError(f"state {key} has no row in the {self.kind} agent file") from None
+
     def restore_edges(self, edges) -> None:
-        ids = self.ids
         for edge in edges:
-            self.point(ids[cell_of(edge["source"])], edge["action"],
-                       ids[cell_of(edge["target"])])
+            self.point(self.id_of(edge["source"]), edge["action"], self.id_of(edge["target"]))

@@ -148,7 +148,10 @@ def _typed(value: str, gexf_type: str):
 def read_gexf(text: str) -> GraphSnapshot:
     import xml.etree.ElementTree as ET  # only `stats` reads a graph back
 
-    root = ET.fromstring(text)
+    try:
+        root = ET.fromstring(text)
+    except ET.ParseError as exc:
+        raise ValueError(f"malformed GEXF: {exc}") from None
     snapshot = GraphSnapshot(name="graph")
 
     schemas: dict[str, dict[str, tuple[str, str]]] = {"node": {}, "edge": {}}
@@ -167,7 +170,10 @@ def read_gexf(text: str) -> GraphSnapshot:
         for child in element.iter():
             if _local(child.tag) != "attvalue":
                 continue
-            title, gexf_type = schemas[cls][child.get("for")]
+            declared = schemas[cls].get(child.get("for"))
+            if declared is None:
+                raise ValueError(f"malformed GEXF: no {cls} attribute {child.get('for')!r}")
+            title, gexf_type = declared
             attrs[title] = _typed(child.get("value"), gexf_type)
         return attrs
 

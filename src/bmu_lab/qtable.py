@@ -4,9 +4,11 @@ Serves two purposes: the comparison row in the summary table, and the
 reference semantics for the graph agents (all of them must produce the
 same Q values on the same transition stream). Rows are stored on demand:
 as for every agent, a state is read and updated only after `ensure` has
-added its row, and the table records no transition edges. Visit counts and
-the row order of `qtable.csv` and `agent.json` follow the string keys, so
-the files sort as keys, not as cell ids.
+added its row. The table learns through the shared update and records no
+edge: its `point` counts a visit of the source state instead, so `visits`
+counts the updates with each state as source. Visit counts and the row
+order of `qtable.csv` and `agent.json` follow the string keys, so the files
+sort as keys, not as cell ids.
 """
 
 from __future__ import annotations
@@ -25,10 +27,8 @@ class QTableAgent(BellmanCore):
         super().__init__(*args, **kwargs)
         self.visits: dict[str, int] = {}
 
-    def update(self, cell: int, action: int, reward: float,
-               next_cell: int, terminal: bool) -> None:
-        source = self.ids[cell]
-        self.learn(source, action, reward, self.ids[next_cell], terminal)
+    def point(self, source: int, action: int, target: int) -> None:
+        # a table records no edge, only that the source was updated once more
         key = self.keys[source]
         self.visits[key] = self.visits.get(key, 0) + 1
 

@@ -118,6 +118,8 @@ def save_agent(agent) -> str:
 
 def load_agent(text: str):
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError(f"agent file must hold a JSON object, got {type(payload).__name__}")
     kind = payload.get("kind")
     if kind not in AGENT_CLASSES:
         raise ValueError(f"unknown agent kind {kind!r} in agent file")
@@ -126,7 +128,10 @@ def load_agent(text: str):
         if payload.get(key) != value:
             raise ValueError(f"{key} must be {value} in a {kind} agent file, "
                              f"got {payload.get(key)!r}")
-    return cls.deserialize(payload)
+    try:
+        return cls.deserialize(payload)
+    except (KeyError, IndexError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed {kind} agent file: {type(exc).__name__}: {exc}") from exc
 
 
 def agent_state_hash(agent) -> str:

@@ -73,5 +73,5 @@ class SynapticAgent(BellmanCore):
                     raise ValueError(f"gate must be closed in a synaptic agent file, "
                                      f"got {syn['gate']!r} on neuron {entry['key']}")
                 if syn["target"] is not None:
-                    agent.point(i, j, agent.ids[cell_of(syn["target"])])
+                    agent.point(i, j, agent.id_of(syn["target"]))
         return agent

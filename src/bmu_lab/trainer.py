@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING
 from .bmu import PoolCapacityError
 from .cartpole import CartPoleEnv
 from .config import AGENT_CLASSES, TrainConfig
-from .core import argmax
 from .discretize import BinSpec, discretize
 from .graphio import GraphSnapshot
 from .streams import (AGENT_ROWS, EVAL_SEEDER, EXPLORATION, TRAIN_SEEDER, Exploration,
@@ -46,21 +45,18 @@ class EpisodeRecord:
     spawned: int
 
 
-def run_episode(agent, env: CartPoleEnv, config: TrainConfig,
+def run_episode(agent, env: CartPoleEnv, spec: BinSpec,
                 start: tuple[float, float, float, float],
                 explore: Exploration | None = None,
-                epsilon: float = 0.0, spec: BinSpec | None = None) -> EpisodeRecord:
+                epsilon: float = 0.0) -> EpisodeRecord:
     """One full episode from the state `start`: discretize, look up or spawn,
-    select, step, connect, Bellman-update, advance, until failure or the
-    step cap.
+    select, step, Bellman-update, advance, until failure or the step cap.
 
-    With `epsilon` > 0, each step draws a coin from `explore`, the run's one
-    `Exploration`, and below `epsilon` forces a uniform action. `spec` is
-    `config.bin_spec()`, passed in by callers that run many episodes so it
-    is built once.
+    The agent selects greedily; exploring is the trainer's. With `epsilon`
+    > 0, each step draws a coin from `explore`, the run's one
+    `Exploration`, and below `epsilon` takes its uniform action in place of
+    the agent's choice.
     """
-    if spec is None:
-        spec = config.bin_spec()
     exploring = explore is not None and epsilon > 0.0
     if exploring:
         coin, forced_action = explore.random, explore.action
@@ -71,10 +67,10 @@ def run_episode(agent, env: CartPoleEnv, config: TrainConfig,
     total = 0.0
     steps = 0
     while True:
-        forced = None
         if exploring and coin() < epsilon:
-            forced = forced_action()
-        action = select(cell, forced)
+            action = forced_action()
+        else:
+            action = select(cell)
         next_state, reward, terminated, truncated = step(action)
         next_cell = discretize(next_state, spec)
         if ensure(next_cell):
@@ -137,8 +133,7 @@ def train(config: TrainConfig, seed: int) -> TrainResult:
     epsilon = config.epsilon
     for episode, start in enumerate(starts, start=1):
         try:
-            record = run_episode(agent, env, config, start,
-                                 explore=explore, epsilon=epsilon, spec=spec)
+            record = run_episode(agent, env, spec, start, explore=explore, epsilon=epsilon)
         except PoolCapacityError as exc:
             # the seed's outcome; the unfinished episode is not recorded
             metrics.failed = str(exc)
@@ -270,10 +265,9 @@ class EvalReport:
 def greedy_action(agent, cell: int) -> int:
     """Frozen-policy readout; unseen states fall back to the zero-Q tie."""
     try:
-        qs = agent.q_values(cell)
+        return agent.select(cell)
     except KeyError:
         return 0
-    return argmax(qs)
 
 
 def evaluate(agent, config: TrainConfig, seed: int, n_episodes: int) -> EvalReport:

@@ -58,7 +58,6 @@ def matched_zero_agents():
 def drive(agent, s, action, reward, s2, terminal):
     agent.ensure(s)
     agent.ensure(s2)
-    agent.select(s, forced=action)
     agent.update(s, action, reward, s2, terminal)
     return agent.q_values(s)[action]
 
@@ -129,7 +128,6 @@ def test_bellman_fixed_point():
         for _ in range(500):
             for state in MDP_NEXT:
                 for action in (0, 1):
-                    agent.select(MDP_CELL[state], forced=action)
                     agent.update(MDP_CELL[state], action, MDP_REWARD[state][action],
                                  MDP_CELL[MDP_NEXT[state][action]], False)
         for state in MDP_NEXT:

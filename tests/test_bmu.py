@@ -231,7 +231,6 @@ def test_pool_matches_graph_agent_on_shared_stream():
         # greedy choices agree at every step
         assert pool_agent.select(s) == argmax(graph_agent.q_values(s))
         # both learn from the stream action, greedy or not
-        graph_agent.select(s, forced=action)
         graph_agent.update(s, action, reward, s2, terminal)
         pool_agent.update(s, action, reward, s2, terminal)
         assert abs(pool_agent.q_values(s)[action]

@@ -461,6 +461,53 @@ def test_older_dense_run_refused_by_key(tmp_path, capsys, monkeypatch, command):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
 
 
+def edited_json(change):
+    """An edit of a JSON file's text that applies `change` to its payload."""
+    def edit(text):
+        payload = json.loads(text)
+        change(payload)
+        return json.dumps(payload)
+    return edit
+
+
+def synapse_to_unknown_state(payload):
+    keys = {neuron["key"] for neuron in payload["neurons"]}
+    unknown = next(key for key in (f"{i}_{i}_{i}_{i}_" for i in range(10)) if key not in keys)
+    payload["neurons"][0]["synapses"][0]["target"] = unknown
+
+
+@pytest.mark.parametrize("command, name, edit", [
+    ("eval", "seed0/agent.json", edited_json(lambda payload: payload.pop("alpha"))),
+    ("eval", "seed0/agent.json", edited_json(synapse_to_unknown_state)),
+    ("eval", "seed0/agent.json", lambda text: json.dumps([json.loads(text)])),
+    ("stats", "seed0/graph_final.gexf", lambda text: text[:len(text) // 2]),
+    ("stats", "seed0/graph_final.gexf", lambda text: text.replace('for="0"', 'for="99"', 1)),
+    ("table2", "summary.json",
+     edited_json(lambda payload: payload.pop("convergence_episodes"))),
+], ids=["agent-without-alpha", "edge-target-without-row", "agent-as-list",
+        "truncated-gexf", "gexf-value-of-undeclared-attribute",
+        "summary-without-convergence-episodes"])
+def test_malformed_run_file_is_one_error_line(trained_run, tmp_path, capsys,
+                                              command, name, edit):
+    """A run file edited out of shape ends the command in one `error:`
+    line, with no traceback and no output directory."""
+    path = trained_run / name
+    path.write_text(edit(path.read_text()))
+    before = dir_contents(trained_run)
+    out = tmp_path / "out"
+    if command == "table2":
+        args = ["table2", "--runs", trained_run, "--out", out / "table2.csv"]
+    else:
+        args = [command, "--run", trained_run, "--out", out]
+    capsys.readouterr()
+    assert run_cli(args) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert dir_contents(trained_run) == before
+
+
 class TestTable2:
     def test_comparison_over_two_runs(self, tmp_path, capsys):
         run_a, run_b = tmp_path / "a", tmp_path / "b"

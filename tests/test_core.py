@@ -2,6 +2,7 @@
 as interchangeable adapters over it."""
 
 import json
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from bmu_lab.bmu import BmuAgent, PoolAgent
 from bmu_lab.config import AGENT_KINDS, TrainConfig
 from bmu_lab.core import INIT_MODES, KAPPA, argmax, optimistic_q
-from bmu_lab.discretize import cell_of
+from bmu_lab.discretize import cell_of, key_of, unpack
 from bmu_lab.qtable import QTableAgent
 from bmu_lab.runio import load_agent, save_agent
 from bmu_lab.synaptic import SynapticAgent
@@ -55,19 +56,34 @@ transitions = st.tuples(
 @settings(max_examples=80, deadline=None)
 @given(stream=st.lists(transitions, min_size=1, max_size=80))
 def test_matched_zero_agents_agree_on_rows_and_choices(stream):
+    """Driven as the trainer drives them, where a forced action bypasses
+    `select`, the four kinds agree on every greedy choice and every row."""
     agents = zero_agents()
+    table = agents[3]
+    updates = Counter()
     for s, forced, reward, s2, terminal in stream:
         for agent in agents:
             agent.ensure(s)
             agent.ensure(s2)
-        choices = [agent.select(s, forced) for agent in agents]
-        assert choices == [choices[0]] * len(agents)
+        action = forced
+        if forced is None:
+            choices = [agent.select(s) for agent in agents]
+            assert choices == [choices[0]] * len(agents)
+            action = choices[0]
         for agent in agents:
-            agent.update(s, choices[0], reward, s2, terminal)
+            agent.update(s, action, reward, s2, terminal)
+        updates[key_of(unpack(s))] += 1
         rows = [agent.q_values(s) for agent in agents]
         assert rows == [rows[0]] * len(agents)
+    # the table counts every update of a source and records no edge
+    assert table.visits == dict(updates)
+    assert table.targets == {}
     # the three graph agents also agree on topology
     graphs = agents[:3]
+    targets = [list(agent.targets.items()) for agent in graphs]
+    assert targets == [targets[0]] * len(graphs)
+    fan_in = [agent.fan_in for agent in graphs]
+    assert fan_in == [fan_in[0]] * len(graphs)
     stats = [agent.stats() for agent in graphs]
     assert stats == [stats[0]] * len(graphs)
     edges = [sorted((s, t, a["action"]) for s, t, a in agent.snapshot().edges)
@@ -84,8 +100,7 @@ def test_serialize_round_trip(kind):
             s, s2 = CELLS[rng.integers(len(CELLS))], CELLS[rng.integers(len(CELLS))]
             agent.ensure(s)
             agent.ensure(s2)
-            forced = int(rng.integers(2)) if rng.uniform() < 0.5 else None
-            action = agent.select(s, forced)
+            action = int(rng.integers(2)) if rng.uniform() < 0.5 else agent.select(s)
             reward = float(rng.choice([1.0, -10.0]))
             agent.update(s, action, reward, s2, reward < 0)
         text = save_agent(agent)
@@ -111,7 +126,7 @@ def test_loaded_agent_adds_rows_as_a_fresh_one_from_seed_0(kind, init):
 @pytest.mark.parametrize("kind", AGENT_KINDS)
 def test_select_leaves_the_files_unchanged(kind):
     """Selection only reads: no kind keeps state between select and update,
-    so agent.json and the snapshot read the same after it, greedy or forced."""
+    so agent.json and the snapshot read the same after it."""
     agent = make_agent(TrainConfig(agent=kind), np.random.default_rng(0))
     for s, s2 in zip(CELLS, CELLS[1:]):
         agent.ensure(s)
@@ -119,10 +134,9 @@ def test_select_leaves_the_files_unchanged(kind):
         agent.update(s, agent.select(s), 1.0, s2, False)
     text, snapshot = save_agent(agent), agent.snapshot()
     for cell in CELLS:
-        for forced in (None, 0, 1):
-            agent.select(cell, forced)
-            assert save_agent(agent) == text
-            assert agent.snapshot() == snapshot
+        agent.select(cell)
+        assert save_agent(agent) == text
+        assert agent.snapshot() == snapshot
 
 
 @pytest.mark.parametrize("kind, key, value", [

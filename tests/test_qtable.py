@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from bmu_lab.config import AGENT_KINDS, TrainConfig
 from bmu_lab.discretize import cell_of
 from bmu_lab.qtable import QTableAgent
 from bmu_lab.synaptic import SynapticAgent
-from bmu_lab.trainer import greedy_action
+from bmu_lab.trainer import greedy_action, make_agent
 
 # agents take cell ids; agent.json names the same states by key
 S_KEY, T_KEY = "1_1_1_1_", "2_2_2_2_"
@@ -31,10 +32,13 @@ def table_with_rows(rows, alpha=0.9, gamma=0.99):
 
 
 class TestSelect:
-    def test_unseen_state_reads_zero_and_ties_low(self):
+    @pytest.mark.parametrize("kind", AGENT_KINDS)
+    def test_unseen_state_reads_zero_and_ties_low(self, kind):
         # the greedy readout takes an unseen state as the all-zero tie
-        agent = QTableAgent(init="zeros")
+        agent = make_agent(TrainConfig(agent=kind, init="zeros"), None)
         assert greedy_action(agent, cell_of("9_9_9_9_")) == 0
+        with pytest.raises(KeyError):
+            agent.select(cell_of("9_9_9_9_"))
         with pytest.raises(KeyError):
             agent.q_values(cell_of("9_9_9_9_"))
         with pytest.raises(KeyError):

@@ -91,7 +91,6 @@ class TestSpawn:
         assert node_attrs(agent, "5_5_5_5_")["value"] == optimistic_q(0.99) \
             == pytest.approx(100.0)
         # one step into a fresh state keeps the optimistic value in place
-        agent.select(cell_of("5_5_5_5_"), forced=0)
         agent.update(cell_of("5_5_5_5_"), 0, 1.0, cell_of("6_6_6_6_"), False)
         assert agent.q_values(cell_of("5_5_5_5_"))[0] == pytest.approx(100.0)
 
@@ -130,7 +129,6 @@ class TestConnect:
         return agent
 
     def _step(self, agent, source, action, target):
-        agent.select(source, forced=action)
         agent.update(source, action, 1.0, target, False)
 
     def test_first_edge(self):
@@ -160,7 +158,6 @@ class TestBellmanUpdate:
     def _update(self, agent, action, reward, terminal=False):
         agent.ensure(A)
         agent.ensure(Z)  # a fresh zero-valued successor
-        agent.select(A, forced=action)
         agent.update(A, action, reward, Z, terminal)
         return agent.q_values(A)[action], node_attrs(agent, A_KEY)["value"]
 
@@ -196,7 +193,6 @@ class TestBellmanUpdate:
             agent.ensure(key)
         for _ in range(200):
             j = int(rng.integers(2))
-            agent.select(A, forced=j)
             agent.update(A, j, float(rng.normal()), keys[rng.integers(2)],
                          bool(rng.uniform() < 0.2))
             assert node_attrs(agent, A_KEY)["value"] == max(agent.q_values(A))
@@ -299,7 +295,6 @@ def test_trajectory_oracle_equivalence():
     for s, action, reward, s2, terminal in random_stream(3000, seed=5):
         agent.ensure(s)
         agent.ensure(s2)
-        agent.select(s, forced=action)
         agent.update(s, action, reward, s2, terminal)
         oracle.update(s, action, reward, s2, terminal)
         assert abs(agent.q_values(s)[action] - oracle.row(s)[action]) <= 1e-12
@@ -311,7 +306,6 @@ def test_topology_counts_non_decreasing():
     for s, action, reward, s2, terminal in random_stream(1500, seed=9):
         agent.ensure(s)
         agent.ensure(s2)
-        agent.select(s, forced=action)
         agent.update(s, action, reward, s2, terminal)
         stats = agent.stats()
         assert stats.neurons >= last_neurons
@@ -325,7 +319,6 @@ def test_fan_in_matches_edge_list_recount():
     for s, action, reward, s2, terminal in random_stream(1200, seed=21):
         agent.ensure(s)
         agent.ensure(s2)
-        agent.select(s, forced=action)
         agent.update(s, action, reward, s2, terminal)
     snapshot = agent.snapshot()
     recount = {key: 0 for key, _ in snapshot.nodes}
@@ -339,7 +332,6 @@ def test_snapshot_carries_node_and_edge_attributes():
     agent = SynapticAgent(init="zeros")
     agent.ensure(cell_of("1_1_1_1_"))
     agent.ensure(cell_of("2_2_2_2_"))
-    agent.select(cell_of("1_1_1_1_"), forced=1)
     agent.update(cell_of("1_1_1_1_"), 1, 1.0, cell_of("2_2_2_2_"), False)
     snap = agent.snapshot()
     assert [n for n, _ in snap.nodes] == ["1_1_1_1_", "2_2_2_2_"]

@@ -326,6 +326,13 @@ class TestConfig:
         stored = getattr(TrainConfig(**{key: value}), key)
         assert type(stored) is float and stored == value
 
+    @pytest.mark.parametrize("key", [f.name for f in fields(TrainConfig)
+                                     if isinstance(f.default, float)])
+    @pytest.mark.parametrize("value", [-10 ** 400, 10 ** 400], ids=["-10**400", "10**400"])
+    def test_int_too_large_for_a_float_cannot_be_made(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be a real number a float can hold"):
+            TrainConfig(**{key: value})
+
     @pytest.mark.parametrize("agent", AGENT_KINDS)
     def test_int_alpha_written_to_agent_file_as_float(self, agent):
         config = TrainConfig(agent=agent, alpha=1)
@@ -454,7 +461,7 @@ class PdStub:
     def ensure(self, cell):
         return False
 
-    def select(self, cell, forced=None):
+    def select(self, cell):
         x, x_dot, theta, theta_dot = (b - 4.5 for b in unpack(cell))
         return 1 if (3.0 * theta + 1.2 * theta_dot + 0.05 * x + 0.4 * x_dot) > 0 else 0
 
@@ -468,8 +475,8 @@ STUB_SPEC = BinSpec.symmetric(6.0, 1.5, 0.2095, 1.5, n_bins=10)
 
 class TestRunEpisode:
     def test_truncated_episode_reward_250(self):
-        record = run_episode(PdStub(), CartPoleEnv(), TrainConfig(),
-                             start=initial_states([1])[0], spec=STUB_SPEC)
+        record = run_episode(PdStub(), CartPoleEnv(), STUB_SPEC,
+                             start=initial_states([1])[0])
         assert record.steps == 250
         assert record.total_reward == 250.0
 
@@ -477,7 +484,7 @@ class TestRunEpisode:
         config = TrainConfig()
         env = CartPoleEnv()
         agent = make_agent(config, np.random.default_rng(0))
-        record = run_episode(agent, env, config, start=initial_states([3])[0])
+        record = run_episode(agent, env, config.bin_spec(), start=initial_states([3])[0])
         assert record.steps < 250  # an untrained agent fails quickly
         assert record.total_reward == (record.steps - 1) * 1.0 - 10.0
 
@@ -486,7 +493,7 @@ class TestRunEpisode:
             config = TrainConfig()
             env = CartPoleEnv()
             agent = make_agent(config, np.random.default_rng(0))
-            rec = run_episode(agent, env, config, start=initial_states([17])[0])
+            rec = run_episode(agent, env, config.bin_spec(), start=initial_states([17])[0])
             return rec.total_reward, rec.steps, rec.spawned
 
         assert once() == once()
@@ -497,7 +504,7 @@ class TestRunEpisode:
         agent = make_agent(config, np.random.default_rng(0))
         spawned = 0
         for start in initial_states(range(5)):
-            spawned += run_episode(agent, env, config, start).spawned
+            spawned += run_episode(agent, env, config.bin_spec(), start).spawned
         assert spawned == agent.stats().neurons
 
 
@@ -547,7 +554,7 @@ class TestTrain:
         for _ in range(result.metrics.episodes_run):
             start_rng = np.random.default_rng(int(env_seeder.integers(0, 2 ** 63)))
             start = tuple(start_rng.uniform(-RESET_SPREAD, RESET_SPREAD, size=4).tolist())
-            record = run_episode(agent, env, config, start,
+            record = run_episode(agent, env, config.bin_spec(), start,
                                  explore=PerCall(), epsilon=epsilon)
             epsilon *= config.epsilon_decay
             rewards.append(record.total_reward)
@@ -580,7 +587,7 @@ class TestTrain:
         # numpy's own bit generator stands in for the run's stream, as
         # Exploration reads only its `state`
         explore = Exploration(np.random.default_rng(explore_ss).bit_generator)
-        rewards = [run_episode(agent, env, config, start, explore=explore,
+        rewards = [run_episode(agent, env, config.bin_spec(), start, explore=explore,
                                epsilon=config.epsilon).total_reward
                    for start in initial_states(seeds)]
         assert result.metrics.rewards == rewards
@@ -719,7 +726,7 @@ class TestExactDraws:
         (bit_generator,) = built
         config = TrainConfig()
         run_episode(make_agent(config, np.random.default_rng(0)),
-                    CartPoleEnv(), config, initial_states([1])[0],
+                    CartPoleEnv(), config.bin_spec(), initial_states([1])[0],
                     explore=explore, epsilon=0.0)
         assert bit_generator.state == pcg64(3).state
         explore.random()
@@ -836,16 +843,14 @@ class TestEvaluate:
 
 def test_stub_always_surviving_converges_at_window():
     """Window arithmetic through the full train loop with a balancing stub."""
-    config = TrainConfig()
     env_rewards = []
     env = CartPoleEnv()
     stub = PdStub()
     seeder = np.random.default_rng(np.random.SeedSequence(0).spawn(3)[0])
     streak = 0
     for episode in range(1, 41):
-        record = run_episode(stub, env, config,
-                             initial_states([int(seeder.integers(0, 2 ** 63))])[0],
-                             spec=STUB_SPEC)
+        record = run_episode(stub, env, STUB_SPEC,
+                             initial_states([int(seeder.integers(0, 2 ** 63))])[0])
         env_rewards.append(record.total_reward)
         streak = streak + 1 if record.total_reward >= 200.0 else 0
         if streak >= 20:
