@@ -10,7 +10,7 @@ without it."""
 
 from .cartpole import CartPoleEnv
 from .streams import initial_states
-from .discretize import BinSpec, discretize, key_of, parse_key
+from .discretize import cell_of, discretize, key_of
 from .synaptic import SynapticAgent
 from .bmu import BmuAgent, PoolAgent, PoolCapacityError
 from .qtable import QTableAgent

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .core import KAPPA, BellmanCore
-from .discretize import cell_of
 from .streams import loaded_rng
 
 if TYPE_CHECKING:
@@ -62,7 +61,8 @@ class BmuAgent(BellmanCore):
         agent = cls(alpha=payload["alpha"], gamma=payload["gamma"], init=init,
                     rng=loaded_rng(init))
         for entry in payload["ensembles"]:
-            agent.add(cell_of(entry["key"]), [float(q) for (q,) in entry["encoders"]])
+            # a neuron's encoder is its one-dimensional [q]
+            agent.load_row(entry["key"], [e[0] if len(e) == 1 else e for e in entry["encoders"]])
         agent.restore_edges(payload["edges"])
         return agent
 
@@ -103,7 +103,11 @@ class PoolAgent(BellmanCore):
         # agent.json keeps no init: stored weights overwrite it
         agent = cls(capacity=payload["capacity"], alpha=payload["alpha"],
                     gamma=payload["gamma"], init="zeros")
+        weights = payload["weights"]
         for key, index in payload["assigned"]:
-            agent.add(cell_of(key), [float(v) for v in payload["weights"][index]])
+            if type(index) is not int or not 0 <= index < len(weights):
+                raise ValueError(f"pool index of state {key} must be in [0, {len(weights)}), "
+                                 f"got {index!r}")
+            agent.load_row(key, weights[index])
         agent.restore_edges(payload["edges"])
         return agent

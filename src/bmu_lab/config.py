@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 from .bmu import BmuAgent, PoolAgent
 from .cartpole import FAIL_REWARD, MAX_STEPS, STEP_REWARD, THETA_LIMIT, X_LIMIT
 from .core import INIT_MODES, KAPPA
-from .discretize import MASK, THETA_DOT_BOUND, X_BIN_BOUND, X_DOT_BOUND, BinSpec
+from .discretize import MASK, THETA_DOT_BOUND, X_BIN_BOUND, X_DOT_BOUND
 from .qtable import QTableAgent
 from .synaptic import SynapticAgent
 
@@ -112,10 +112,6 @@ class TrainConfig:
     def validate(self) -> None:
         for f in fields(self):
             f.metadata["domain"](f.name, getattr(self, f.name))
-
-    def bin_spec(self) -> BinSpec:
-        return BinSpec.symmetric(X_BIN_BOUND, X_DOT_BOUND, THETA_LIMIT, THETA_DOT_BOUND,
-                                 self.n_bins)
 
 
 def format_config(config: TrainConfig) -> str:

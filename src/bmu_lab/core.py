@@ -18,10 +18,11 @@ show; loading a file parses the keys back into cell ids.
 from __future__ import annotations
 
 import math
+import sys
 from typing import TYPE_CHECKING
 
 from .cartpole import STEP_REWARD
-from .discretize import cell_of, key_of, unpack
+from .discretize import cell_of, key_of
 from .graphio import GraphSnapshot
 from .metrics import NetworkStats
 
@@ -50,6 +51,13 @@ def optimistic_q(gamma: float) -> float:
     toward this one and injects ordering noise between untried actions.
     """
     return STEP_REWARD / (1.0 - gamma)
+
+
+def is_number(value) -> bool:
+    """A finite JSON number that a float holds: no bool, string, NaN or
+    infinity, and no int too large to convert."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def argmax(row) -> int:
@@ -105,7 +113,7 @@ class BellmanCore:
 
     def add(self, cell: int, row: list[float]) -> None:
         self.ids[cell] = len(self.keys)
-        self.keys.append(key_of(unpack(cell)))
+        self.keys.append(key_of(cell))
         self.rows.append(row)
         self.fan_in.append(0)
 
@@ -207,6 +215,17 @@ class BellmanCore:
         return [{"source": keys[source], "action": action, "target": keys[target]}
                 for source, action, target in self.edge_list()]
 
+    def load_row(self, key, values) -> None:
+        """Add the row of a state read back from an agent file: a state the
+        file has not named before, holding exactly KAPPA finite numbers."""
+        cell = cell_of(key)
+        if cell in self.ids:
+            raise ValueError(f"state {key} is listed twice in the {self.kind} agent file")
+        if len(values) != KAPPA or not all(is_number(q) for q in values):
+            raise ValueError(f"state {key} must hold {KAPPA} finite numbers in the "
+                             f"{self.kind} agent file, got {values!r}")
+        self.add(cell, [float(q) for q in values])
+
     def id_of(self, key: str) -> int:
         """The row id of a state key read back from a file."""
         try:
@@ -216,4 +235,8 @@ class BellmanCore:
 
     def restore_edges(self, edges) -> None:
         for edge in edges:
-            self.point(self.id_of(edge["source"]), edge["action"], self.id_of(edge["target"]))
+            action = edge["action"]
+            if type(action) is not int or not 0 <= action < KAPPA:
+                raise ValueError(f"edge action must be 0 to {KAPPA - 1} in the {self.kind} "
+                                 f"agent file, got {action!r} from state {edge['source']}")
+            self.point(self.id_of(edge["source"]), action, self.id_of(edge["target"]))

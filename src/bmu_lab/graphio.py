@@ -174,7 +174,12 @@ def read_gexf(text: str) -> GraphSnapshot:
             if declared is None:
                 raise ValueError(f"malformed GEXF: no {cls} attribute {child.get('for')!r}")
             title, gexf_type = declared
-            attrs[title] = _typed(child.get("value"), gexf_type)
+            value = child.get("value")
+            try:
+                attrs[title] = _typed(value, gexf_type)
+            except (TypeError, ValueError):
+                raise ValueError(f"malformed GEXF: {cls} attribute {title!r} is declared "
+                                 f"{gexf_type}, got value {value!r}") from None
         return attrs
 
     for element in root.iter():

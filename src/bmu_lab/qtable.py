@@ -66,6 +66,11 @@ class QTableAgent(BellmanCore):
         agent = cls(alpha=payload["alpha"], gamma=payload["gamma"], init=init,
                     rng=loaded_rng(init))
         for key, row in payload["rows"].items():
-            agent.add(cell_of(key), [float(v) for v in row])
-        agent.visits = {key: int(n) for key, n in payload["visits"].items()}
+            agent.load_row(key, row)
+        for key, count in payload["visits"].items():
+            cell_of(key)  # raises on a key that is not canonical
+            if type(count) is not int or count < 0:
+                raise ValueError(f"visits of state {key} must be a non-negative integer, "
+                                 f"got {count!r}")
+        agent.visits = dict(payload["visits"])
         return agent

@@ -33,8 +33,8 @@ from collections.abc import Generator, Iterable, Iterator, Mapping
 from dataclasses import asdict
 from pathlib import Path
 
-from .config import (AGENT_CLASSES, TrainConfig, config_from_entries, format_config,
-                     parse_config_text)
+from .config import (AGENT_CLASSES, ConfigError, TrainConfig, config_from_entries,
+                     format_config, parse_config_text)
 from .graphio import GraphSnapshot, to_dot, to_gexf
 from .metrics import DegreeHistogram, degree_hist_csv, degree_distribution
 from .trainer import (
@@ -128,6 +128,11 @@ def load_agent(text: str):
         if payload.get(key) != value:
             raise ValueError(f"{key} must be {value} in a {kind} agent file, "
                              f"got {payload.get(key)!r}")
+    try:
+        # the learner's settings, in the domains of a run's config
+        TrainConfig(alpha=payload.get("alpha"), gamma=payload.get("gamma"))
+    except ConfigError as exc:
+        raise ValueError(f"{exc} in a {kind} agent file") from None
     try:
         return cls.deserialize(payload)
     except (KeyError, IndexError, TypeError, AttributeError) as exc:

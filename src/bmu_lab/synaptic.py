@@ -21,7 +21,6 @@ as it does for every kind.
 from __future__ import annotations
 
 from .core import BellmanCore
-from .discretize import cell_of
 
 
 class SynapticAgent(BellmanCore):
@@ -66,7 +65,7 @@ class SynapticAgent(BellmanCore):
         # stored values overwrite the init, so any deterministic mode works
         agent = cls(alpha=payload["alpha"], gamma=payload["gamma"], init="zeros")
         for entry in payload["neurons"]:
-            agent.add(cell_of(entry["key"]), [float(syn["q"]) for syn in entry["synapses"]])
+            agent.load_row(entry["key"], [syn["q"] for syn in entry["synapses"]])
         for i, entry in enumerate(payload["neurons"]):
             for j, syn in enumerate(entry["synapses"]):
                 if syn["gate"] != "closed":

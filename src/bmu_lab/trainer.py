@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 from .bmu import PoolCapacityError
 from .cartpole import CartPoleEnv
 from .config import AGENT_CLASSES, TrainConfig
-from .discretize import BinSpec, discretize
+from .discretize import discretize
 from .graphio import GraphSnapshot
 from .streams import (AGENT_ROWS, EVAL_SEEDER, EXPLORATION, TRAIN_SEEDER, Exploration,
                       episode_starts, mean_std, seed_stream)
@@ -45,7 +45,7 @@ class EpisodeRecord:
     spawned: int
 
 
-def run_episode(agent, env: CartPoleEnv, spec: BinSpec,
+def run_episode(agent, env: CartPoleEnv, n_bins: int,
                 start: tuple[float, float, float, float],
                 explore: Exploration | None = None,
                 epsilon: float = 0.0) -> EpisodeRecord:
@@ -62,7 +62,7 @@ def run_episode(agent, env: CartPoleEnv, spec: BinSpec,
         coin, forced_action = explore.random, explore.action
     ensure, select, update = agent.ensure, agent.select, agent.update
     step = env.step
-    cell = discretize(env.reset(start), spec)
+    cell = discretize(env.reset(start), n_bins)
     spawned = int(ensure(cell))
     total = 0.0
     steps = 0
@@ -72,7 +72,7 @@ def run_episode(agent, env: CartPoleEnv, spec: BinSpec,
         else:
             action = select(cell)
         next_state, reward, terminated, truncated = step(action)
-        next_cell = discretize(next_state, spec)
+        next_cell = discretize(next_state, n_bins)
         if ensure(next_cell):
             spawned += 1
         update(cell, action, reward, next_cell, terminated)
@@ -116,7 +116,7 @@ class TrainResult:
 def train(config: TrainConfig, seed: int) -> TrainResult:
     started = time.perf_counter()
     env = CartPoleEnv()
-    spec = config.bin_spec()
+    n_bins = config.n_bins
     agent = make_agent(config, seed_stream(seed, AGENT_ROWS))
     # only a run that explores loads numpy, for its per-step coin
     explore = None
@@ -133,7 +133,7 @@ def train(config: TrainConfig, seed: int) -> TrainResult:
     epsilon = config.epsilon
     for episode, start in enumerate(starts, start=1):
         try:
-            record = run_episode(agent, env, spec, start, explore=explore, epsilon=epsilon)
+            record = run_episode(agent, env, n_bins, start, explore=explore, epsilon=epsilon)
         except PoolCapacityError as exc:
             # the seed's outcome; the unfinished episode is not recorded
             metrics.failed = str(exc)
@@ -274,7 +274,7 @@ def evaluate(agent, config: TrainConfig, seed: int, n_episodes: int) -> EvalRepo
     """Greedy rollouts with learning disabled; the agent is never mutated."""
     if n_episodes < 1:
         raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
-    spec = config.bin_spec()
+    n_bins = config.n_bins
     env = CartPoleEnv()
     report = EvalReport(rewards=[], trajectories=[])
     for start in episode_starts(seed_stream(seed, EVAL_SEEDER), n_episodes):
@@ -282,7 +282,7 @@ def evaluate(agent, config: TrainConfig, seed: int, n_episodes: int) -> EvalRepo
         total = 0.0
         trajectory = []
         while True:
-            action = greedy_action(agent, discretize(state, spec))
+            action = greedy_action(agent, discretize(state, n_bins))
             next_state, reward, terminated, truncated = env.step(action)
             trajectory.append((len(trajectory), *state, action, reward, terminated))
             total += reward

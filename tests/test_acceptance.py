@@ -12,7 +12,7 @@ from test_synaptic import gamma_to_tau, synaptic_filter
 
 from bmu_lab.bmu import BmuAgent, PoolAgent
 from bmu_lab.core import parameter_count
-from bmu_lab.discretize import cell_of, pack
+from bmu_lab.discretize import cell_of
 from bmu_lab.metrics import degree_distribution
 from bmu_lab.qtable import QTableAgent
 from bmu_lab.runio import execute_train_run
@@ -90,7 +90,7 @@ MDP_REWARD = {"A": [1.0, 0.0],
               "B": [-1.0, 2.0],
               "C": [0.5, -0.5]}
 # the agents' cell id of each MDP state
-MDP_CELL = {state: pack((i, 0, 0, 0)) for i, state in enumerate(MDP_NEXT)}
+MDP_CELL = {state: cell_of(f"{i}_0_0_0_") for i, state in enumerate(MDP_NEXT)}
 
 
 def solve_q_star(gamma, tol=1e-13):

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from bmu_lab.bmu import BmuAgent, PoolAgent, PoolCapacityError
-from bmu_lab.core import argmax
-from bmu_lab.discretize import cell_of, pack
+from bmu_lab.core import KAPPA, argmax
+from bmu_lab.discretize import cell_of
 from bmu_lab.synaptic import SynapticAgent
 
 # agents take cell ids; agent.json and snapshots name the same states by key
 S_KEY, T_KEY = "1_1_1_1_", "2_2_2_2_"
 S, T = cell_of(S_KEY), cell_of(T_KEY)
-A, B, C = (pack((i, 0, 0, 0)) for i in (1, 2, 3))
+A, B, C = (cell_of(f"{i}_0_0_0_") for i in (1, 2, 3))
 
 
 def bmu_with_encoders(rows, alpha=0.9):
@@ -94,16 +94,16 @@ class TestActivity:
         rng = np.random.default_rng(21)
         for g in (np.tanh, np.exp, lambda j: 3 * j + 1):
             for _ in range(100):
-                agent = bmu_with_encoders({S_KEY: list(rng.uniform(-1, 1, size=4))})
+                agent = bmu_with_encoders({S_KEY: list(rng.uniform(-1, 1, size=KAPPA))})
                 acts = activity(agent.q_values(S), g=lambda cur: float(g(cur)))
-                assert agent.select(S) == max(range(4), key=lambda j: acts[j])
+                assert agent.select(S) == max(range(KAPPA), key=lambda j: acts[j])
 
     def test_uniform_gain_and_bias_leave_argmax(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
-            agent = bmu_with_encoders({S_KEY: list(rng.uniform(-1, 1, size=3))})
+            agent = bmu_with_encoders({S_KEY: list(rng.uniform(-1, 1, size=KAPPA))})
             acts = activity(agent.q_values(S), gain=2.0, bias=0.5)
-            assert agent.select(S) == max(range(3), key=lambda j: acts[j])
+            assert agent.select(S) == max(range(KAPPA), key=lambda j: acts[j])
 
 
 class TestSelectAction:
@@ -170,7 +170,7 @@ class TestPool:
     def test_assign_claims_sequential_neurons(self):
         agent = PoolAgent(capacity=300, init="zeros")
         for i in range(250):
-            agent.ensure(pack((i, 0, 0, 0)))
+            agent.ensure(cell_of(f"{i}_0_0_0_"))
         assigned = agent.serialize()["assigned"]
         assert [index for _, index in assigned] == list(range(250))
         assert agent.stats().neurons == 250
@@ -199,14 +199,14 @@ class TestPool:
     def test_injectivity(self):
         agent = PoolAgent(capacity=64, init="zeros")
         for i in range(64):
-            agent.ensure(pack((i, 0, 0, 0)))
+            agent.ensure(cell_of(f"{i}_0_0_0_"))
         indices = [index for _, index in agent.serialize()["assigned"]]
         assert len(set(indices)) == len(indices) == 64
 
     def test_stats_count_assigned_not_capacity(self):
         agent = PoolAgent(capacity=300, init="zeros")
         for i in range(10):
-            agent.ensure(pack((i, 0, 0, 0)))
+            agent.ensure(cell_of(f"{i}_0_0_0_"))
         stats = agent.stats()
         assert stats.neurons == 10
         assert stats.parameter_count == 40
@@ -215,7 +215,7 @@ class TestPool:
 def test_pool_matches_graph_agent_on_shared_stream():
     """Zero-init pool and graph agent act and learn identically."""
     rng = np.random.default_rng(55)
-    cells = [pack((i, i, i, i)) for i in range(20)]
+    cells = [cell_of(f"{i}_{i}_{i}_{i}_") for i in range(20)]
     stream = []
     for _ in range(2000):
         stream.append((cells[rng.integers(20)], int(rng.integers(2)),
@@ -240,7 +240,7 @@ def test_pool_matches_graph_agent_on_shared_stream():
 def test_population_stats_parameter_convention():
     agent = BmuAgent(init="uniform", rng=np.random.default_rng(0))
     for i in range(7):
-        agent.ensure(pack((i, 0, 0, 0)))
+        agent.ensure(cell_of(f"{i}_0_0_0_"))
     stats = agent.stats()
     assert stats.neurons == 7
     assert stats.parameter_count == 7 * 4

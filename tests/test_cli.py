@@ -298,13 +298,16 @@ class TestTrain:
         assert read(a / "seed0" / "agent.json") == read(b / "seed0" / "agent.json")
 
 
-@pytest.fixture()
-def trained_run(tmp_path):
-    out = tmp_path / "run"
-    code = run_cli(["train", "--agent", "synaptic", "--seeds", "1",
+def train_run(out, agent="synaptic"):
+    code = run_cli(["train", "--agent", agent, "--seeds", "1",
                     "--max-episodes", "6", "--snapshot-every", "3", "--out", out])
     assert code == 0
     return out
+
+
+@pytest.fixture()
+def trained_run(tmp_path):
+    return train_run(tmp_path / "run")
 
 
 def dir_contents(root):
@@ -476,36 +479,90 @@ def synapse_to_unknown_state(payload):
     payload["neurons"][0]["synapses"][0]["target"] = unknown
 
 
-@pytest.mark.parametrize("command, name, edit", [
-    ("eval", "seed0/agent.json", edited_json(lambda payload: payload.pop("alpha"))),
-    ("eval", "seed0/agent.json", edited_json(synapse_to_unknown_state)),
-    ("eval", "seed0/agent.json", lambda text: json.dumps([json.loads(text)])),
-    ("stats", "seed0/graph_final.gexf", lambda text: text[:len(text) // 2]),
-    ("stats", "seed0/graph_final.gexf", lambda text: text.replace('for="0"', 'for="99"', 1)),
-    ("table2", "summary.json",
-     edited_json(lambda payload: payload.pop("convergence_episodes"))),
-], ids=["agent-without-alpha", "edge-target-without-row", "agent-as-list",
-        "truncated-gexf", "gexf-value-of-undeclared-attribute",
+def first_row(table):
+    return next(iter(table))
+
+
+# agent.json cases: the run's kind, the edit of the payload, and what the
+# error line must name
+MALFORMED = {
+    # every kind: the head of agent.json
+    "agent-without-alpha": ("synaptic", lambda p: p.pop("alpha"), "alpha"),
+    "agent-alpha-not-a-number": ("synaptic", lambda p: p.update(alpha="x"), "alpha"),
+    "agent-gamma-out-of-range": ("bmu", lambda p: p.update(gamma=5.0), "gamma"),
+    # a row: a state named once, holding KAPPA finite numbers
+    "synaptic-neuron-twice": ("synaptic", lambda p: p["neurons"].append(p["neurons"][0]),
+                              "listed twice"),
+    "synaptic-neuron-with-three-synapses": (
+        "synaptic", lambda p: p["neurons"][0]["synapses"].append(
+            {"q": 0.0, "target": None, "gate": "closed"}), "must hold 2"),
+    "bmu-ensemble-twice": ("bmu", lambda p: p["ensembles"].append(p["ensembles"][0]),
+                           "listed twice"),
+    "bmu-ensemble-with-three-encoders": (
+        "bmu", lambda p: p["ensembles"][0]["encoders"].append([0.0]), "must hold 2"),
+    "pool-state-twice": ("bmu-pool", lambda p: p["assigned"].append(p["assigned"][0]),
+                         "listed twice"),
+    "pool-weights-row-of-one": ("bmu-pool", lambda p: p["weights"][0].pop(), "must hold 2"),
+    "pool-index-minus-one": ("bmu-pool", lambda p: p["assigned"][0].__setitem__(1, -1),
+                             "pool index"),
+    "qtable-q-value-nan-string": (
+        "qtable", lambda p: p["rows"][first_row(p["rows"])].__setitem__(0, "nan"),
+        "must hold 2"),
+    # the edges and the visits
+    "edge-target-without-row": ("synaptic", synapse_to_unknown_state, "has no row"),
+    "bmu-edge-action-five": ("bmu", lambda p: p["edges"][0].update(action=5), "edge action"),
+    "qtable-visits-count-not-a-number": (
+        "qtable", lambda p: p["visits"].update({first_row(p["visits"]): "x"}), "visits"),
+    "qtable-visits-count-negative": (
+        "qtable", lambda p: p["visits"].update({first_row(p["visits"]): -1}), "visits"),
+    "qtable-visits-key-malformed": (
+        "qtable", lambda p: p["visits"].update({"5_5_x_5_": 1}), "'5_5_x_5_'"),
+}
+
+
+@pytest.mark.parametrize("command, agent, name, edit, names", [
+    *[("eval", agent, "seed0/agent.json", edited_json(change), names)
+      for agent, change, names in MALFORMED.values()],
+    ("eval", "synaptic", "seed0/agent.json", lambda text: json.dumps([json.loads(text)]),
+     "JSON object"),
+    ("stats", "synaptic", "seed0/graph_final.gexf", lambda text: text[:len(text) // 2],
+     "malformed GEXF"),
+    ("stats", "synaptic", "seed0/graph_final.gexf",
+     lambda text: text.replace('for="0"', 'for="99"', 1), "malformed GEXF"),
+    ("stats", "synaptic", "seed0/graph_final.gexf",
+     lambda text: text.replace('title="value" type="double"', 'title="value" type="integer"', 1),
+     "'value' is declared integer"),
+    ("stats", "synaptic", "seed0/graph_final.gexf",
+     lambda text: text.replace(' value="', ' valu="', 1), "'value' is declared double"),
+    ("table2", "synaptic", "summary.json",
+     edited_json(lambda payload: payload.pop("convergence_episodes")), "convergence_episodes"),
+], ids=[*MALFORMED, "agent-as-list", "truncated-gexf", "gexf-value-of-undeclared-attribute",
+        "gexf-value-not-its-declared-type", "gexf-attvalue-without-value",
         "summary-without-convergence-episodes"])
-def test_malformed_run_file_is_one_error_line(trained_run, tmp_path, capsys,
-                                              command, name, edit):
+def test_malformed_run_file_is_one_error_line(tmp_path, capsys, command, agent, name, edit,
+                                              names):
     """A run file edited out of shape ends the command in one `error:`
-    line, with no traceback and no output directory."""
-    path = trained_run / name
-    path.write_text(edit(path.read_text()))
-    before = dir_contents(trained_run)
+    line that names what is wrong, with no traceback and no output
+    directory, and leaves the run as it was."""
+    run = train_run(tmp_path / "run", agent)
+    path = run / name
+    text = path.read_text()
+    path.write_text(edit(text))
+    assert path.read_text() != text
+    before = dir_contents(run)
     out = tmp_path / "out"
     if command == "table2":
-        args = ["table2", "--runs", trained_run, "--out", out / "table2.csv"]
+        args = ["table2", "--runs", run, "--out", out / "table2.csv"]
     else:
-        args = [command, "--run", trained_run, "--out", out]
+        args = [command, "--run", run, "--out", out]
     capsys.readouterr()
     assert run_cli(args) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert names in err
     assert "Traceback" not in err
     assert not out.exists()
-    assert dir_contents(trained_run) == before
+    assert dir_contents(run) == before
 
 
 class TestTable2:

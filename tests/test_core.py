@@ -2,6 +2,7 @@
 as interchangeable adapters over it."""
 
 import json
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -11,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from bmu_lab.bmu import BmuAgent, PoolAgent
 from bmu_lab.config import AGENT_KINDS, TrainConfig
-from bmu_lab.core import INIT_MODES, KAPPA, argmax, optimistic_q
-from bmu_lab.discretize import cell_of, key_of, unpack
+from bmu_lab.core import INIT_MODES, KAPPA, argmax, is_number, optimistic_q
+from bmu_lab.discretize import cell_of, key_of
 from bmu_lab.qtable import QTableAgent
 from bmu_lab.runio import load_agent, save_agent
 from bmu_lab.synaptic import SynapticAgent
@@ -72,7 +73,7 @@ def test_matched_zero_agents_agree_on_rows_and_choices(stream):
             action = choices[0]
         for agent in agents:
             agent.update(s, action, reward, s2, terminal)
-        updates[key_of(unpack(s))] += 1
+        updates[key_of(s)] += 1
         rows = [agent.q_values(s) for agent in agents]
         assert rows == [rows[0]] * len(agents)
     # the table counts every update of a source and records no edge
@@ -153,6 +154,16 @@ def test_agent_file_shape_fixed_and_checked_on_load(kind, key, value):
     for bad in (value + 1, None):
         with pytest.raises(ValueError, match=f"{key} must be {value}"):
             load_agent(json.dumps({**payload, key: bad}))
+
+
+@pytest.mark.parametrize("value, number", [
+    (0, True), (-1.5, True), (1e308, True), (10 ** 300, True),
+    (True, False), ("1.0", False), ("nan", False), (None, False), ([1.0], False),
+    (math.nan, False), (math.inf, False), (-math.inf, False), (10 ** 400, False),
+])
+def test_an_agent_file_value_is_a_finite_number(value, number):
+    """What a row of agent.json may hold: a JSON number a float holds."""
+    assert is_number(value) is number
 
 
 @pytest.mark.parametrize("kind", AGENT_KINDS)

@@ -1,25 +1,26 @@
-"""Binning tests: the canonical examples, order/symmetry properties, and the
-packed cell id against the per-component reference `bin_index`."""
+"""Binning tests: the canonical examples, order/symmetry properties, the
+packed cell id against the per-component reference `bin_index`, and the
+key codec `key_of`/`cell_of`."""
 
 import math
+import re
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
+from bmu_lab.cartpole import THETA_LIMIT
 from bmu_lab.discretize import (
+    LOWER,
     MASK,
-    BinSpec,
+    SHIFT,
+    THETA_DOT_BOUND,
+    UPPER,
+    X_BIN_BOUND,
+    X_DOT_BOUND,
     cell_of,
     discretize,
     key_of,
-    pack,
-    parse_key,
-    unpack,
 )
-
-DEFAULT = BinSpec.symmetric(2.4, 3.0, 0.418, 3.5, n_bins=10)
-# the trainer's bounds at package defaults
-TRAINER = BinSpec.symmetric(6.0, 11.0, 0.2095, 7.0, n_bins=10)
 
 
 def bin_index(value: float, lower: float, upper: float, n_bins: int) -> int:
@@ -31,93 +32,95 @@ def bin_index(value: float, lower: float, upper: float, n_bins: int) -> int:
     return min(idx, n_bins - 1)
 
 
+def pack(bins) -> int:
+    """The reference cell id of four bin indices."""
+    b0, b1, b2, b3 = bins
+    return b0 << 3 * SHIFT | b1 << 2 * SHIFT | b2 << SHIFT | b3
+
+
+def bins_of(cell: int) -> tuple[int, int, int, int]:
+    return (cell >> 3 * SHIFT, cell >> 2 * SHIFT & MASK, cell >> SHIFT & MASK, cell & MASK)
+
+
 class TestDiscretize:
+    def test_bounds_are_the_task_constants(self):
+        assert UPPER == (X_BIN_BOUND, X_DOT_BOUND, THETA_LIMIT, THETA_DOT_BOUND)
+        assert LOWER == tuple(-b for b in UPPER)
+
     def test_zero_state_center_bins(self):
-        cell = discretize((0.0, 0.0, 0.0, 0.0), DEFAULT)
-        assert unpack(cell) == (5, 5, 5, 5)
-        assert key_of(unpack(cell)) == "5_5_5_5_"
+        cell = discretize((0.0, 0.0, 0.0, 0.0), 10)
+        assert bins_of(cell) == (5, 5, 5, 5)
+        assert key_of(cell) == "5_5_5_5_"
 
     def test_lower_bounds_map_to_zero(self):
-        assert unpack(discretize(DEFAULT.lower, DEFAULT)) == (0, 0, 0, 0)
+        assert bins_of(discretize(LOWER, 10)) == (0, 0, 0, 0)
 
     def test_upper_bound_stays_in_last_bin(self):
-        assert bin_index(DEFAULT.upper[0], DEFAULT.lower[0], DEFAULT.upper[0], 10) == 9
-        assert unpack(discretize(DEFAULT.upper, DEFAULT)) == (9, 9, 9, 9)
+        assert bin_index(UPPER[0], LOWER[0], UPPER[0], 10) == 9
+        assert bins_of(discretize(UPPER, 10)) == (9, 9, 9, 9)
 
     def test_out_of_range_clamped(self):
-        cell = discretize((1e9, -1e9, math.pi, -math.pi), DEFAULT)
-        assert unpack(cell) == (9, 0, 9, 0)
+        cell = discretize((1e9, -1e9, math.pi, -100.0), 10)
+        assert bins_of(cell) == (9, 0, 9, 0)
 
     def test_nan_raises(self):
         with pytest.raises(ValueError):
-            discretize((0.0, 0.0, math.nan, 0.0), DEFAULT)
+            discretize((0.0, 0.0, math.nan, 0.0), 10)
 
     def test_cell_is_bins_packed_sixteen_bits_apart(self):
-        assert discretize((0.0, 0.0, 0.0, 0.0), DEFAULT) == 5 << 48 | 5 << 32 | 5 << 16 | 5
+        assert discretize((0.0, 0.0, 0.0, 0.0), 10) == 5 << 48 | 5 << 32 | 5 << 16 | 5
+
+
+def rejected_by_name(key):
+    return pytest.raises(ValueError, match=re.escape(f"malformed state key {key!r}"))
 
 
 class TestKeys:
     def test_key_of_example(self):
-        assert key_of([3, 4, 6, 5]) == "3_4_6_5_"
+        assert key_of(pack((3, 4, 6, 5))) == "3_4_6_5_"
 
     def test_round_trip(self):
-        assert parse_key("5_5_5_5_") == (5, 5, 5, 5)
-        assert parse_key(key_of([3, 4, 6, 5])) == (3, 4, 6, 5)
+        assert key_of(cell_of("5_5_5_5_")) == "5_5_5_5_"
+        assert cell_of(key_of(pack((3, 4, 6, 5)))) == pack((3, 4, 6, 5))
 
     def test_invalid_token_named(self):
-        with pytest.raises(ValueError, match="'x'"):
-            parse_key("5_5_x_5_")
+        with rejected_by_name("5_5_x_5_"):
+            cell_of("5_5_x_5_")
 
     def test_missing_trailing_underscore(self):
-        with pytest.raises(ValueError, match="underscore"):
-            parse_key("5_5_5_5")
+        with rejected_by_name("5_5_5_5"):
+            cell_of("5_5_5_5")
 
     def test_wrong_arity(self):
-        with pytest.raises(ValueError, match="4"):
-            parse_key("1_2_3_")
-
-    def test_key_of_rejects_bad_bins(self):
-        with pytest.raises(ValueError):
-            key_of([1, 2, 3])
-        with pytest.raises(ValueError):
-            key_of([1, 2, 3, -1])
+        for key in ("1_2_3_", "1_2_3_4_5_", "1_2_3_4__"):
+            with rejected_by_name(key):
+                cell_of(key)
 
     def test_cell_of_key(self):
         assert cell_of("1_2_3_4_") == pack((1, 2, 3, 4))
-        assert key_of(unpack(cell_of("1_2_3_4_"))) == "1_2_3_4_"
+        assert cell_of(f"{MASK}_0_0_{MASK}_") == pack((MASK, 0, 0, MASK))
 
     def test_cell_of_rejects_non_canonical_keys(self):
-        with pytest.raises(ValueError, match="canonical"):
-            cell_of("05_1_1_1_")
+        for key in (
+            "05_1_1_1_",     # a leading zero
+            "+5_1_1_1_",     # a sign
+            " 5_1_1_1_",     # a space
+            "_1_2_3_",       # an empty token
+            "²_0_0_0_",      # a digit that is not ASCII
+            "٣_0_0_0_",      # an Arabic-Indic digit
+            "",
+            5,
+            None,
+        ):
+            with rejected_by_name(key):
+                cell_of(key)
 
-    def test_pack_rejects_bins_that_do_not_fit(self):
-        with pytest.raises(ValueError):
-            pack((1, 2, 3))
-        with pytest.raises(ValueError):
-            pack((1, 2, 3, MASK + 1))
-        with pytest.raises(ValueError):
-            cell_of(f"0_0_0_{MASK + 1}_")
-
-
-class TestBinSpec:
-    def test_symmetric_bounds(self):
-        assert DEFAULT.lower == tuple(-u for u in DEFAULT.upper)
-        assert DEFAULT.upper == (2.4, 3.0, 0.418, 3.5)
-
-    def test_bad_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            BinSpec(lower=(1, -1, -1, -1), upper=(0.5, 1, 1, 1), n_bins=10)
-        with pytest.raises(ValueError):
-            BinSpec(lower=(-1,) * 4, upper=(1,) * 4, n_bins=1)
-        with pytest.raises(ValueError):
-            BinSpec(lower=(-1,) * 4, upper=(1,) * 4, n_bins=MASK + 2)
-
-    @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
-    def test_non_finite_bounds_rejected(self, bound):
-        with pytest.raises(ValueError, match="finite"):
-            BinSpec(lower=(-1.0,) * 4, upper=(1.0, 1.0, bound, 1.0), n_bins=10)
-        with pytest.raises(ValueError, match="finite"):
-            BinSpec(lower=(bound, -1.0, -1.0, -1.0), upper=(1.0,) * 4, n_bins=10)
+    def test_cell_of_rejects_bins_that_do_not_fit(self):
+        # above MASK in the last slot, where it would overlap, and in the
+        # first, where it would not; and too long for int() to parse at all
+        for key in (f"0_0_0_{MASK + 1}_", f"{MASK + 1}_0_0_0_", "0_0_0_" + "9" * 5000 + "_"):
+            with rejected_by_name(key):
+                cell_of(key)
 
 
 @given(
@@ -141,57 +144,50 @@ def test_symmetry_off_bin_edges(v):
 
 @given(values=st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 4))
 def test_every_finite_state_maps_to_valid_bins(values):
-    bins = unpack(discretize(values, DEFAULT))
-    assert all(0 <= b <= 9 for b in bins)
-    assert parse_key(key_of(bins)) == bins
+    cell = discretize(values, 10)
+    assert all(0 <= b <= 9 for b in bins_of(cell))
+    assert cell_of(key_of(cell)) == cell
 
 
-bin_indices = st.tuples(*[st.integers(0, MASK)] * 4)
-
-
-@given(bins=st.tuples(*[st.integers(0, 10 ** 6)] * 4))
+@given(bins=st.tuples(*[st.integers(0, MASK)] * 4))
 def test_parse_key_inverts_key_of(bins):
-    assert parse_key(key_of(bins)) == bins
+    # the key written by hand from the bins, so the parser is checked
+    # against the format itself and not only against key_of
+    key = "".join(f"{b}_" for b in bins)
+    assert bins_of(cell_of(key)) == bins
+    assert key_of(cell_of(key)) == key
 
 
-@given(bins=bin_indices)
+@given(bins=st.tuples(*[st.integers(0, MASK)] * 4))
 def test_key_and_cell_round_trip(bins):
     cell = pack(bins)
-    assert unpack(cell) == bins
-    assert cell_of(key_of(bins)) == cell
-    assert key_of(unpack(cell_of(key_of(bins)))) == key_of(bins)
+    assert cell_of(key_of(cell)) == cell
+    assert key_of(cell) == "".join(f"{b}_" for b in bins)
 
 
 @st.composite
-def spec_and_state(draw):
-    """A bin spec with 2-64 bins and a state whose components are arbitrary
-    floats, infinities, the exact bounds, or values at and beside bin edges."""
-    n = draw(st.integers(2, 64))
-    bounds = st.floats(-1e6, 1e6, allow_nan=False)
-    lower, upper = [], []
-    for _ in range(4):
-        lo, hi = sorted((draw(bounds), draw(bounds)))
-        assume(lo < hi)
-        lower.append(lo)
-        upper.append(hi)
+def bins_and_state(draw):
+    """2-65536 bins and a state whose components are arbitrary floats,
+    infinities, the exact bounds, or values at and beside bin edges."""
+    n = draw(st.integers(2, MASK + 1))
     state = []
-    for lo, hi in zip(lower, upper):
+    for lo, hi in zip(LOWER, UPPER):
         edge = lo + (hi - lo) * draw(st.integers(0, n)) / n
         state.append(draw(st.one_of(
             st.floats(allow_nan=False),
+            st.floats(lo, hi),
             st.sampled_from([lo, hi, -math.inf, math.inf]),
             st.sampled_from([math.nextafter(edge, -math.inf), edge,
                              math.nextafter(edge, math.inf)]),
         )))
-    return BinSpec(lower=tuple(lower), upper=tuple(upper), n_bins=n), tuple(state)
+    return n, tuple(state)
 
 
-# x_dot = -4.4 sits on a bin edge of the trainer's bounds, where precomputing
+# x_dot = -4.4 sits on a bin edge of the package bounds, where precomputing
 # n / (hi - lo) would round it into the bin below
-@example(case=(TRAINER, (0.0, -4.4, 0.0, 0.0)))
-@given(case=spec_and_state())
+@example(case=(10, (0.0, -4.4, 0.0, 0.0)))
+@given(case=bins_and_state())
 def test_cell_is_packed_reference_bins(case):
-    spec, state = case
-    reference = [bin_index(v, lo, hi, spec.n_bins)
-                 for v, lo, hi in zip(state, spec.lower, spec.upper)]
-    assert discretize(state, spec) == pack(reference)
+    n_bins, state = case
+    reference = [bin_index(v, lo, hi, n_bins) for v, lo, hi in zip(state, LOWER, UPPER)]
+    assert discretize(state, n_bins) == pack(reference)

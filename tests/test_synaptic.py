@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from bmu_lab.core import optimistic_q
-from bmu_lab.discretize import cell_of, pack
+from bmu_lab.core import KAPPA, optimistic_q
+from bmu_lab.discretize import cell_of
 from bmu_lab.runio import load_agent, save_agent
 from bmu_lab.synaptic import SynapticAgent
 
@@ -114,7 +114,7 @@ class TestForwardSelect:
         """The selected synapse is always the first one with the highest Q."""
         rng = np.random.default_rng(42)
         for trial in range(2000):
-            qs = rng.normal(0, 5, size=4)
+            qs = rng.normal(0, 5, size=KAPPA)
             if trial % 5 == 0:
                 qs = np.round(qs)  # force ties regularly
             agent = agent_with_q({A_KEY: [float(q) for q in qs]})
@@ -242,7 +242,7 @@ class TestNetworkStats:
     def test_parameter_convention_matches_table(self):
         agent = zero_agent()
         for i in range(250):
-            agent.ensure(pack((i, 0, 0, 0)))
+            agent.ensure(cell_of(f"{i}_0_0_0_"))
         assert agent.stats().parameter_count == 1000
 
     def test_single_neuron_zero_fan_in(self):
@@ -276,7 +276,7 @@ class PlainTabular:
 
 def random_stream(n, n_keys=40, seed=0):
     rng = np.random.default_rng(seed)
-    keys = [pack((i, i, i, i)) for i in range(n_keys)]
+    keys = [cell_of(f"{i}_{i}_{i}_{i}_") for i in range(n_keys)]
     stream = []
     for _ in range(n):
         s = keys[rng.integers(n_keys)]

@@ -22,7 +22,7 @@ from bmu_lab.config import (
     parse_config_text,
 )
 from bmu_lab.core import INIT_MODES
-from bmu_lab.discretize import BinSpec, cell_of, unpack
+from bmu_lab.discretize import LOWER, UPPER, cell_of, key_of
 from bmu_lab.runio import agent_state_hash, save_agent
 from bmu_lab.streams import (AGENT_ROWS, BLOCK, Exploration, initial_states, mean_std,
                              seed_stream)
@@ -455,27 +455,29 @@ class TestConvergenceDetector:
 
 
 class PdStub:
-    """A hand controller on bin indices; survives to truncation and
-    never learns, so episode accounting is easy to pin down."""
+    """A hand controller on the centres of `STUB_BINS` bins; survives to
+    truncation and never learns, so episode accounting is easy to pin down."""
 
     def ensure(self, cell):
         return False
 
     def select(self, cell):
-        x, x_dot, theta, theta_dot = (b - 4.5 for b in unpack(cell))
+        bins = map(int, key_of(cell).split("_")[:4])
+        x, x_dot, theta, theta_dot = (lo + (b + 0.5) * (hi - lo) / STUB_BINS
+                                      for b, lo, hi in zip(bins, LOWER, UPPER))
         return 1 if (3.0 * theta + 1.2 * theta_dot + 0.05 * x + 0.4 * x_dot) > 0 else 0
 
     def update(self, *args, **kwargs):
         pass
 
 
-# the stub's gains are tuned to velocity bins narrower than the package's
-STUB_SPEC = BinSpec.symmetric(6.0, 1.5, 0.2095, 1.5, n_bins=10)
+# fine enough at the package's bounds for the stub's centre readout to balance
+STUB_BINS = 64
 
 
 class TestRunEpisode:
     def test_truncated_episode_reward_250(self):
-        record = run_episode(PdStub(), CartPoleEnv(), STUB_SPEC,
+        record = run_episode(PdStub(), CartPoleEnv(), STUB_BINS,
                              start=initial_states([1])[0])
         assert record.steps == 250
         assert record.total_reward == 250.0
@@ -484,7 +486,7 @@ class TestRunEpisode:
         config = TrainConfig()
         env = CartPoleEnv()
         agent = make_agent(config, np.random.default_rng(0))
-        record = run_episode(agent, env, config.bin_spec(), start=initial_states([3])[0])
+        record = run_episode(agent, env, config.n_bins, start=initial_states([3])[0])
         assert record.steps < 250  # an untrained agent fails quickly
         assert record.total_reward == (record.steps - 1) * 1.0 - 10.0
 
@@ -493,7 +495,7 @@ class TestRunEpisode:
             config = TrainConfig()
             env = CartPoleEnv()
             agent = make_agent(config, np.random.default_rng(0))
-            rec = run_episode(agent, env, config.bin_spec(), start=initial_states([17])[0])
+            rec = run_episode(agent, env, config.n_bins, start=initial_states([17])[0])
             return rec.total_reward, rec.steps, rec.spawned
 
         assert once() == once()
@@ -504,7 +506,7 @@ class TestRunEpisode:
         agent = make_agent(config, np.random.default_rng(0))
         spawned = 0
         for start in initial_states(range(5)):
-            spawned += run_episode(agent, env, config.bin_spec(), start).spawned
+            spawned += run_episode(agent, env, config.n_bins, start).spawned
         assert spawned == agent.stats().neurons
 
 
@@ -554,7 +556,7 @@ class TestTrain:
         for _ in range(result.metrics.episodes_run):
             start_rng = np.random.default_rng(int(env_seeder.integers(0, 2 ** 63)))
             start = tuple(start_rng.uniform(-RESET_SPREAD, RESET_SPREAD, size=4).tolist())
-            record = run_episode(agent, env, config.bin_spec(), start,
+            record = run_episode(agent, env, config.n_bins, start,
                                  explore=PerCall(), epsilon=epsilon)
             epsilon *= config.epsilon_decay
             rewards.append(record.total_reward)
@@ -587,7 +589,7 @@ class TestTrain:
         # numpy's own bit generator stands in for the run's stream, as
         # Exploration reads only its `state`
         explore = Exploration(np.random.default_rng(explore_ss).bit_generator)
-        rewards = [run_episode(agent, env, config.bin_spec(), start, explore=explore,
+        rewards = [run_episode(agent, env, config.n_bins, start, explore=explore,
                                epsilon=config.epsilon).total_reward
                    for start in initial_states(seeds)]
         assert result.metrics.rewards == rewards
@@ -726,7 +728,7 @@ class TestExactDraws:
         (bit_generator,) = built
         config = TrainConfig()
         run_episode(make_agent(config, np.random.default_rng(0)),
-                    CartPoleEnv(), config.bin_spec(), initial_states([1])[0],
+                    CartPoleEnv(), config.n_bins, initial_states([1])[0],
                     explore=explore, epsilon=0.0)
         assert bit_generator.state == pcg64(3).state
         explore.random()
@@ -849,7 +851,7 @@ def test_stub_always_surviving_converges_at_window():
     seeder = np.random.default_rng(np.random.SeedSequence(0).spawn(3)[0])
     streak = 0
     for episode in range(1, 41):
-        record = run_episode(stub, env, STUB_SPEC,
+        record = run_episode(stub, env, STUB_BINS,
                              initial_states([int(seeder.integers(0, 2 ** 63))])[0])
         env_rewards.append(record.total_reward)
         streak = streak + 1 if record.total_reward >= 200.0 else 0
