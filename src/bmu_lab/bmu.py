@@ -103,11 +103,18 @@ class PoolAgent(BellmanCore):
         # agent.json keeps no init: stored weights overwrite it
         agent = cls(capacity=payload["capacity"], alpha=payload["alpha"],
                     gamma=payload["gamma"], init="zeros")
-        weights = payload["weights"]
-        for key, index in payload["assigned"]:
-            if type(index) is not int or not 0 <= index < len(weights):
-                raise ValueError(f"pool index of state {key} must be in [0, {len(weights)}), "
-                                 f"got {index!r}")
-            agent.load_row(key, weights[index])
+        assigned, weights = payload["assigned"], payload["weights"]
+        if len(assigned) > agent.capacity:
+            raise ValueError(f"{len(assigned)} states are assigned in a bmu-pool agent file "
+                             f"of capacity {agent.capacity}")
+        if len(weights) != len(assigned):
+            raise ValueError(f"the bmu-pool agent file has {len(weights)} weights rows for "
+                             f"{len(assigned)} assigned states")
+        # the file writes the pair at position i with index i and weights row i
+        for i, ((key, index), row) in enumerate(zip(assigned, weights)):
+            if type(index) is not int or index != i:
+                raise ValueError(f"pool index of state {key} must be {i}, its place in "
+                                 f"the list, got {index!r}")
+            agent.load_row(key, row)
         agent.restore_edges(payload["edges"])
         return agent

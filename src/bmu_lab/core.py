@@ -2,13 +2,14 @@
 
 The synaptic graph, the BMU ensembles, the neuron pool and the Q-table all
 run the same Bellman iteration over the same data: one row of `KAPPA`
-action values per discretized state, and, for the graph agents, which state
-each (state, action) transition last led to. `BellmanCore` holds exactly that,
-under row ids given out in first-seen order. It is the one learner and
-selector: every kind runs its one `update` and its greedy `select`, and the
-trainer, not the store, draws the exploring actions. The four agent classes
-differ only in how they render their state to files, the range of their
-uniform row init and, for the table, what `point` records of a transition.
+action values per discretized state, which state each (state, action)
+transition last led to, and how often each state was updated. `BellmanCore`
+holds exactly that, under row ids given out in first-seen order. It is the
+one learner and selector: every kind runs its one `update`, which records
+each edge and visit, and its greedy `select`; the trainer draws the
+exploring actions.
+The four agent classes differ only in how they render their state to
+files, the range of their uniform row init and the pool's capacity.
 
 Agents are driven with the packed cell ids of `discretize`. The string key
 of a cell is rendered once, when its row is added, and is what the files
@@ -71,8 +72,8 @@ class BellmanCore:
     `ids` maps a cell id to its row id i, `keys[i]` is the cell's state key
     and `rows[i]` its action values. `targets` maps (source id, action) to
     the target id of the latest transition, in first-pointed order, and
-    `fan_in[i]` counts the edges pointing at id i. Every edge adds exactly
-    one unit of fan-in, so the fan-in total always equals the edge count.
+    `visits[i]` counts the updates with id i as source; every kind records
+    both, and its files show what they need.
 
     A new row starts at `init`: the optimistic fixed point, zeros, or KAPPA
     draws from `rng` uniform over the class's `uniform_range`. `rng` is a
@@ -98,7 +99,7 @@ class BellmanCore:
         self.keys: list[str] = []
         self.ids: dict[int, int] = {}
         self.rows: list[list[float]] = []
-        self.fan_in: list[int] = []
+        self.visits: list[int] = []
         self.targets: dict[tuple[int, int], int] = {}
 
     # -- storage -------------------------------------------------------
@@ -115,25 +116,19 @@ class BellmanCore:
         self.ids[cell] = len(self.keys)
         self.keys.append(key_of(cell))
         self.rows.append(row)
-        self.fan_in.append(0)
-
-    def point(self, source: int, action: int, target: int) -> None:
-        """Record the transition edge, keeping fan-in exact.
-
-        Re-pointing an edge moves one unit of fan-in from the old target to
-        the new one; repeating the same edge changes nothing.
-        """
-        slot = (source, action)
-        old = self.targets.get(slot)
-        if old != target:
-            if old is not None:
-                self.fan_in[old] -= 1
-            self.targets[slot] = target
-            self.fan_in[target] += 1
+        self.visits.append(0)
 
     def edge_list(self) -> list[tuple[int, int, int]]:
         """(source id, action, target id) in first-pointed order."""
         return [(source, action, target) for (source, action), target in self.targets.items()]
+
+    def fan_in(self) -> list[int]:
+        """Per row id, the number of edges pointing at it, counted when a
+        file needs it."""
+        counts = [0] * len(self.keys)
+        for target in self.targets.values():
+            counts[target] += 1
+        return counts
 
     # -- the agent interface the trainer drives --------------------------
 
@@ -151,7 +146,7 @@ class BellmanCore:
     def update(self, cell: int, action: int, reward: float,
                next_cell: int, terminal: bool) -> None:
         """Q += alpha * (-Q + r + gamma * V') on one action of `cell`, then
-        `point` records the transition.
+        record the transition's edge and the source's visit.
 
         V' is 0 on terminal transitions and otherwise the max of the target
         row, read before the write (so a self-loop sees its old value).
@@ -163,7 +158,8 @@ class BellmanCore:
         row = self.rows[source]
         v_next = 0.0 if terminal else max(self.rows[target])
         row[action] += self.alpha * (-row[action] + reward + self.gamma * v_next)
-        self.point(source, action, target)
+        self.targets[source, action] = target
+        self.visits[source] += 1
 
     def q_values(self, cell: int) -> list[float]:
         return list(self.rows[self.ids[cell]])
@@ -186,7 +182,7 @@ class BellmanCore:
     def snapshot(self) -> GraphSnapshot:
         keys = self.keys
         snapshot = GraphSnapshot(name=self.kind)
-        for key, row, fan_in in zip(keys, self.rows, self.fan_in):
+        for key, row, fan_in in zip(keys, self.rows, self.fan_in()):
             snapshot.nodes.append((key, {"value": max(row), "fan_in": fan_in}))
         for source, action, target in self.edge_list():
             snapshot.edges.append((keys[source], keys[target], self.edge_attrs(source, action)))
@@ -239,4 +235,4 @@ class BellmanCore:
             if type(action) is not int or not 0 <= action < KAPPA:
                 raise ValueError(f"edge action must be 0 to {KAPPA - 1} in the {self.kind} "
                                  f"agent file, got {action!r} from state {edge['source']}")
-            self.point(self.id_of(edge["source"]), action, self.id_of(edge["target"]))
+            self.targets[self.id_of(edge["source"]), action] = self.id_of(edge["target"])

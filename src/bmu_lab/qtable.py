@@ -4,17 +4,16 @@ Serves two purposes: the comparison row in the summary table, and the
 reference semantics for the graph agents (all of them must produce the
 same Q values on the same transition stream). Rows are stored on demand:
 as for every agent, a state is read and updated only after `ensure` has
-added its row. The table learns through the shared update and records no
-edge: its `point` counts a visit of the source state instead, so `visits`
-counts the updates with each state as source. Visit counts and the row
-order of `qtable.csv` and `agent.json` follow the string keys, so the files
-sort as keys, not as cell ids.
+added its row. The table learns through the shared update, which records
+its edges as for every kind, but no file of a table shows them: its
+`agent.json` writes the visits, the updates with each state as source.
+Visit counts and the row order of `qtable.csv` and `agent.json` follow the
+string keys, so the files sort as keys, not as cell ids.
 """
 
 from __future__ import annotations
 
 from .core import BellmanCore, parameter_count
-from .discretize import cell_of
 from .graphio import GraphSnapshot
 from .metrics import NetworkStats
 from .streams import loaded_rng
@@ -22,15 +21,6 @@ from .streams import loaded_rng
 
 class QTableAgent(BellmanCore):
     kind = "qtable"
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.visits: dict[str, int] = {}
-
-    def point(self, source: int, action: int, target: int) -> None:
-        # a table records no edge, only that the source was updated once more
-        key = self.keys[source]
-        self.visits[key] = self.visits.get(key, 0) + 1
 
     def stats(self) -> NetworkStats:
         # fan-in has no natural meaning for a lookup table; reported as n/a
@@ -55,7 +45,9 @@ class QTableAgent(BellmanCore):
         return {
             "q_init": self.init,
             "rows": dict(self.sorted_rows()),
-            "visits": dict(sorted(self.visits.items())),
+            # a state never updated has no entry
+            "visits": {key: count for key, count in sorted(zip(self.keys, self.visits))
+                       if count},
         }
 
     @classmethod
@@ -68,9 +60,9 @@ class QTableAgent(BellmanCore):
         for key, row in payload["rows"].items():
             agent.load_row(key, row)
         for key, count in payload["visits"].items():
-            cell_of(key)  # raises on a key that is not canonical
-            if type(count) is not int or count < 0:
-                raise ValueError(f"visits of state {key} must be a non-negative integer, "
+            source = agent.id_of(key)
+            if type(count) is not int or count < 1:
+                raise ValueError(f"visits of state {key} must be a positive integer, "
                                  f"got {count!r}")
-        agent.visits = dict(payload["visits"])
+            agent.visits[source] = count
         return agent

@@ -116,8 +116,19 @@ def save_agent(agent) -> str:
     return json.dumps(agent.serialize(), sort_keys=True)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object whose keys are all distinct; json.loads would keep the
+    last of two entries for one key."""
+    payload = dict(pairs)
+    if len(payload) < len(pairs):
+        keys = [key for key, _ in pairs]
+        key = next(key for key in keys if keys.count(key) > 1)
+        raise ValueError(f"key {key!r} is repeated in one object of the agent file")
+    return payload
+
+
 def load_agent(text: str):
-    payload = json.loads(text)
+    payload = json.loads(text, object_pairs_hook=_unique_keys)
     if not isinstance(payload, dict):
         raise ValueError(f"agent file must hold a JSON object, got {type(payload).__name__}")
     kind = payload.get("kind")
@@ -146,7 +157,8 @@ def agent_state_hash(agent) -> str:
 
 
 def seed_summary(metrics: RunMetrics, agent) -> dict:
-    # a seed that failed in its first episode has no final values
+    # a seed that failed in its first episode has no final values; a fresh
+    # agent's neurons are its spawns
     return {
         "seed": metrics.seed,
         "converged": metrics.converged,
@@ -155,7 +167,7 @@ def seed_summary(metrics: RunMetrics, agent) -> dict:
         "failed": metrics.failed,
         "final_reward": metrics.rewards[-1] if metrics.rewards else None,
         "final_moving_avg": metrics.moving_avg[-1] if metrics.rewards else None,
-        "total_spawned": sum(metrics.spawned),
+        "total_spawned": metrics.neurons[-1] if metrics.neurons else 0,
         "final_stats": asdict(agent.stats()),
         "wall_clock_seconds": metrics.wall_clock_seconds,
     }

@@ -41,14 +41,14 @@ class SynapticAgent(BellmanCore):
         return {**super().edge_attrs(source, action), "gate": "closed"}
 
     def payload(self) -> dict:
-        keys = self.keys
+        keys, fan_in = self.keys, self.fan_in()
         return {
             "c": 1.0,
             "neurons": [
                 {
                     "key": key,
                     "value": max(row),
-                    "fan_in": self.fan_in[i],
+                    "fan_in": fan_in[i],
                     "synapses": [
                         {"q": q,
                          "target": keys[self.targets[i, j]] if (i, j) in self.targets else None,
@@ -72,5 +72,5 @@ class SynapticAgent(BellmanCore):
                     raise ValueError(f"gate must be closed in a synaptic agent file, "
                                      f"got {syn['gate']!r} on neuron {entry['key']}")
                 if syn["target"] is not None:
-                    agent.point(i, j, agent.id_of(syn["target"]))
+                    agent.targets[i, j] = agent.id_of(syn["target"])
         return agent

@@ -7,7 +7,9 @@ which it loads only for a run that explores.
 Training stops once the trailing window of episodes all meet
 the convergence reward, or at the episode cap; non-convergence is a
 recorded outcome, not an error, and so is a neuron pool running out of
-neurons, which ends that seed's run early.
+neurons, which ends that seed's run early. An episode records its reward
+and steps and the agent's stats after it; a count that only a file shows,
+such as a seed's spawns, is worked out when the file is written.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ def make_agent(config: TrainConfig, rng: Stream):
 class EpisodeRecord:
     total_reward: float
     steps: int
-    spawned: int
 
 
 def run_episode(agent, env: CartPoleEnv, n_bins: int,
@@ -63,7 +64,7 @@ def run_episode(agent, env: CartPoleEnv, n_bins: int,
     ensure, select, update = agent.ensure, agent.select, agent.update
     step = env.step
     cell = discretize(env.reset(start), n_bins)
-    spawned = int(ensure(cell))
+    ensure(cell)
     total = 0.0
     steps = 0
     while True:
@@ -73,15 +74,14 @@ def run_episode(agent, env: CartPoleEnv, n_bins: int,
             action = select(cell)
         next_state, reward, terminated, truncated = step(action)
         next_cell = discretize(next_state, n_bins)
-        if ensure(next_cell):
-            spawned += 1
+        ensure(next_cell)
         update(cell, action, reward, next_cell, terminated)
         total += reward
         steps += 1
         if terminated or truncated:
             break
         cell = next_cell
-    return EpisodeRecord(total_reward=total, steps=steps, spawned=spawned)
+    return EpisodeRecord(total_reward=total, steps=steps)
 
 
 @dataclass
@@ -94,7 +94,6 @@ class RunMetrics:
     avg_fan_in: list[float | None]
     parameters: list[int]
     steps: list[int]
-    spawned: list[int]
     converged: bool
     episodes_to_convergence: int | None
     wall_clock_seconds: float
@@ -126,7 +125,7 @@ def train(config: TrainConfig, seed: int) -> TrainResult:
 
     metrics = RunMetrics(seed=seed, rewards=[], moving_avg=[], moving_std=[],
                          neurons=[], avg_fan_in=[], parameters=[], steps=[],
-                         spawned=[], converged=False, episodes_to_convergence=None,
+                         converged=False, episodes_to_convergence=None,
                          wall_clock_seconds=0.0)
     snapshots: dict[int, GraphSnapshot] = {}
     streak = 0
@@ -150,7 +149,6 @@ def train(config: TrainConfig, seed: int) -> TrainResult:
         metrics.avg_fan_in.append(stats.avg_fan_in)
         metrics.parameters.append(stats.parameter_count)
         metrics.steps.append(record.steps)
-        metrics.spawned.append(record.spawned)
 
         if config.snapshot_every and episode % config.snapshot_every == 0:
             snapshots[episode] = agent.snapshot()

@@ -473,14 +473,29 @@ def edited_json(change):
     return edit
 
 
+def state_without_row(keys):
+    return next(key for key in (f"{i}_{i}_{i}_{i}_" for i in range(10)) if key not in keys)
+
+
 def synapse_to_unknown_state(payload):
     keys = {neuron["key"] for neuron in payload["neurons"]}
-    unknown = next(key for key in (f"{i}_{i}_{i}_{i}_" for i in range(10)) if key not in keys)
-    payload["neurons"][0]["synapses"][0]["target"] = unknown
+    payload["neurons"][0]["synapses"][0]["target"] = state_without_row(keys)
 
 
 def first_row(table):
     return next(iter(table))
+
+
+def pool_state_again(payload):
+    """The first state assigned once more, at the next index with its own row."""
+    payload["assigned"].append([payload["assigned"][0][0], len(payload["assigned"])])
+    payload["weights"].append([0.0, 0.0])
+
+
+def repeated_key(text, head, key, value):
+    """The file's text with `key: value` written again at the head of the
+    object that starts with `head`."""
+    return text.replace(head, f'{head}{json.dumps(key)}: {json.dumps(value)}, ', 1)
 
 
 # agent.json cases: the run's kind, the edit of the payload, and what the
@@ -500,11 +515,19 @@ MALFORMED = {
                            "listed twice"),
     "bmu-ensemble-with-three-encoders": (
         "bmu", lambda p: p["ensembles"][0]["encoders"].append([0.0]), "must hold 2"),
-    "pool-state-twice": ("bmu-pool", lambda p: p["assigned"].append(p["assigned"][0]),
-                         "listed twice"),
+    "pool-state-twice": ("bmu-pool", lambda p: pool_state_again(p), "listed twice"),
     "pool-weights-row-of-one": ("bmu-pool", lambda p: p["weights"][0].pop(), "must hold 2"),
     "pool-index-minus-one": ("bmu-pool", lambda p: p["assigned"][0].__setitem__(1, -1),
                              "pool index"),
+    # the pair at position i holds index i and weights row i, within capacity
+    "pool-index-aliased": ("bmu-pool", lambda p: p["assigned"][1].__setitem__(1, 0),
+                           "pool index"),
+    "pool-weights-row-without-state": ("bmu-pool", lambda p: p["weights"].append([0.0, 0.0]),
+                                       "weights rows"),
+    "pool-state-without-weights-row": ("bmu-pool", lambda p: p["weights"].pop(),
+                                       "weights rows"),
+    "pool-over-capacity": ("bmu-pool", lambda p: p.update(capacity=len(p["assigned"]) - 1),
+                           "capacity"),
     "qtable-q-value-nan-string": (
         "qtable", lambda p: p["rows"][first_row(p["rows"])].__setitem__(0, "nan"),
         "must hold 2"),
@@ -517,6 +540,10 @@ MALFORMED = {
         "qtable", lambda p: p["visits"].update({first_row(p["visits"]): -1}), "visits"),
     "qtable-visits-key-malformed": (
         "qtable", lambda p: p["visits"].update({"5_5_x_5_": 1}), "'5_5_x_5_'"),
+    "qtable-visits-key-without-row": (
+        "qtable", lambda p: p["visits"].update({state_without_row(p["rows"]): 1}), "has no row"),
+    "qtable-visits-count-zero": (
+        "qtable", lambda p: p["visits"].update({first_row(p["visits"]): 0}), "positive integer"),
 }
 
 
@@ -525,6 +552,12 @@ MALFORMED = {
       for agent, change, names in MALFORMED.values()],
     ("eval", "synaptic", "seed0/agent.json", lambda text: json.dumps([json.loads(text)]),
      "JSON object"),
+    # a key named twice in one JSON object, which json.loads would take once
+    ("eval", "synaptic", "seed0/agent.json", lambda text: repeated_key(text, "{", "alpha", 0.5),
+     "'alpha' is repeated"),
+    ("eval", "qtable", "seed0/agent.json",
+     lambda text: repeated_key(text, '"rows": {', first_row(json.loads(text)["rows"]),
+                               [0.0, 0.0]), "is repeated"),
     ("stats", "synaptic", "seed0/graph_final.gexf", lambda text: text[:len(text) // 2],
      "malformed GEXF"),
     ("stats", "synaptic", "seed0/graph_final.gexf",
@@ -536,7 +569,8 @@ MALFORMED = {
      lambda text: text.replace(' value="', ' valu="', 1), "'value' is declared double"),
     ("table2", "synaptic", "summary.json",
      edited_json(lambda payload: payload.pop("convergence_episodes")), "convergence_episodes"),
-], ids=[*MALFORMED, "agent-as-list", "truncated-gexf", "gexf-value-of-undeclared-attribute",
+], ids=[*MALFORMED, "agent-as-list", "agent-key-repeated", "qtable-row-repeated",
+        "truncated-gexf", "gexf-value-of-undeclared-attribute",
         "gexf-value-not-its-declared-type", "gexf-attvalue-without-value",
         "summary-without-convergence-episodes"])
 def test_malformed_run_file_is_one_error_line(tmp_path, capsys, command, agent, name, edit,

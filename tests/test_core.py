@@ -58,7 +58,8 @@ transitions = st.tuples(
 @given(stream=st.lists(transitions, min_size=1, max_size=80))
 def test_matched_zero_agents_agree_on_rows_and_choices(stream):
     """Driven as the trainer drives them, where a forced action bypasses
-    `select`, the four kinds agree on every greedy choice and every row."""
+    `select`, the four kinds agree on every greedy choice and on all they
+    store: row ids, keys, rows, edges and visits."""
     agents = zero_agents()
     table = agents[3]
     updates = Counter()
@@ -76,20 +77,23 @@ def test_matched_zero_agents_agree_on_rows_and_choices(stream):
         updates[key_of(s)] += 1
         rows = [agent.q_values(s) for agent in agents]
         assert rows == [rows[0]] * len(agents)
-    # the table counts every update of a source and records no edge
-    assert table.visits == dict(updates)
-    assert table.targets == {}
-    # the three graph agents also agree on topology
+    for name in ("ids", "keys", "rows", "visits"):
+        stored = [getattr(agent, name) for agent in agents]
+        assert stored == [stored[0]] * len(agents), name
+    # edges in the same first-pointed order
+    targets = [list(agent.targets.items()) for agent in agents]
+    assert targets == [targets[0]] * len(agents)
+    # the table's file counts every update of a source
+    assert table.serialize()["visits"] == dict(sorted(updates.items()))
+    # the three graph agents also render the same topology
     graphs = agents[:3]
-    targets = [list(agent.targets.items()) for agent in graphs]
-    assert targets == [targets[0]] * len(graphs)
-    fan_in = [agent.fan_in for agent in graphs]
-    assert fan_in == [fan_in[0]] * len(graphs)
     stats = [agent.stats() for agent in graphs]
     assert stats == [stats[0]] * len(graphs)
     edges = [sorted((s, t, a["action"]) for s, t, a in agent.snapshot().edges)
              for agent in graphs]
     assert edges == [edges[0]] * len(graphs)
+    fan_in = [sorted((key, a["fan_in"]) for key, a in agent.snapshot().nodes) for agent in graphs]
+    assert fan_in == [fan_in[0]] * len(graphs)
 
 
 @pytest.mark.parametrize("kind", AGENT_KINDS)

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from bmu_lab import streams, trainer
 from bmu_lab.cartpole import RESET_SPREAD, CartPoleEnv
 from bmu_lab.config import (
+    AGENT_CLASSES,
     AGENT_KINDS,
     RETIRED_KEYS,
     ConfigError,
@@ -23,7 +24,7 @@ from bmu_lab.config import (
 )
 from bmu_lab.core import INIT_MODES
 from bmu_lab.discretize import LOWER, UPPER, cell_of, key_of
-from bmu_lab.runio import agent_state_hash, save_agent
+from bmu_lab.runio import agent_state_hash, save_agent, seed_summary
 from bmu_lab.streams import (AGENT_ROWS, BLOCK, Exploration, initial_states, mean_std,
                              seed_stream)
 from bmu_lab.trainer import (
@@ -496,18 +497,26 @@ class TestRunEpisode:
             env = CartPoleEnv()
             agent = make_agent(config, np.random.default_rng(0))
             rec = run_episode(agent, env, config.n_bins, start=initial_states([17])[0])
-            return rec.total_reward, rec.steps, rec.spawned
+            return rec.total_reward, rec.steps, agent_state_hash(agent)
 
         assert once() == once()
 
     def test_spawn_accounting_matches_agent(self):
+        """`ensure` answers True exactly for the rows it adds."""
         config = TrainConfig()
         env = CartPoleEnv()
         agent = make_agent(config, np.random.default_rng(0))
-        spawned = 0
+        ensure, spawns = agent.ensure, []
+
+        def counting(cell):
+            spawns.append(ensure(cell))
+            return spawns[-1]
+
+        agent.ensure = counting
         for start in initial_states(range(5)):
-            spawned += run_episode(agent, env, config.n_bins, start).spawned
-        assert spawned == agent.stats().neurons
+            run_episode(agent, env, config.n_bins, start)
+        assert {type(spawned) for spawned in spawns} == {bool}
+        assert sum(spawns) == agent.stats().neurons
 
 
 class TestTrain:
@@ -518,7 +527,7 @@ class TestTrain:
         assert n == 12
         for series in (metrics.rewards, metrics.moving_avg, metrics.moving_std,
                        metrics.neurons, metrics.avg_fan_in, metrics.parameters,
-                       metrics.steps, metrics.spawned):
+                       metrics.steps):
             assert len(series) == n
 
     def test_moving_average_uses_trailing_window(self):
@@ -601,10 +610,21 @@ class TestTrain:
         assert result.metrics.converged
         assert drawn == [256] * -(-result.metrics.episodes_run // 256)
 
-    def test_spawn_conservation_over_training(self):
+    def test_spawn_conservation_over_training(self, monkeypatch):
+        """A seed's `total_spawned`, its last recorded neuron count, is every
+        row that `ensure` added in training."""
         config = TrainConfig(max_episodes=15)
+        cls = AGENT_CLASSES[config.agent]
+        ensure, spawns = cls.ensure, []
+
+        def counting(agent, cell):
+            spawns.append(ensure(agent, cell))
+            return spawns[-1]
+
+        monkeypatch.setattr(cls, "ensure", counting)
         result = train(config, 2)
-        assert sum(result.metrics.spawned) == result.agent.stats().neurons
+        assert sum(spawns) == seed_summary(result.metrics, result.agent)["total_spawned"] \
+            == result.agent.stats().neurons > 0
 
     def test_non_convergence_is_recorded_not_raised(self):
         config = TrainConfig(agent="qtable", init="zeros", max_episodes=10)
